@@ -21,7 +21,6 @@ from .biharmonic import (
     CompatibilityError,
     NeumannProblem,
     compatibility_residual,
-    flux_mismatch,
     solve_neumann,
 )
 from .fem import build_space
@@ -94,7 +93,10 @@ def parse_expression(text: str):
     env = {"pi": np.pi, **_ALLOWED_CALLS}
 
     def func(x, y):
-        return eval(code, {"__builtins__": {}}, {"x": x, "y": y, **env})
+        try:
+            return eval(code, {"__builtins__": {}}, {"x": x, "y": y, **env})
+        except ArithmeticError as exc:  # Python scalar arithmetic, e.g. 1/0
+            raise ExpressionError(f"cannot evaluate expression {text!r}: {exc}") from None
 
     return func
 
@@ -238,17 +240,19 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-_HARMONIC_LABELS = ["1"]
-for _k in range(1, 16):
-    _HARMONIC_LABELS.append(f"Re (x+iy)^{_k}")
-    _HARMONIC_LABELS.append(f"Im (x+iy)^{_k}")
+def _harmonic_labels(kmax: int) -> list[str]:
+    """Labels of ``harmonic_basis(kmax)`` in its order."""
+    labels = ["1"]
+    for k in range(1, kmax + 1):
+        labels += [f"Re (x+iy)^{k}", f"Im (x+iy)^{k}"]
+    return labels
 
 
 def _cmd_compat(args) -> int:
     problem, _ = _problem_from_args(args)
     space = build_space(_build_mesh("square", args.n, 0), args.degree)
     residuals = compatibility_residual(space, problem, harmonic_basis(args.kmax))
-    for label, r in zip(_HARMONIC_LABELS, residuals):
+    for label, r in zip(_harmonic_labels(args.kmax), residuals, strict=True):
         print(f"r[{label}] = {FLOAT_FMT.format(r)}")
     worst = float(np.abs(residuals).max())
     print(f"compat_max={FLOAT_FMT.format(worst)}")
@@ -262,7 +266,7 @@ def _cmd_flux(args) -> int:
     space = build_space(_build_mesh("square", args.n, 0), args.degree)
     solution = solve_neumann(space, problem, rel_tol=args.rel_tol)
     flux = normal_flux(space, solution.sigma_h, problem.f)
-    print(f"flux_mismatch={FLOAT_FMT.format(flux_mismatch(space, solution))}")
+    print(f"flux_mismatch={FLOAT_FMT.format(solution.diagnostics.flux_mismatch)}")
     print(f"total_flux={FLOAT_FMT.format(flux.total())}")
     return 0
 

@@ -15,6 +15,12 @@ turns the functional into a pointwise trace-space field. Summing t over
 the boundary reproduces the integral of the source exactly up to solver
 tolerance (discrete divergence theorem), which the overdetermined
 diagnostics below rely on.
+
+Operators are built once per space: the stiffness matrix, the mass
+matrix, the boundary mass matrix and the interior/boundary blocks are
+assembled on the first solve or flux recovery on a space and held on that
+space for as long as it lives. Both cascade solves and the flux recovery
+share them, and later calls on the same space assemble nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .fem import (
     boundary_mass_matrix,
     interpolate,
 )
-from .sparse import cg_solve, matvec
+from .sparse import SparseMatrix, cg_solve, matvec
 
 __all__ = [
     "ScalarField",
@@ -47,11 +53,49 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class _Operators:
+    """Poisson operators of one space: stiffness K, mass M, boundary mass
+    (indexed like ``boundary_dofs``), the interior dofs and the interior
+    blocks A_ii = K[interior, interior], A_ib = K[interior, boundary]."""
+
+    stiffness: SparseMatrix
+    mass: SparseMatrix
+    boundary_mass: SparseMatrix
+    interior: np.ndarray
+    a_ii: SparseMatrix
+    a_ib: SparseMatrix
+
+
+def _operators(space: FeSpace) -> _Operators:
+    """The space's operators, assembled on first use and kept on the space.
+
+    The space is frozen and its arrays are read-only, so the operators
+    cannot go stale; they are freed together with the space.
+    """
+    ops = space.__dict__.get("_poisson_operators")
+    if ops is None:
+        k = assemble_stiffness(space)
+        bdofs = space.boundary_dofs
+        interior = np.setdiff1d(np.arange(space.dof_count), bdofs, assume_unique=True)
+        interior.flags.writeable = False
+        ops = _Operators(
+            stiffness=k,
+            mass=assemble_mass(space),
+            boundary_mass=boundary_mass_matrix(space),
+            interior=interior,
+            a_ii=k.submatrix(interior, interior),
+            a_ib=k.submatrix(interior, bdofs),
+        )
+        space.__dict__["_poisson_operators"] = ops
+    return ops
+
+
 def _source_load(space: FeSpace, source) -> np.ndarray:
     if isinstance(source, ScalarField):
         if source.space is not space:
             raise ValueError("source field lives on a different space")
-        return matvec(assemble_mass(space), source.coeffs)
+        return matvec(_operators(space).mass, source.coeffs)
     return assemble_load(space, source)
 
 
@@ -75,7 +119,7 @@ def solve_dirichlet(
     Returns the finite element solution; its ``solver_iterations`` field
     records the CG iteration count (0 when there are no interior dofs).
     """
-    a = assemble_stiffness(space)
+    ops = _operators(space)
     b = _source_load(space, source)
 
     coeffs = np.zeros(space.dof_count)
@@ -83,15 +127,13 @@ def solve_dirichlet(
     lifted = interpolate(space, boundary_value)
     coeffs[bdofs] = lifted.coeffs[bdofs]
 
-    interior = np.setdiff1d(np.arange(space.dof_count), bdofs, assume_unique=True)
+    interior = ops.interior
     if len(interior) == 0:
         return ScalarField(space, coeffs, solver_iterations=0)
 
     # Weak form: (grad w, grad v) = -(q, v) for interior v, boundary part lifted.
-    a_ii = a.submatrix(interior, interior)
-    a_ib = a.submatrix(interior, bdofs)
-    rhs = -b[interior] - matvec(a_ib, coeffs[bdofs])
-    result = cg_solve(a_ii, rhs, rel_tol=rel_tol, max_iter=max_iter)
+    rhs = -b[interior] - matvec(ops.a_ib, coeffs[bdofs])
+    result = cg_solve(ops.a_ii, rhs, rel_tol=rel_tol, max_iter=max_iter)
     coeffs[interior] = result.x
     return ScalarField(space, coeffs, solver_iterations=result.iterations)
 
@@ -142,11 +184,10 @@ def normal_flux(
     """
     if w.space is not space:
         raise ValueError("field lives on a different space")
-    a = assemble_stiffness(space)
-    residual = matvec(a, w.coeffs) + _source_load(space, source)
+    ops = _operators(space)
+    residual = matvec(ops.stiffness, w.coeffs) + _source_load(space, source)
     t = residual[space.boundary_dofs]
-    mb = boundary_mass_matrix(space)
-    projected = cg_solve(mb, t, rel_tol=rel_tol).x
+    projected = cg_solve(ops.boundary_mass, t, rel_tol=rel_tol).x
     return BoundaryFlux(space, space.boundary_dofs.copy(), t, projected)
 
 

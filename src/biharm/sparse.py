@@ -5,12 +5,14 @@ pins down construction semantics (duplicate triplets are summed, column
 indices sorted within each row) and exposes the raw CSR arrays. The CG
 solver is written out longhand because its failure behavior is part of
 the contract: it reports iteration counts, raises a typed error carrying
-the residual when the iteration budget runs out, and detects loss of
-positive definiteness through the p^T A p curvature term.
+the residual when the iteration budget runs out or a value turns
+non-finite, and detects loss of positive definiteness through the p^T A p
+curvature term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,9 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """CG exhausted its iteration budget; carries the last residual norm."""
+    """CG exhausted its iteration budget or met a non-finite value; carries
+    the iteration reached and the last residual norm (or the non-finite
+    value)."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
@@ -158,6 +162,8 @@ def cg_solve(
     ------
     NonConvergenceError
         when the budget is exhausted; the exception carries the residual.
+        Also raised at once, with the iteration reached and the offending
+        value, when ||b||, p^T A p or the residual norm is not finite.
     NotSPDError
         when a search direction has nonpositive curvature p^T A p, or the
         diagonal preconditioner meets a nonpositive diagonal entry.
@@ -182,6 +188,8 @@ def cg_solve(
         apply_prec = lambda r: r
 
     b_norm = float(np.linalg.norm(b))
+    if not math.isfinite(b_norm):
+        raise NonConvergenceError(0, b_norm)
     x = np.zeros(n)
     if b_norm == 0.0:
         return CGResult(x, 0, 0.0)
@@ -193,12 +201,16 @@ def cg_solve(
     for k in range(1, max_iter + 1):
         ap = a @ p
         pap = float(p @ ap)
+        if not math.isfinite(pap):
+            raise NonConvergenceError(k, pap)
         if pap <= 0.0:
             raise NotSPDError(f"nonpositive curvature p^T A p = {pap:.6e}")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         res = float(np.linalg.norm(r))
+        if not math.isfinite(res):
+            raise NonConvergenceError(k, res)
         if res <= rel_tol * b_norm:
             return CGResult(x, k, res)
         z = apply_prec(r)

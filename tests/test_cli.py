@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from biharm import biharmonic, cli, poisson
 from biharm.cli import ExpressionError, parse_expression, run, write_vtk
 from biharm.mesh import read_mesh, unit_square_mesh
 
@@ -133,6 +134,19 @@ def test_solve_exit_code_numerical_failure():
     assert run(["solve", "--case", "sine", "--n", "16", "--max-iter", "2"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1/x at x = 0
+def test_solve_nonfinite_data_fails_without_iterating(capsys):
+    assert run(["solve", "--f", "0", "--g", "1/x", "--h", "0", "--n", "16"]) == 2
+    assert "in 0 iterations" in capsys.readouterr().err
+
+
+def test_solve_division_by_zero_is_an_input_error(capsys):
+    assert run(["solve", "--f", "1/0", "--g", "0", "--h", "0", "--n", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'1/0'" in err
+
+
 def test_solve_strict_exit_code():
     args = ["solve", "--f", SINE_F, "--g", "0", "--n", "8", "--strict"]
     assert run(args + ["--h", SINE_H]) == 0
@@ -204,6 +218,19 @@ def test_compat_command_lists_residuals(capsys):
     assert worst < 1e-4
 
 
+def test_compat_lists_every_residual_beyond_degree_15(capsys):
+    args = ["compat", "--case", "sine", "--n", "4", "--kmax"]
+    assert run(args + ["15"]) == 0
+    before = capsys.readouterr().out.splitlines()
+    assert run(args + ["16"]) == 0
+    after = capsys.readouterr().out.splitlines()
+    labeled = [line for line in after if line.startswith("r[")]
+    assert len(labeled) == 33
+    assert labeled[:31] == before[:31]
+    assert labeled[31].startswith("r[Re (x+iy)^16] = ")
+    assert labeled[32].startswith("r[Im (x+iy)^16] = ")
+
+
 def test_compat_strict_flags_incompatible_data(capsys):
     args = ["compat", "--f", SINE_F, "--g", "0", "--n", "8", "--strict"]
     assert run(args + ["--h", SINE_H]) == 0
@@ -218,6 +245,20 @@ def test_flux_command_total_is_source_integral(capsys):
     lines = dict(line.split("=") for line in out.strip().splitlines())
     assert abs(float(lines["total_flux"]) - 16.0 * np.pi**2) < 1e-6
     assert float(lines["flux_mismatch"]) > 0.0
+
+
+def test_flux_command_recovers_flux_twice(monkeypatch, capsys):
+    # once inside solve_neumann, once for total_flux
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return poisson.normal_flux(*args, **kwargs)
+
+    monkeypatch.setattr(biharmonic, "normal_flux", counted)
+    monkeypatch.setattr(cli, "normal_flux", counted)
+    assert run(["flux", "--case", "sine", "--n", "4"]) == 0
+    assert len(calls) == 2
 
 
 def test_overdet_command(capsys):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from biharm import poisson
+from biharm.biharmonic import NeumannProblem, solve_neumann
 from biharm.fem import build_space, interpolate
-from biharm.manufactured import l2_error
+from biharm.manufactured import case_sine, l2_error
 from biharm.mesh import unit_square_mesh
 from biharm.poisson import (
     normal_flux,
@@ -201,3 +203,47 @@ def test_fourth_order_incompatible_source():
         assert res.laplacian_trace_l2 == 0.0
         assert abs(res.total_flux - total) < 1e-8
         assert res.flux_l2 > 0.5
+
+
+@pytest.fixture
+def assembly_counts(monkeypatch):
+    """Count the assembly calls made through ``biharm.poisson``."""
+    counts = {}
+    for name in ("assemble_stiffness", "assemble_mass", "boundary_mass_matrix"):
+        original = getattr(poisson, name)
+
+        def counted(space, _original=original, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(space)
+
+        monkeypatch.setattr(poisson, name, counted)
+    return counts
+
+
+def test_operators_assembled_once_per_space(assembly_counts):
+    space = build_space(unit_square_mesh(6), 2)
+    case = case_sine()
+    problem = NeumannProblem(case.f, case.g, case.h)
+    solve_neumann(space, problem)
+    solve_neumann(space, NeumannProblem(case.f, case.g, 1.0))
+    assert assembly_counts == {
+        "assemble_stiffness": 1,
+        "assemble_mass": 1,
+        "boundary_mass_matrix": 1,
+    }
+
+
+def test_new_space_on_same_mesh_gets_its_own_operators(assembly_counts):
+    mesh = unit_square_mesh(6)
+    case = case_sine()
+    problem = NeumannProblem(case.f, case.g, case.h)
+    first = build_space(mesh, 1)
+    solve_neumann(first, problem)
+    cached = solve_neumann(first, problem)  # served from the operator cache
+    second = build_space(mesh, 1)
+    fresh = solve_neumann(second, problem)
+    assert assembly_counts["assemble_stiffness"] == 2
+    assert assembly_counts["assemble_mass"] == 2
+    assert assembly_counts["boundary_mass_matrix"] == 2
+    assert fresh.sigma_h.coeffs.tobytes() == cached.sigma_h.coeffs.tobytes()
+    assert fresh.s_h.coeffs.tobytes() == cached.s_h.coeffs.tobytes()

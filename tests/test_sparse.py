@@ -120,6 +120,17 @@ def test_cg_nonconvergence_carries_state():
     assert err.value.residual > 0
 
 
+def test_cg_stops_at_once_on_nan_right_hand_side():
+    space = build_space(unit_square_mesh(8), 1)
+    a = assemble_stiffness(space).submatrix(np.arange(1, 10), np.arange(1, 10))
+    b = np.ones(9)
+    b[4] = np.nan
+    with pytest.raises(NonConvergenceError) as err:
+        cg_solve(a, b)
+    assert err.value.iterations <= 1
+    assert not np.isfinite(err.value.residual)
+
+
 def test_cg_rejects_negative_diagonal():
     a = from_triplets([0, 1], [0, 1], [1.0, -1.0], shape=(2, 2))
     with pytest.raises(NotSPDError):
