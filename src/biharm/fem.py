@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import Mesh
+from .mesh import Mesh, _edge_numbering
 from .sparse import SparseMatrix, from_triplets
 
 __all__ = [
@@ -201,26 +201,11 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
         element_dofs = tris.copy()
         bedge_dofs = mesh.boundary_edges[:, :2].copy()
     else:
-        pairs = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        nt = len(tris)
-        element_dofs = np.column_stack(
-            [
-                tris,
-                nv + inverse[:nt],
-                nv + inverse[nt : 2 * nt],
-                nv + inverse[2 * nt :],
-            ]
-        )
+        edges, sides, boundary = _edge_numbering(mesh)
+        element_dofs = np.column_stack([tris, nv + sides])
         midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
         dof_coords = np.vstack([mesh.vertices, midpoints])
-        rank = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
-        bmid = np.array(
-            [nv + rank[(min(int(a), int(b)), max(int(a), int(b)))] for a, b, _ in mesh.boundary_edges],
-            dtype=np.int64,
-        )
-        bedge_dofs = np.column_stack([mesh.boundary_edges[:, :2], bmid])
+        bedge_dofs = np.column_stack([mesh.boundary_edges[:, :2], nv + boundary])
 
     markers: dict[int, set[int]] = {}
     for row, (a, b, m) in zip(bedge_dofs, mesh.boundary_edges):
@@ -303,7 +288,9 @@ def quad_points(mesh: Mesh, rule: QuadratureRule):
     """Physical coordinates of the rule's points on every triangle, (T, nq) pair."""
     origin, jac, _, _ = triangle_geometry(mesh)
     ref = rule.points[:, 1:]
-    phys = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, ref)
+    phys = origin[:, None, :] + (
+        jac[:, None, :, 0] * ref[None, :, 0, None] + jac[:, None, :, 1] * ref[None, :, 1, None]
+    )
     return phys[:, :, 0], phys[:, :, 1]
 
 

@@ -7,6 +7,11 @@ reader validate the full invariant set: positive triangle areas, area sum
 equal to the shoelace area of the boundary loop, interior edges shared by
 exactly two triangles and boundary edges by exactly one, a single closed
 boundary loop, and the Euler relation V - E + F = 1.
+
+Construction, refinement and validation are array operations. Every edge
+is named by one integer key, lo * V + hi for its sorted endpoint indices;
+ascending keys list the edges in lexicographic (lo, hi) order, which is the
+order that numbers refinement midpoints and degree-2 dofs.
 """
 
 from __future__ import annotations
@@ -101,20 +106,14 @@ class Mesh:
         return self.boundary_edges.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices, self.triangles)
 
     def area(self) -> float:
         return float(self.signed_areas().sum())
 
     def undirected_edges(self) -> np.ndarray:
         """Distinct undirected edges as sorted (lo, hi) pairs, lexicographic."""
-        t = self.triangles
-        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        pairs.sort(axis=1)
-        return np.unique(pairs, axis=0)
+        return _edge_numbering(self)[0]
 
     def boundary_loop(self) -> np.ndarray:
         """Boundary vertices in traversal order; raises unless one closed loop."""
@@ -157,27 +156,28 @@ class Mesh:
 
         # Edge incidence: directed edges of CCW triangles; an undirected edge
         # seen once is boundary, twice (in opposite directions) is interior.
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        directed_set = {(int(a), int(bb)) for a, bb in directed}
-        if len(directed_set) != len(directed):
+        nv = len(v)
+        heads = np.roll(t, -1, axis=1)
+        directed = np.sort(_edge_key(t, heads, nv), axis=None)
+        if (directed[1:] == directed[:-1]).any():
             raise MeshValidationError("duplicated directed edge (overlapping triangles)")
-        und = np.sort(directed, axis=1)
-        und_unique, counts = np.unique(und, axis=0, return_counts=True)
+        und_unique, counts = np.unique(
+            _edge_key(np.minimum(t, heads), np.maximum(t, heads), nv), return_counts=True
+        )
         if counts.max() > 2:
             raise MeshValidationError("an edge is shared by more than two triangles")
-        boundary_expected = {
-            (int(lo), int(hi)) for (lo, hi), c in zip(und_unique, counts) if c == 1
-        }
-        boundary_listed = {(int(min(a, bb)), int(max(a, bb))) for a, bb, _ in b}
-        if boundary_listed != boundary_expected:
+        lo, hi = np.sort(b[:, :2], axis=1).T
+        if not np.array_equal(np.unique(_edge_key(lo, hi, nv)), und_unique[counts == 1]):
             raise MeshValidationError(
                 "boundary_edges do not match the triangulation's once-seen edges"
             )
-        for a, bb, _ in b:
-            if (int(a), int(bb)) not in directed_set:
-                raise MeshValidationError(
-                    f"boundary edge ({a}, {bb}) disagrees with triangle orientation"
-                )
+        listed = _edge_key(b[:, 0], b[:, 1], nv)
+        found = directed[np.searchsorted(directed, listed).clip(max=len(directed) - 1)] == listed
+        if not found.all():
+            a, bb = b[np.argmin(found), :2]
+            raise MeshValidationError(
+                f"boundary edge ({a}, {bb}) disagrees with triangle orientation"
+            )
 
         loop = self.boundary_loop()
 
@@ -197,6 +197,40 @@ class Mesh:
             raise MeshValidationError(f"Euler relation violated: V - E + F = {euler}")
 
 
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    p = vertices[triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _edge_key(a, b, nv: int):
+    """Integer key a * nv + b of the edge from vertex a to vertex b.
+
+    With a <= b it names the undirected edge; ascending keys then list the
+    edges in lexicographic (a, b) order and divmod(key, nv) gives (a, b).
+    """
+    return a * nv + b
+
+
+def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the undirected edges in lexicographic (lo, hi) order.
+
+    Returns the (E, 2) sorted pairs, the (T, 3) numbers of each triangle's
+    sides v0v1, v1v2, v2v0, and the number of each boundary edge. Refinement
+    midpoints and degree-2 dofs are appended in this order.
+    """
+    nv = mesh.num_vertices
+    t = mesh.triangles
+    heads = np.roll(t, -1, axis=1)
+    keys, inverse = np.unique(
+        _edge_key(np.minimum(t, heads), np.maximum(t, heads), nv), return_inverse=True
+    )
+    lo, hi = np.sort(mesh.boundary_edges[:, :2], axis=1).T
+    boundary = np.searchsorted(keys, _edge_key(lo, hi, nv))
+    return np.column_stack(np.divmod(keys, nv)), inverse.reshape(t.shape), boundary
+
+
 def unit_square_mesh(n: int) -> Mesh:
     """Structured triangulation of [0,1]^2 with n cells per side.
 
@@ -207,30 +241,22 @@ def unit_square_mesh(n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    idx = lambda i, j: j * (n + 1) + i
     g = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(g, g)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+    # cell (i, j) has lower-left vertex j * (n + 1) + i; cells row by row
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    edges = []
-    for i in range(n):  # bottom, left to right
-        edges.append((idx(i, 0), idx(i + 1, 0), 0))
-    for j in range(n):  # right, bottom to top
-        edges.append((idx(n, j), idx(n, j + 1), 1))
-    for i in range(n, 0, -1):  # top, right to left
-        edges.append((idx(i, n), idx(i - 1, n), 2))
-    for j in range(n, 0, -1):  # left, top to bottom
-        edges.append((idx(0, j), idx(0, j - 1), 3))
+    # loop starts: bottom left to right, right bottom to top, top right to
+    # left, left top to bottom
+    k = np.arange(n)
+    loop = np.concatenate([k, k * (n + 1) + n, n * (n + 1) + n - k, (n - k) * (n + 1)])
+    edges = np.column_stack([loop, np.roll(loop, -1), np.repeat(np.arange(4), n)])
 
-    return Mesh(vertices, np.array(tris), np.array(edges), DomainTag.UNIT_SQUARE)
+    return Mesh(vertices, tris, edges, DomainTag.UNIT_SQUARE)
 
 
 def unit_disk_mesh(rings: int) -> Mesh:
@@ -244,40 +270,29 @@ def unit_disk_mesh(rings: int) -> Mesh:
     """
     if rings < 1:
         raise ValueError("rings must be at least 1")
-    verts = [(0.0, 0.0)]
-    ring_start = [None, 1]
-    for k in range(1, rings + 1):
-        m = np.arange(6 * k)
-        theta = 2.0 * np.pi * m / (6 * k)
-        r = k / rings
-        verts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
-        ring_start.append(ring_start[k] + 6 * k)
-
+    verts = [np.zeros((1, 2))]
     tris = []
+    inner, n_in = 0, 1  # the center acts as ring 0
+    s = np.arange(6)[:, None]
     for k in range(1, rings + 1):
-        outer = ring_start[k]
-        n_out = 6 * k
-        if k == 1:
-            for s in range(6):
-                tris.append((outer + s, outer + (s + 1) % 6, 0))
-            continue
-        inner = ring_start[k - 1]
-        n_in = 6 * (k - 1)
-        for s in range(6):
-            O = [outer + (s * k + j) % n_out for j in range(k + 1)]
-            I = [inner + (s * (k - 1) + j) % n_in for j in range(k)]
-            for j in range(k):
-                tris.append((O[j], O[j + 1], I[j]))
-            for j in range(k - 1):
-                tris.append((O[j + 1], I[j + 1], I[j]))
+        outer, n_out = inner + n_in, 6 * k
+        theta = 2.0 * np.pi * np.arange(n_out) / n_out
+        r = k / rings
+        verts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+        # sector s spans outer vertices O[0..k] and inner vertices I[0..k-1];
+        # it holds k triangles (O[j], O[j+1], I[j]), then k - 1 triangles
+        # (O[j+1], I[j+1], I[j])
+        O = outer + (s * k + np.arange(k + 1)) % n_out
+        I = inner + (s * (k - 1) + np.arange(k)) % n_in
+        up = np.stack([O[:, :-1], O[:, 1:], I], axis=-1)
+        down = np.stack([O[:, 1:-1], I[:, 1:], I[:, :-1]], axis=-1)
+        tris.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
+        inner, n_in = outer, n_out
 
-    outer = ring_start[rings]
-    n_out = 6 * rings
-    edges = [(outer + m, outer + (m + 1) % n_out, 0) for m in range(n_out)]
+    m = np.arange(n_out)
+    edges = np.column_stack([outer + m, outer + (m + 1) % n_out, np.zeros_like(m)])
 
-    return Mesh(
-        np.array(verts), np.array(tris), np.array(edges), DomainTag.UNIT_DISK_POLYGON
-    )
+    return Mesh(np.vstack(verts), np.vstack(tris), edges, DomainTag.UNIT_DISK_POLYGON)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -288,27 +303,22 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     split in two, inheriting marker and orientation, so markers, the loop
     and the total area are all preserved.
     """
-    edges = mesh.undirected_edges()
-    edge_rank = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
+    edges, sides, boundary = _edge_numbering(mesh)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
     base = mesh.num_vertices
 
-    def mid(a: int, b: int) -> int:
-        return base + edge_rank[(a, b) if a < b else (b, a)]
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (base + sides).T
+    tris = np.stack(
+        [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
+    ).reshape(-1, 3)
 
-    tris = []
-    for v0, v1, v2 in mesh.triangles:
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        tris.extend([(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
+    a, b, marker = mesh.boundary_edges.T
+    m = base + boundary
+    bedges = np.stack([a, m, marker, m, b, marker], axis=1).reshape(-1, 3)
 
-    bedges = []
-    for a, b, marker in mesh.boundary_edges:
-        m = mid(int(a), int(b))
-        bedges.append((a, m, marker))
-        bedges.append((m, b, marker))
-
-    return Mesh(vertices, np.array(tris), np.array(bedges), mesh.domain_tag)
+    return Mesh(vertices, tris, bedges, mesh.domain_tag)
 
 
 def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
@@ -327,14 +337,11 @@ def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
 def _write_mesh_stream(mesh: Mesh, fh: TextIO) -> None:
     fh.write(f"{FORMAT_MAGIC}\n")
     fh.write(f"vertices {mesh.num_vertices}\n")
-    for x, y in mesh.vertices:
-        fh.write(f"{float(x)!r} {float(y)!r}\n")
+    fh.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
     fh.write(f"triangles {mesh.num_triangles}\n")
-    for a, b, c in mesh.triangles:
-        fh.write(f"{a} {b} {c}\n")
+    fh.write("".join(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()))
     fh.write(f"boundary {mesh.num_boundary_edges}\n")
-    for a, b, m in mesh.boundary_edges:
-        fh.write(f"{a} {b} {m}\n")
+    fh.write("".join(f"{a} {b} {m}\n" for a, b, m in mesh.boundary_edges.tolist()))
 
 
 def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) -> Mesh:
@@ -350,18 +357,18 @@ def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) 
     else:
         lines = Path(source).read_text(encoding="ascii").splitlines()
 
+    numbered = [(k + 1, text) for k, line in enumerate(lines) if (text := line.strip())]
     pos = 0
 
     def next_line() -> tuple[int, str]:
         nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            stripped = lines[pos - 1].strip()
-            if stripped:
-                return pos, stripped
-        raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
+        if pos == len(numbered):
+            raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
+        pos += 1
+        return numbered[pos - 1]
 
-    def section(name: str) -> tuple[int, int]:
+    def rows(name: str, what: str, width: int, parse, dtype) -> np.ndarray:
+        """Parse the section header '<name> <count>' and its count lines."""
         ln, text = next_line()
         parts = text.split()
         if len(parts) != 2 or parts[0] != name:
@@ -372,63 +379,40 @@ def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) 
             raise MeshFormatError(f"bad {name} count {parts[1]!r}", line=ln) from None
         if count < 0:
             raise MeshFormatError(f"negative {name} count", line=ln)
-        return ln, count
+        out = []
+        for _ in range(count):
+            ln, text = next_line()
+            parts = text.split()
+            try:
+                if len(parts) != width:
+                    raise ValueError
+                out.extend(map(parse, parts))
+            except ValueError:
+                raise MeshFormatError(f"bad {what} line {text!r}", line=ln) from None
+        return np.array(out, dtype=dtype).reshape(count, width)
 
     ln, text = next_line()
     if text != FORMAT_MAGIC:
         raise MeshFormatError(f"bad header {text!r}, expected {FORMAT_MAGIC!r}", line=ln)
 
-    _, nv = section("vertices")
-    vertices = np.empty((nv, 2))
-    for k in range(nv):
-        ln, text = next_line()
-        parts = text.split()
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            vertices[k] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError(f"bad vertex line {text!r}", line=ln) from None
+    vertices = rows("vertices", "vertex", 2, float, float)
+    first_triangle = pos + 1  # index in `numbered`, just past the section header
+    triangles = rows("triangles", "triangle", 3, int, np.int64)
+    bedges = rows("boundary", "boundary edge", 3, int, np.int64)
+    if pos < len(numbered):
+        ln, text = numbered[pos]
+        raise MeshFormatError(f"unexpected content after the boundary section: {text!r}", line=ln)
 
-    _, nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    tri_lines = np.empty(nt, dtype=np.int64)
-    for k in range(nt):
-        ln, text = next_line()
-        parts = text.split()
-        try:
-            if len(parts) != 3:
-                raise ValueError
-            triangles[k] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"bad triangle line {text!r}", line=ln) from None
-        tri_lines[k] = ln
-
-    _, nb = section("boundary")
-    bedges = np.empty((nb, 3), dtype=np.int64)
-    for k in range(nb):
-        ln, text = next_line()
-        parts = text.split()
-        try:
-            if len(parts) != 3:
-                raise ValueError
-            bedges[k] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"bad boundary edge line {text!r}", line=ln) from None
-
+    nv, nt = len(vertices), len(triangles)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         raise MeshFormatError("triangle vertex index out of range")
     # Orientation is checked here so the error can point at the file line.
-    p = vertices[triangles] if nt else np.empty((0, 3, 2))
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
+    areas = _signed_areas(vertices, triangles)
     if nt and areas.min() <= 0:
         bad = int(np.argmin(areas))
         raise MeshFormatError(
             f"triangle is not counterclockwise (signed area {areas[bad]:.3e})",
-            line=int(tri_lines[bad]),
+            line=numbered[first_triangle + bad][0],
         )
 
     if domain_tag is None:

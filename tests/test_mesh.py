@@ -258,3 +258,72 @@ def test_read_rejects_index_out_of_range():
     text = "biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n0 1 9\nboundary 3\n0 1 0\n1 2 0\n2 0 0\n"
     with pytest.raises(MeshFormatError):
         read_mesh(io.StringIO(text))
+
+
+def _small_mesh(vertices, triangles, boundary):
+    return Mesh(np.array(vertices, dtype=float), triangles, boundary, DomainTag.UNIT_DISK_POLYGON)
+
+
+def test_validation_rejects_non_finite_vertex():
+    with pytest.raises(MeshValidationError, match="non-finite vertex coordinate"):
+        _small_mesh(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]], [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
+        )
+
+
+def test_validation_rejects_empty_triangulation():
+    with pytest.raises(MeshValidationError, match="mesh has no triangles"):
+        _small_mesh([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 3)), np.empty((0, 3)))
+
+
+def test_validation_rejects_duplicated_directed_edge():
+    # the same triangle listed twice overlaps itself
+    with pytest.raises(MeshValidationError, match="duplicated directed edge"):
+        _small_mesh(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            [[0, 1, 2], [1, 2, 0]],
+            [[0, 1, 0], [1, 2, 0], [2, 0, 0]],
+        )
+
+
+def test_validation_rejects_boundary_vertex_starting_two_edges():
+    # two triangles touching only at vertex 0 (a bowtie)
+    with pytest.raises(MeshValidationError, match="repeats as an edge start"):
+        _small_mesh(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            [[0, 1, 2], [0, 3, 4]],
+            [[0, 1, 0], [1, 2, 0], [2, 0, 0], [0, 3, 0], [3, 4, 0], [4, 0, 0]],
+        )
+
+
+def test_validation_rejects_two_boundary_loops():
+    with pytest.raises(MeshValidationError, match="more than one loop"):
+        _small_mesh(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 2.0], [2.0, 3.0]],
+            [[0, 1, 2], [3, 4, 5]],
+            [[0, 1, 0], [1, 2, 0], [2, 0, 0], [3, 4, 0], [4, 5, 0], [5, 3, 0]],
+        )
+
+
+def test_validation_rejects_loop_area_mismatch():
+    # far from the origin the shoelace sum cancels catastrophically, while
+    # the triangle areas are formed from coordinate differences
+    off = 1e8 + 0.1
+    with pytest.raises(MeshValidationError, match="mismatches boundary loop area"):
+        _small_mesh(
+            [[off, off], [off + 1.0, off], [off, off + 1.0]],
+            [[0, 1, 2]],
+            [[0, 1, 0], [1, 2, 0], [2, 0, 0]],
+        )
+
+
+@pytest.mark.parametrize("trailer", ["garbage here\n", None], ids=["garbage", "second-mesh"])
+def test_read_rejects_trailing_content(trailer):
+    buf = io.StringIO()
+    write_mesh(unit_square_mesh(1), buf)
+    good = buf.getvalue()
+    text = good + "\n  \n" + (trailer or good)
+    first_extra = len(good.splitlines()) + 3  # 1-based, after one blank and one spaces line
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(io.StringIO(text))
+    assert err.value.line == first_extra

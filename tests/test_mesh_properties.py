@@ -1,0 +1,83 @@
+"""Property tests of the mesh layer on random squares, disks and refinements."""
+
+import io
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biharm.mesh import read_mesh, refine_uniform, unit_disk_mesh, unit_square_mesh, write_mesh
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def meshes(draw, max_refine=2):
+    if draw(st.booleans()):
+        mesh = unit_square_mesh(draw(st.integers(1, 8)))
+    else:
+        mesh = unit_disk_mesh(draw(st.integers(1, 5)))
+    for _ in range(draw(st.integers(0, max_refine))):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def edge_oracle(triangles):
+    """Undirected edges and their incidence counts, in plain Python."""
+    counts = {}
+    for a, b, c in triangles.tolist():
+        for p, q in ((a, b), (b, c), (c, a)):
+            key = (min(p, q), max(p, q))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@PROPERTY_SETTINGS
+@given(meshes())
+def test_invariants_hold(mesh):
+    mesh.validate()
+    assert (mesh.signed_areas() > 0).all()
+    counts = edge_oracle(mesh.triangles)
+    assert set(counts.values()) <= {1, 2}
+    once = {e for e, c in counts.items() if c == 1}
+    assert once == {(min(a, b), max(a, b)) for a, b, _ in mesh.boundary_edges.tolist()}
+    assert mesh.num_vertices - len(counts) + mesh.num_triangles == 1
+    assert len(mesh.boundary_loop()) == mesh.num_boundary_edges
+
+
+@PROPERTY_SETTINGS
+@given(meshes())
+def test_undirected_edges_match_oracle(mesh):
+    edges = mesh.undirected_edges()
+    assert edges.tolist() == [list(e) for e in sorted(edge_oracle(mesh.triangles))]
+
+
+@PROPERTY_SETTINGS
+@given(meshes())
+def test_text_round_trip_is_bit_exact(mesh):
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    again = read_mesh(io.StringIO(buf.getvalue()), domain_tag=mesh.domain_tag)
+    assert again.vertices.tobytes() == mesh.vertices.tobytes()
+    assert np.array_equal(again.triangles, mesh.triangles)
+    assert np.array_equal(again.boundary_edges, mesh.boundary_edges)
+    rewritten = io.StringIO()
+    write_mesh(again, rewritten)
+    assert rewritten.getvalue() == buf.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(meshes(max_refine=1))
+def test_refinement_keeps_area_markers_and_loop(mesh):
+    fine = refine_uniform(mesh)
+    assert abs(fine.area() - mesh.area()) <= 1e-12 * abs(mesh.area())
+    assert np.array_equal(fine.vertices[: mesh.num_vertices], mesh.vertices)
+    # each boundary edge becomes two halves with its marker, in loop order
+    assert np.array_equal(fine.boundary_edges[::2, 0], mesh.boundary_edges[:, 0])
+    assert np.array_equal(fine.boundary_edges[1::2, 1], mesh.boundary_edges[:, 1])
+    assert np.array_equal(fine.boundary_edges[::2, 2], mesh.boundary_edges[:, 2])
+    assert np.array_equal(fine.boundary_edges[1::2, 2], mesh.boundary_edges[:, 2])
+    loop, fine_loop = mesh.boundary_loop(), fine.boundary_loop()
+    assert np.array_equal(fine_loop[::2], loop)
+    mids = 0.5 * (mesh.vertices[loop] + mesh.vertices[np.roll(loop, -1)])
+    assert np.array_equal(fine.vertices[fine_loop[1::2]], mids)
