@@ -35,7 +35,7 @@ import numpy as np
 from .fem import (
     FeSpace,
     ScalarField,
-    _coerce_values,
+    _data_values,
     boundary_geometry,
     default_boundary_rule,
     field_values,
@@ -128,6 +128,29 @@ class CompatibilityError(RuntimeError):
         )
 
 
+def _data_functional(space: FeSpace, problem: NeumannProblem):
+    """l(eta) = (f, eta) + <g, d(eta)/dn> - <h, eta>, data evaluated once: returns the
+    volume points (x, y) and ``terms(eta)``, the three terms of l(eta) uncombined."""
+    vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
+    x, y = quad_points(space.mesh, vol_rule)
+    f_vals = _data_values(problem.f, x, y)
+
+    b_rule = default_boundary_rule()
+    _, bx, by, lengths, normals = boundary_geometry(space.mesh, b_rule)
+    g_vals = _data_values(problem.g, bx, by)
+    h_vals = _data_values(problem.h, bx, by)
+
+    def terms(eta: Polynomial2D) -> tuple[float, float, float]:
+        volume = integrate(space.mesh, vol_rule, f_vals * eta(x, y))
+        ex, ey = eta.grad()
+        dn_eta = ex(bx, by) * normals[:, 0:1] + ey(bx, by) * normals[:, 1:2]
+        g_term = np.einsum("eq,q,e->", g_vals * dn_eta, b_rule.weights, lengths)
+        h_term = np.einsum("eq,q,e->", h_vals * eta(bx, by), b_rule.weights, lengths)
+        return volume, g_term, h_term
+
+    return x, y, terms
+
+
 def compatibility_residual(
     space: FeSpace,
     problem: NeumannProblem,
@@ -141,24 +164,8 @@ def compatibility_residual(
     quadrature error. A constant perturbation of h shifts r(1) by minus
     the boundary length.
     """
-    vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    x, y = quad_points(space.mesh, vol_rule)
-    f_vals = _coerce_values(problem.f(x, y) if callable(problem.f) else problem.f, x.shape)
-
-    b_rule = default_boundary_rule()
-    _, bx, by, lengths, normals = boundary_geometry(space.mesh, b_rule)
-    g_vals = _coerce_values(problem.g(bx, by) if callable(problem.g) else problem.g, bx.shape)
-    h_vals = _coerce_values(problem.h(bx, by) if callable(problem.h) else problem.h, bx.shape)
-
-    out = np.empty(len(basis))
-    for k, eta in enumerate(basis):
-        volume = integrate(space.mesh, vol_rule, f_vals * eta(x, y))
-        ex, ey = eta.grad()
-        dn_eta = ex(bx, by) * normals[:, 0:1] + ey(bx, by) * normals[:, 1:2]
-        g_term = np.einsum("eq,q,e->", g_vals * dn_eta, b_rule.weights, lengths)
-        h_term = np.einsum("eq,q,e->", h_vals * eta(bx, by), b_rule.weights, lengths)
-        out[k] = volume + g_term - h_term
-    return out
+    _, _, terms = _data_functional(space, problem)
+    return np.array([volume + g_term - h_term for volume, g_term, h_term in map(terms, basis)])
 
 
 def solve_neumann(
@@ -255,20 +262,10 @@ def weak_form_residual(
     omega = r.laplacian()
     bilap = omega.laplacian()
 
+    x, y, terms = _data_functional(space, problem)
     vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    x, y = quad_points(space.mesh, vol_rule)
     sigma_vals = field_values(solution.sigma_h, vol_rule)
     term_sigma = integrate(space.mesh, vol_rule, sigma_vals * bilap(x, y))
-    f_vals = _coerce_values(problem.f(x, y) if callable(problem.f) else problem.f, x.shape)
-    term_f = integrate(space.mesh, vol_rule, f_vals * omega(x, y))
-
-    b_rule = default_boundary_rule()
-    _, bx, by, lengths, normals = boundary_geometry(space.mesh, b_rule)
-    g_vals = _coerce_values(problem.g(bx, by) if callable(problem.g) else problem.g, bx.shape)
-    h_vals = _coerce_values(problem.h(bx, by) if callable(problem.h) else problem.h, bx.shape)
-    ox, oy = omega.grad()
-    dn_omega = ox(bx, by) * normals[:, 0:1] + oy(bx, by) * normals[:, 1:2]
-    term_g = np.einsum("eq,q,e->", g_vals * dn_omega, b_rule.weights, lengths)
-    term_h = np.einsum("eq,q,e->", h_vals * omega(bx, by), b_rule.weights, lengths)
+    term_f, term_g, term_h = terms(omega)
 
     return abs(term_sigma - term_f - term_g + term_h)

@@ -10,6 +10,10 @@ Sign conventions: the stiffness matrix is the Dirichlet form
 ``A[i, j] = (grad phi_j, grad phi_i)``; load vectors are plain
 ``(q, phi_i)`` inner products. Data callables receive numpy coordinate
 arrays and must broadcast (constants returned as scalars are fine).
+
+Triangle geometry is built once per mesh and kept on the immutable mesh
+as read-only arrays; every datum, callable or constant, goes through one
+evaluator, ``_data_values``.
 """
 
 from __future__ import annotations
@@ -182,9 +186,10 @@ class FeSpace:
         return 3 if self.degree == 1 else 6
 
     def boundary_positions(self, dofs: np.ndarray) -> np.ndarray:
-        """Positions of the given boundary dofs inside the sorted boundary set."""
+        """Positions of the given boundary dofs (any shape) in the sorted boundary set."""
         pos = np.searchsorted(self.boundary_dofs, dofs)
-        if not np.array_equal(self.boundary_dofs[pos], dofs):
+        # a dof above the largest boundary dof lands one past the end
+        if not np.array_equal(self.boundary_dofs.take(pos, mode="clip"), dofs):
             raise ValueError("dof is not a boundary dof")
         return pos
 
@@ -253,22 +258,34 @@ class ScalarField:
         return self.coeffs[: self.space.mesh.num_vertices]
 
 
-def _coerce_values(raw, shape) -> np.ndarray:
-    vals = np.asarray(raw, dtype=float)
-    return np.broadcast_to(vals, shape)
+def _built_once(owner, key: str, build):
+    """``build(owner)``, built on first use and kept in the frozen owner's
+    ``__dict__``; the owner's arrays are read-only, so it cannot go stale."""
+    value = owner.__dict__.get(key)
+    if value is None:
+        value = build(owner)
+        owner.__dict__[key] = value
+    return value
+
+
+def _data_values(q, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values of a callable or constant datum at (x, y), as a float array
+    broadcast to the shape of x."""
+    return np.broadcast_to(np.asarray(q(x, y) if callable(q) else q, dtype=float), x.shape)
 
 
 def interpolate(space: FeSpace, func) -> ScalarField:
     """Nodal interpolant: evaluate a callable (or constant) at dof coordinates."""
-    x = space.dof_coordinates[:, 0]
-    y = space.dof_coordinates[:, 1]
-    vals = _coerce_values(func(x, y) if callable(func) else func, x.shape)
-    return ScalarField(space, vals)
+    return ScalarField(space, _data_values(func, *space.dof_coordinates.T))
 
 
 def triangle_geometry(mesh: Mesh):
-    """Affine maps of all triangles: Jacobians, determinants, inverse
-    transposes and origins, each stacked over triangles."""
+    """Affine maps of all triangles: origins, Jacobians, determinants and
+    inverse transposes, stacked over triangles; built once per mesh."""
+    return _built_once(mesh, "_triangle_geometry", _affine_maps)
+
+
+def _affine_maps(mesh: Mesh):
     p = mesh.vertices[mesh.triangles]
     a = p[:, 1, 0] - p[:, 0, 0]
     b = p[:, 2, 0] - p[:, 0, 0]
@@ -281,7 +298,10 @@ def triangle_geometry(mesh: Mesh):
     inv_jt[:, 1, 0] = -b
     inv_jt[:, 1, 1] = a
     inv_jt /= det[:, None, None]
-    return p[:, 0], np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], 1), det, inv_jt
+    maps = (p[:, 0].copy(), np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], 1), det, inv_jt)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 def quad_points(mesh: Mesh, rule: QuadratureRule):
@@ -341,7 +361,7 @@ def assemble_stiffness(space: FeSpace) -> SparseMatrix:
     local = np.einsum("tlqa,tmqa,q->tlm", gphys, gphys, rule.weights)
     local *= det[:, None, None]
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _scatter(space, local)
+    return _scatter(space.element_dof_map, local, space.dof_count)
 
 
 def assemble_mass(space: FeSpace) -> SparseMatrix:
@@ -351,15 +371,14 @@ def assemble_mass(space: FeSpace) -> SparseMatrix:
     _, _, det, _ = triangle_geometry(space.mesh)
     ref_local = np.einsum("lq,mq,q->lm", basis, basis, rule.weights)
     local = det[:, None, None] * ref_local[None, :, :]
-    return _scatter(space, local)
+    return _scatter(space.element_dof_map, local, space.dof_count)
 
 
-def _scatter(space: FeSpace, local: np.ndarray) -> SparseMatrix:
-    eld = space.element_dof_map
-    n_local = eld.shape[1]
-    rows = np.repeat(eld, n_local, axis=1).ravel()
-    cols = np.tile(eld, (1, n_local)).ravel()
-    n = space.dof_count
+def _scatter(dof_map: np.ndarray, local: np.ndarray, n: int) -> SparseMatrix:
+    """Sum each local matrix ``local[k]`` into an n x n matrix at ``dof_map[k]``."""
+    n_local = dof_map.shape[1]
+    rows = np.repeat(dof_map, n_local, axis=1).ravel()
+    cols = np.tile(dof_map, (1, n_local)).ravel()
     return from_triplets(rows, cols, local.ravel(), shape=(n, n))
 
 
@@ -369,7 +388,7 @@ def assemble_load(space: FeSpace, q) -> np.ndarray:
     basis = _reference_basis(space.degree, rule.points[:, 1:])
     _, _, det, _ = triangle_geometry(space.mesh)
     x, y = quad_points(space.mesh, rule)
-    vals = _coerce_values(q(x, y) if callable(q) else q, x.shape)
+    vals = _data_values(q, x, y)
     local = np.einsum("lq,tq,q->tl", basis, vals, rule.weights) * det[:, None]
     b = np.zeros(space.dof_count)
     np.add.at(b, space.element_dof_map, local)
@@ -412,7 +431,7 @@ def assemble_boundary_load(space: FeSpace, mu, markers=None) -> np.ndarray:
     b = np.zeros(space.dof_count)
     if len(ids) == 0:
         return b
-    vals = _coerce_values(mu(x, y) if callable(mu) else mu, x.shape)
+    vals = _data_values(mu, x, y)
     tr = _segment_basis(space.degree, rule.points[:, 1])
     local = np.einsum("lq,eq,q->el", tr, vals, rule.weights) * lengths[:, None]
     np.add.at(b, space.boundary_edge_dof_map[ids], local)
@@ -426,27 +445,9 @@ def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:
     tr = _segment_basis(space.degree, rule.points[:, 1])
     ref_local = np.einsum("lq,mq,q->lm", tr, tr, rule.weights)
     _, _, _, lengths, _ = boundary_geometry(space.mesh, rule)
-    compact = space.boundary_positions(space.boundary_edge_dof_map.ravel()).reshape(
-        space.boundary_edge_dof_map.shape
-    )
     local = lengths[:, None, None] * ref_local[None, :, :]
-    n_local = compact.shape[1]
-    rows = np.repeat(compact, n_local, axis=1).ravel()
-    cols = np.tile(compact, (1, n_local)).ravel()
-    nb = len(space.boundary_dofs)
-    return from_triplets(rows, cols, local.ravel(), shape=(nb, nb))
-
-
-def boundary_trace_values(space: FeSpace, boundary_coeffs: np.ndarray, rule: QuadratureRule):
-    """Evaluate a boundary-dof coefficient vector at quadrature points of
-    every boundary edge; returns (values (B, nq), lengths, x, y, normals)."""
-    _, x, y, lengths, normals = boundary_geometry(space.mesh, rule)
-    compact = space.boundary_positions(space.boundary_edge_dof_map.ravel()).reshape(
-        space.boundary_edge_dof_map.shape
-    )
-    tr = _segment_basis(space.degree, rule.points[:, 1])
-    vals = np.einsum("el,lq->eq", boundary_coeffs[compact], tr)
-    return vals, lengths, x, y, normals
+    positions = space.boundary_positions(space.boundary_edge_dof_map)
+    return _scatter(positions, local, len(space.boundary_dofs))
 
 
 def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) -> float:
@@ -456,8 +457,11 @@ def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) ->
     may be a callable, a constant, or None for the plain norm.
     """
     rule = default_boundary_rule()
-    vals, lengths, x, y, _ = boundary_trace_values(space, boundary_coeffs, rule)
+    _, x, y, lengths, _ = boundary_geometry(space.mesh, rule)
+    tr = _segment_basis(space.degree, rule.points[:, 1])
+    positions = space.boundary_positions(space.boundary_edge_dof_map)
+    vals = np.einsum("el,lq->eq", boundary_coeffs[positions], tr)
     if func is not None:
-        vals = vals - _coerce_values(func(x, y) if callable(func) else func, x.shape)
+        vals = vals - _data_values(func, x, y)
     sq = np.einsum("eq,q,e->", vals**2, rule.weights, lengths)
     return float(np.sqrt(sq))

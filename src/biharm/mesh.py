@@ -389,7 +389,12 @@ def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) 
                 out.extend(map(parse, parts))
             except ValueError:
                 raise MeshFormatError(f"bad {what} line {text!r}", line=ln) from None
-        return np.array(out, dtype=dtype).reshape(count, width)
+        try:
+            return np.array(out, dtype=dtype).reshape(count, width)
+        except OverflowError:  # an integer beyond int64
+            k = next(i for i, v in enumerate(out) if not -(2**63) <= v < 2**63) // width
+            ln, text = numbered[pos - count + k]
+            raise MeshFormatError(f"integer out of range in {text!r}", line=ln) from None
 
     ln, text = next_line()
     if text != FORMAT_MAGIC:

@@ -32,12 +32,13 @@ import numpy as np
 from .fem import (
     FeSpace,
     ScalarField,
+    _built_once,
+    _data_values,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     boundary_l2_error,
     boundary_mass_matrix,
-    interpolate,
 )
 from .sparse import SparseMatrix, cg_solve, matvec
 
@@ -68,27 +69,23 @@ class _Operators:
 
 
 def _operators(space: FeSpace) -> _Operators:
-    """The space's operators, assembled on first use and kept on the space.
+    """The space's operators, assembled on first use and kept on the space."""
+    return _built_once(space, "_poisson_operators", _assemble_operators)
 
-    The space is frozen and its arrays are read-only, so the operators
-    cannot go stale; they are freed together with the space.
-    """
-    ops = space.__dict__.get("_poisson_operators")
-    if ops is None:
-        k = assemble_stiffness(space)
-        bdofs = space.boundary_dofs
-        interior = np.setdiff1d(np.arange(space.dof_count), bdofs, assume_unique=True)
-        interior.flags.writeable = False
-        ops = _Operators(
-            stiffness=k,
-            mass=assemble_mass(space),
-            boundary_mass=boundary_mass_matrix(space),
-            interior=interior,
-            a_ii=k.submatrix(interior, interior),
-            a_ib=k.submatrix(interior, bdofs),
-        )
-        space.__dict__["_poisson_operators"] = ops
-    return ops
+
+def _assemble_operators(space: FeSpace) -> _Operators:
+    k = assemble_stiffness(space)
+    bdofs = space.boundary_dofs
+    interior = np.setdiff1d(np.arange(space.dof_count), bdofs, assume_unique=True)
+    interior.flags.writeable = False
+    return _Operators(
+        stiffness=k,
+        mass=assemble_mass(space),
+        boundary_mass=boundary_mass_matrix(space),
+        interior=interior,
+        a_ii=k.submatrix(interior, interior),
+        a_ib=k.submatrix(interior, bdofs),
+    )
 
 
 def _source_load(space: FeSpace, source) -> np.ndarray:
@@ -124,8 +121,7 @@ def solve_dirichlet(
 
     coeffs = np.zeros(space.dof_count)
     bdofs = space.boundary_dofs
-    lifted = interpolate(space, boundary_value)
-    coeffs[bdofs] = lifted.coeffs[bdofs]
+    coeffs[bdofs] = _data_values(boundary_value, *space.dof_coordinates[bdofs].T)
 
     interior = ops.interior
     if len(interior) == 0:

@@ -187,14 +187,17 @@ def cg_solve(
     else:
         apply_prec = lambda r: r
 
-    b_norm = float(np.linalg.norm(b))
+    # Iterate on b * 2**-e, largest entry in [0.5, 1): exact scaling, so tiny or
+    # huge data neither underflow nor overflow and results scale back bit for bit.
+    e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
+    r = np.ldexp(b, -e)
+    b_norm = float(np.linalg.norm(r))
     if not math.isfinite(b_norm):
         raise NonConvergenceError(0, b_norm)
     x = np.zeros(n)
     if b_norm == 0.0:
         return CGResult(x, 0, 0.0)
 
-    r = b.copy()
     z = apply_prec(r)
     p = z.copy()
     rz = float(r @ z)
@@ -204,7 +207,7 @@ def cg_solve(
         if not math.isfinite(pap):
             raise NonConvergenceError(k, pap)
         if pap <= 0.0:
-            raise NotSPDError(f"nonpositive curvature p^T A p = {pap:.6e}")
+            raise NotSPDError(f"nonpositive curvature p^T A p = {math.ldexp(pap, 2 * e):.6e}")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -212,9 +215,9 @@ def cg_solve(
         if not math.isfinite(res):
             raise NonConvergenceError(k, res)
         if res <= rel_tol * b_norm:
-            return CGResult(x, k, res)
+            return CGResult(np.ldexp(x, e), k, math.ldexp(res, e))
         z = apply_prec(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise NonConvergenceError(max_iter, float(np.linalg.norm(r)))
+    raise NonConvergenceError(max_iter, math.ldexp(float(np.linalg.norm(r)), e))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from biharm import fem
+from biharm.biharmonic import NeumannProblem, solve_neumann
 from biharm.fem import (
     assemble_boundary_load,
     assemble_load,
@@ -13,6 +15,7 @@ from biharm.fem import (
     build_space,
     interpolate,
 )
+from biharm.manufactured import case_sine, h1_error, l2_error
 from biharm.mesh import DomainTag, Mesh, refine_uniform, unit_disk_mesh, unit_square_mesh
 from biharm.sparse import SparseMatrix, cg_solve
 
@@ -243,3 +246,30 @@ def test_refined_space_nests_vertex_dofs():
         fine_space.dof_coordinates[: coarse_space.dof_count],
         coarse_space.dof_coordinates,
     )
+
+
+def test_boundary_positions_reject_dofs_off_the_boundary():
+    space = build_space(unit_square_mesh(3), 1)
+    assert space.boundary_positions(space.boundary_dofs).tolist() == list(range(12))
+    for dof in (5, 16):  # an interior dof, and one above the largest boundary dof
+        with pytest.raises(ValueError, match="not a boundary dof"):
+            space.boundary_positions(np.array([dof]))
+
+
+def test_triangle_geometry_built_once_per_mesh(monkeypatch):
+    builds = []
+
+    def counted(mesh, _build=fem._affine_maps):
+        builds.append(mesh)
+        return _build(mesh)
+
+    monkeypatch.setattr(fem, "_affine_maps", counted)
+    mesh = unit_square_mesh(6)
+    space = build_space(mesh, 2)
+    case = case_sine()
+    solution = solve_neumann(space, NeumannProblem(case.f, case.g, case.h))
+    l2_error(space, solution.sigma_h, case.sigma_exact)
+    h1_error(space, solution.s_h, case.u_exact, case.grad_u)
+    assert builds == [mesh]
+    for arr in fem.triangle_geometry(mesh):
+        assert not arr.flags.writeable

@@ -254,9 +254,18 @@ def test_read_reports_line_of_clockwise_triangle():
     assert err.value.line == tri_line + 1  # 1-based
 
 
-def test_read_rejects_index_out_of_range():
-    text = "biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n0 1 9\nboundary 3\n0 1 0\n1 2 0\n2 0 0\n"
-    with pytest.raises(MeshFormatError):
+@pytest.mark.parametrize(
+    "triangle, boundary, message",
+    [
+        ("0 1 9", "0 1 0", None),
+        ("0 1 99999999999999999999", "0 1 0", "^line 7: integer out of range"),
+        ("0 1 2", "0 99999999999999999999 0", "^line 9: integer out of range"),
+    ],
+    ids=["triangle", "triangle-beyond-int64", "boundary-beyond-int64"],
+)
+def test_read_rejects_index_out_of_range(triangle, boundary, message):
+    text = f"biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n{triangle}\nboundary 3\n{boundary}\n1 2 0\n2 0 0\n"
+    with pytest.raises(MeshFormatError, match=message):
         read_mesh(io.StringIO(text))
 
 

@@ -156,3 +156,18 @@ def test_values_not_writeable_through_wrapper():
     x = a @ np.array([1.0, 1.0])
     x[0] = 99.0  # mutating the result must not touch the matrix
     assert np.array_equal(a.toarray(), before)
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
+def test_cg_is_exact_under_power_of_two_scaling_of_the_data(scale):
+    # p^T A p of the unscaled iteration would underflow (tiny) or overflow (huge)
+    space = build_space(unit_square_mesh(8), 1)
+    a = SparseMatrix(
+        (assemble_stiffness(space).csr + assemble_mass(space).csr).tocsr()
+    )
+    b = np.random.default_rng(5).standard_normal(space.dof_count)
+    ref = cg_solve(a, b)
+    res = cg_solve(a, b * scale)
+    assert res.iterations == ref.iterations
+    assert res.x.tobytes() == (ref.x * scale).tobytes()
+    assert res.residual == ref.residual * scale
