@@ -21,6 +21,7 @@ from .biharmonic import (
     weak_form_residual,
 )
 from .fem import (
+    DataError,
     FeSpace,
     QuadratureRule,
     ScalarField,
@@ -99,6 +100,7 @@ __all__ = [
     "write_mesh",
     "read_mesh",
     # fem
+    "DataError",
     "QuadratureRule",
     "triangle_quadrature",
     "segment_quadrature",

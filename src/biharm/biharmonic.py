@@ -23,6 +23,12 @@ Diagnostics:
   sigma_h and the datum h.
 * ``weak_form_residual``: the defect of sigma_h in the weak formulation
   tested against laplacians of doubly-clamped polynomials.
+
+Both residuals come from one monomial moment table of the data,
+(f, x^i y^j), <g n_x, x^i y^j>, <g n_y, x^i y^j> and <h, x^i y^j>, up to
+the highest degree asked for: the functional is linear, so its value on a
+polynomial is the sum of its exact coefficients times the table entries,
+and no test polynomial is evaluated at a quadrature point.
 """
 
 from __future__ import annotations
@@ -128,27 +134,61 @@ class CompatibilityError(RuntimeError):
         )
 
 
-def _data_functional(space: FeSpace, problem: NeumannProblem):
-    """l(eta) = (f, eta) + <g, d(eta)/dn> - <h, eta>, data evaluated once: returns the
-    volume points (x, y) and ``terms(eta)``, the three terms of l(eta) uncombined."""
+def _moment_table(integral, vals, x, y, degree: int) -> np.ndarray:
+    """T[i, j] = integral(vals * x**i * y**j) for i + j <= degree (zero above).
+    Monomials are running products on the points, one at a time, so no
+    (points x monomials) array is ever held."""
+    size = max(degree + 1, 0)
+    table = np.zeros((size, size))
+    column = vals
+    for i in range(size):
+        term = column
+        for j in range(size - i):
+            table[i, j] = integral(term)
+            term = term * y
+        column = column * x
+    return table
+
+
+def _pair(table: np.ndarray, poly: Polynomial2D) -> float:
+    """The integral a moment table holds, taken against poly: sum of c_ij T[i, j]."""
+    return sum(float(c) * table[i, j] for (i, j), c in poly.coeffs.items())
+
+
+def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
+    """l(eta) = (f, eta) + <g, d(eta)/dn> - <h, eta> for polynomials eta of degree
+    <= ``degree``, from one moment table of the data: (f, x^i y^j), <g n_x, x^i y^j>,
+    <g n_y, x^i y^j> and <h, x^i y^j>. Returns ``volume_moments(vals, up_to)``, the
+    table of other values at the same volume points, and ``terms(eta)``, the three
+    terms of l(eta) uncombined; no test function is evaluated at a point."""
     vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
     x, y = quad_points(space.mesh, vol_rule)
-    f_vals = _data_values(problem.f, x, y)
+
+    def volume_moments(vals, up_to):
+        return _moment_table(lambda v: integrate(space.mesh, vol_rule, v), vals, x, y, up_to)
+
+    f_table = volume_moments(_data_values(problem.f, x, y), degree)
 
     b_rule = default_boundary_rule()
     _, bx, by, lengths, normals = boundary_geometry(space.mesh, b_rule)
+
+    def boundary_moments(vals, up_to):
+        def integral(v):
+            return np.einsum("eq,q,e->", v, b_rule.weights, lengths)
+
+        return _moment_table(integral, vals, bx, by, up_to)
+
     g_vals = _data_values(problem.g, bx, by)
-    h_vals = _data_values(problem.h, bx, by)
+    h_table = boundary_moments(_data_values(problem.h, bx, by), degree)
+    gx_table = boundary_moments(g_vals * normals[:, 0:1], degree - 1)
+    gy_table = boundary_moments(g_vals * normals[:, 1:2], degree - 1)
 
     def terms(eta: Polynomial2D) -> tuple[float, float, float]:
-        volume = integrate(space.mesh, vol_rule, f_vals * eta(x, y))
         ex, ey = eta.grad()
-        dn_eta = ex(bx, by) * normals[:, 0:1] + ey(bx, by) * normals[:, 1:2]
-        g_term = np.einsum("eq,q,e->", g_vals * dn_eta, b_rule.weights, lengths)
-        h_term = np.einsum("eq,q,e->", h_vals * eta(bx, by), b_rule.weights, lengths)
-        return volume, g_term, h_term
+        g_term = _pair(gx_table, ex) + _pair(gy_table, ey)
+        return _pair(f_table, eta), g_term, _pair(h_table, eta)
 
-    return x, y, terms
+    return volume_moments, terms
 
 
 def compatibility_residual(
@@ -164,7 +204,8 @@ def compatibility_residual(
     quadrature error. A constant perturbation of h shifts r(1) by minus
     the boundary length.
     """
-    _, _, terms = _data_functional(space, problem)
+    degree = max((eta.degree for eta in basis), default=0)
+    _, terms = _data_functional(space, problem, degree)
     return np.array([volume + g_term - h_term for volume, g_term, h_term in map(terms, basis)])
 
 
@@ -262,10 +303,9 @@ def weak_form_residual(
     omega = r.laplacian()
     bilap = omega.laplacian()
 
-    x, y, terms = _data_functional(space, problem)
-    vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    sigma_vals = field_values(solution.sigma_h, vol_rule)
-    term_sigma = integrate(space.mesh, vol_rule, sigma_vals * bilap(x, y))
+    volume_moments, terms = _data_functional(space, problem, omega.degree)
+    sigma_vals = field_values(solution.sigma_h, triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER))
+    term_sigma = _pair(volume_moments(sigma_vals, bilap.degree), bilap)
     term_f, term_g, term_h = terms(omega)
 
     return abs(term_sigma - term_f - term_g + term_h)

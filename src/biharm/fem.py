@@ -13,7 +13,8 @@ arrays and must broadcast (constants returned as scalars are fine).
 
 Triangle geometry is built once per mesh and kept on the immutable mesh
 as read-only arrays; every datum, callable or constant, goes through one
-evaluator, ``_data_values``.
+evaluator, ``_data_values``, which raises ``DataError`` on a non-finite
+value before the value reaches any assembly or solve.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .mesh import Mesh, _edge_numbering
 from .sparse import SparseMatrix, from_triplets
 
 __all__ = [
+    "DataError",
     "QuadratureRule",
     "triangle_quadrature",
     "segment_quadrature",
@@ -268,10 +270,20 @@ def _built_once(owner, key: str, build):
     return value
 
 
+class DataError(ValueError):
+    """A datum, callable or constant, took a non-finite value."""
+
+
 def _data_values(q, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Values of a callable or constant datum at (x, y), as a float array
-    broadcast to the shape of x."""
-    return np.broadcast_to(np.asarray(q(x, y) if callable(q) else q, dtype=float), x.shape)
+    broadcast to the shape of x; raises ``DataError`` on a non-finite value."""
+    values = np.broadcast_to(np.asarray(q(x, y) if callable(q) else q, dtype=float), x.shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"({x.flat[k]:.6g}, {y.flat[k]:.6g})"
+        raise DataError(f"datum is {values.flat[k]} at (x, y) = {where}")
+    return values
 
 
 def interpolate(space: FeSpace, func) -> ScalarField:

@@ -116,13 +116,13 @@ def solve_dirichlet(
     Returns the finite element solution; its ``solver_iterations`` field
     records the CG iteration count (0 when there are no interior dofs).
     """
-    ops = _operators(space)
+    # data first, so a non-finite datum fails before any operator is assembled
     b = _source_load(space, source)
-
     coeffs = np.zeros(space.dof_count)
     bdofs = space.boundary_dofs
     coeffs[bdofs] = _data_values(boundary_value, *space.dof_coordinates[bdofs].T)
 
+    ops = _operators(space)
     interior = ops.interior
     if len(interior) == 0:
         return ScalarField(space, coeffs, solver_iterations=0)

@@ -1,9 +1,13 @@
 """Cascade solver for the fourth-order Neumann problem and its diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_mesh_properties import meshes
 
 from biharm.biharmonic import (
     CompatibilityError,
@@ -13,7 +17,14 @@ from biharm.biharmonic import (
     solve_neumann,
     weak_form_residual,
 )
-from biharm.fem import build_space
+from biharm.fem import (
+    boundary_geometry,
+    build_space,
+    integrate,
+    quad_points,
+    segment_quadrature,
+    triangle_quadrature,
+)
 from biharm.manufactured import case_sine, cases, l2_error
 from biharm.mesh import unit_disk_mesh, unit_square_mesh
 from biharm.polynomials import Polynomial2D, harmonic_basis
@@ -189,3 +200,88 @@ def test_iteration_budget_forwarded():
         solve_neumann(space, prob, max_iter=2)
     sol = solve_neumann(space, prob)
     assert all(i > 0 for i in sol.diagnostics.cg_iterations)
+
+
+def square_integral(p: Polynomial2D) -> Fraction:
+    """Exact integral over the unit square: x^a y^b integrates to 1/((a+1)(b+1))."""
+    return sum((c / ((a + 1) * (b + 1)) for (a, b), c in p.coeffs.items()), Fraction(0))
+
+
+def exact_functional(f, g, h, eta) -> Fraction:
+    """(f, eta) + <g, d(eta)/dn> - <h, eta> on the unit square, in rational
+    arithmetic. On a side traced by substitution, the univariate integral is
+    the square integral of the trace (its other exponent is 0)."""
+    ex, ey = eta.grad()
+    # (trace on the side, outward normal derivative of eta there)
+    sides = [
+        (lambda p: p.subs_y(0), -ey),
+        (lambda p: p.subs_x(1), ex),
+        (lambda p: p.subs_y(1), ey),
+        (lambda p: p.subs_x(0), -ex),
+    ]
+    total = square_integral(f * eta)
+    for trace, dn_eta in sides:
+        total += square_integral(trace(g) * trace(dn_eta)) - square_integral(trace(h) * trace(eta))
+    return total
+
+
+def test_moment_table_matches_exact_rational_functional():
+    # f of degree 2, g of degree 2, h of degree 1: eta of degree <= 3 keeps every
+    # product within the order-6 volume and order-5 boundary rules, so the
+    # quadrature is exact and only roundoff separates the two
+    x, y = Polynomial2D.x(), Polynomial2D.y()
+    f = Fraction(3, 2) - 2 * x + x * y + Fraction(5, 4) * y**2
+    g = Fraction(1, 3) - x**2 + 2 * x * y + Fraction(1, 5) * y
+    h = 2 - Fraction(3, 7) * x + y
+    basis = harmonic_basis(3)
+    exact = [float(exact_functional(f, g, h, eta)) for eta in basis]
+    for mesh in (unit_square_mesh(1), unit_square_mesh(5)):
+        residuals = compatibility_residual(build_space(mesh, 1), NeumannProblem(f, g, h), basis)
+        assert np.abs(residuals - exact).max() <= 1e-12
+
+
+def pointwise_functional(mesh, problem, eta) -> float:
+    """l(eta) with eta evaluated at every quadrature point, as the moment
+    table replaces it."""
+    rule = triangle_quadrature(6)
+    x, y = quad_points(mesh, rule)
+    volume = integrate(mesh, rule, problem.f(x, y) * eta(x, y))
+    b_rule = segment_quadrature(5)
+    _, bx, by, lengths, normals = boundary_geometry(mesh, b_rule)
+    ex, ey = eta.grad()
+    dn_eta = ex(bx, by) * normals[:, 0:1] + ey(bx, by) * normals[:, 1:2]
+    boundary = problem.g(bx, by) * dn_eta - problem.h(bx, by) * eta(bx, by)
+    return volume + float(np.einsum("eq,q,e->", boundary, b_rule.weights, lengths))
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(meshes(max_refine=1), st.integers(0, 4), st.tuples(*[unit] * 6))
+def test_moment_table_matches_pointwise_functional(mesh, kmax, c):
+    problem = NeumannProblem(
+        lambda x, y: c[0] + c[1] * np.cos(x + 2.0 * y),
+        lambda x, y: c[2] * np.exp(x * y) + c[3] * y,
+        lambda x, y: c[4] * np.sin(3.0 * x - y) + c[5],
+    )
+    basis = harmonic_basis(kmax)
+    residuals = compatibility_residual(build_space(mesh, 1), problem, basis)
+    expected = [pointwise_functional(mesh, problem, eta) for eta in basis]
+    assert np.abs(residuals - expected).max() <= 1e-12
+
+
+def test_diagnostics_evaluate_no_polynomial_pointwise(monkeypatch):
+    calls = []
+
+    def counted(self, x, y, _call=Polynomial2D.__call__):
+        calls.append(self)
+        return _call(self, x, y)
+
+    monkeypatch.setattr(Polynomial2D, "__call__", counted)
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(8), 1)
+    sol = solve_neumann(space, prob)
+    compatibility_residual(space, prob, harmonic_basis(8))
+    weak_form_residual(space, sol, prob, clamped_bubble())
+    assert calls == []

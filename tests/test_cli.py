@@ -1,5 +1,7 @@
 """Command line interface: subcommands, formats and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,10 +136,21 @@ def test_solve_exit_code_numerical_failure():
     assert run(["solve", "--case", "sine", "--n", "16", "--max-iter", "2"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1/x at x = 0
-def test_solve_nonfinite_data_fails_without_iterating(capsys):
-    assert run(["solve", "--f", "0", "--g", "1/x", "--h", "0", "--n", "16"]) == 2
-    assert "in 0 iterations" in capsys.readouterr().err
+def test_solve_nonfinite_data_fails_without_iterating(capsys, monkeypatch):
+    assembled = []
+
+    def counted(space, _assemble=poisson._assemble_operators):
+        assembled.append(space)
+        return _assemble(space)
+
+    monkeypatch.setattr(poisson, "_assemble_operators", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1/x at x = 0 must not warn
+        assert run(["solve", "--f", "0", "--g", "1/x", "--h", "0", "--n", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "inf" in err
+    assert assembled == []
 
 
 def test_solve_division_by_zero_is_an_input_error(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import biharm
 from biharm import fem
 from biharm.biharmonic import NeumannProblem, solve_neumann
 from biharm.fem import (
@@ -17,6 +18,7 @@ from biharm.fem import (
 )
 from biharm.manufactured import case_sine, h1_error, l2_error
 from biharm.mesh import DomainTag, Mesh, refine_uniform, unit_disk_mesh, unit_square_mesh
+from biharm.poisson import solve_dirichlet
 from biharm.sparse import SparseMatrix, cg_solve
 
 
@@ -273,3 +275,19 @@ def test_triangle_geometry_built_once_per_mesh(monkeypatch):
     assert builds == [mesh]
     for arr in fem.triangle_geometry(mesh):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "datum, value",
+    [(np.nan, "nan"), (lambda x, y: np.where(x > 0.5, -np.inf, y), "-inf")],
+)
+def test_nonfinite_datum_is_a_data_error_before_any_assembly(datum, value):
+    assert biharm.DataError is fem.DataError and issubclass(fem.DataError, ValueError)
+    space = build_space(unit_square_mesh(4), 1)
+    with pytest.raises(fem.DataError, match=rf"datum is {value} at \(x, y\) = \("):
+        interpolate(space, datum)
+    with pytest.raises(fem.DataError):
+        solve_dirichlet(space, datum, 0.0)
+    with pytest.raises(fem.DataError):
+        solve_dirichlet(space, 0.0, datum)
+    assert "_poisson_operators" not in space.__dict__

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from biharm import manufactured
 from biharm.fem import build_space, interpolate
 from biharm.manufactured import case_bubble, case_sine, cases, h1_error, l2_error
 from biharm.mesh import DomainTag, unit_square_mesh
@@ -166,3 +167,18 @@ def test_error_norm_of_zero_field_is_function_norm():
     # |sin(pi x) sin(pi y)|_L2 = 1/2
     err = l2_error(space, zero, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     assert abs(err - 0.5) < 1e-4
+
+
+def test_h1_error_takes_one_pass_over_the_points(monkeypatch):
+    rules = []
+
+    def counted(mesh, rule, _quad_points=manufactured.quad_points):
+        rules.append(rule)
+        return _quad_points(mesh, rule)
+
+    monkeypatch.setattr(manufactured, "quad_points", counted)
+    case = case_sine()
+    space = build_space(unit_square_mesh(4), 1)
+    err = h1_error(space, interpolate(space, case.u_exact), case.u_exact, case.grad_u)
+    assert len(rules) == 1
+    assert err > l2_error(space, interpolate(space, case.u_exact), case.u_exact)
