@@ -25,5 +25,5 @@ problem = NeumannProblem(case.f, case.g, case.h)
 for n in (8, 16, 32, 64):
     space = build_space(unit_square_mesh(n), 1)
     sol = solve_neumann(space, problem)
-    defect = weak_form_residual(space, sol, problem, r)
+    defect = weak_form_residual(sol, r)
     print(f"n={n:3d}  weak form residual = {defect:.4e}")

@@ -19,8 +19,8 @@ Diagnostics:
 * ``compatibility_residual``: r(eta) = (f, eta) + <g, d(eta)/dn> -
   <h, eta> over a basis of harmonic polynomials eta; all residuals vanish
   for compatible data.
-* ``flux_mismatch``: boundary L2 distance between the recovered flux of
-  sigma_h and the datum h.
+* ``flux_mismatch``: boundary L2 distance between the flux of sigma_h,
+  recovered once by the solve and kept on the solution, and the datum h.
 * ``weak_form_residual``: the defect of sigma_h in the weak formulation
   tested against laplacians of doubly-clamped polynomials.
 
@@ -50,7 +50,7 @@ from .fem import (
     triangle_quadrature,
 )
 from .mesh import DomainTag
-from .poisson import normal_flux, solve_dirichlet
+from .poisson import BoundaryFlux, normal_flux, solve_dirichlet
 from .polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
 
 __all__ = [
@@ -111,14 +111,15 @@ class CascadeSolution:
 
     ``sigma_h`` approximates the Laplacian of the solution; ``s_h`` is
     the zero-trace representative of the solution family (solutions are
-    determined only up to harmonic functions matching the data). The
-    originating problem rides along so flux diagnostics can be recomputed
-    against perturbed data.
+    determined only up to harmonic functions matching the data). ``flux``
+    is the normal flux of sigma_h, recovered once by the solve; with the
+    problem it lets diagnostics take perturbed data without a new solve.
     """
 
     sigma_h: ScalarField
     s_h: ScalarField
     problem: NeumannProblem
+    flux: BoundaryFlux
     diagnostics: CascadeDiagnostics
 
 
@@ -132,6 +133,19 @@ class CompatibilityError(RuntimeError):
         super().__init__(
             f"compatibility residual {worst:.6e} exceeds strict tolerance {tol:.1e}"
         )
+
+
+def _strict_check(strict: bool, tol: float):
+    """The strict test of the residuals: raises CompatibilityError when strict and the
+    largest exceeds ``tol``. A NaN or negative ``tol`` raises ValueError at once."""
+    if not tol >= 0.0:
+        raise ValueError(f"strict tolerance must be a number >= 0, got {tol!r}")
+
+    def check(residuals: np.ndarray) -> None:
+        if strict and float(np.abs(residuals).max()) > tol:
+            raise CompatibilityError(residuals, tol)
+
+    return check
 
 
 def _moment_table(integral, vals, x, y, degree: int) -> np.ndarray:
@@ -228,38 +242,33 @@ def solve_neumann(
 
     With ``strict=True`` the solve raises CompatibilityError before any
     linear system is touched if the largest compatibility residual
-    exceeds ``strict_tol``.
+    exceeds ``strict_tol``; a NaN or negative ``strict_tol`` is a ValueError.
     """
-    basis = harmonic_basis(harmonic_degree)
-    residuals = compatibility_residual(space, problem, basis)
-    if strict and float(np.abs(residuals).max()) > strict_tol:
-        raise CompatibilityError(residuals, strict_tol)
+    check = _strict_check(strict, strict_tol)
+    residuals = compatibility_residual(space, problem, harmonic_basis(harmonic_degree))
+    check(residuals)
 
     sigma_h = solve_dirichlet(space, problem.f, problem.g, rel_tol=rel_tol, max_iter=max_iter)
     s_h = solve_dirichlet(space, sigma_h, 0.0, rel_tol=rel_tol, max_iter=max_iter)
 
     flux = normal_flux(space, sigma_h, problem.f)
-    mismatch = flux.l2_mismatch(problem.h)
     diagnostics = CascadeDiagnostics(
         compat_residuals=residuals,
-        flux_mismatch=mismatch,
+        flux_mismatch=flux.l2_mismatch(problem.h),
         cg_iterations=(sigma_h.solver_iterations or 0, s_h.solver_iterations or 0),
     )
-    return CascadeSolution(sigma_h, s_h, problem, diagnostics)
+    return CascadeSolution(sigma_h, s_h, problem, flux, diagnostics)
 
 
-def flux_mismatch(space: FeSpace, solution: CascadeSolution, h=None) -> float:
-    """Boundary L2 distance between the recovered flux of sigma_h and a
-    flux datum (defaults to the problem's own h).
+def flux_mismatch(solution: CascadeSolution, h=None) -> float:
+    """Boundary L2 distance between the flux the solve recovered from sigma_h
+    and a flux datum (defaults to the problem's own h).
 
     Passing a different h probes incompatible data: the mismatch then
     stays bounded from below by the boundary L2 norm of the perturbation
     instead of shrinking under refinement.
     """
-    if h is None:
-        h = solution.problem.h
-    flux = normal_flux(space, solution.sigma_h, solution.problem.f)
-    return flux.l2_mismatch(h)
+    return solution.flux.l2_mismatch(solution.problem.h if h is None else h)
 
 
 def _require_clamped_on_square(r: Polynomial2D) -> None:
@@ -276,12 +285,7 @@ def _require_clamped_on_square(r: Polynomial2D) -> None:
             raise ValueError("test polynomial has a nonzero boundary normal derivative")
 
 
-def weak_form_residual(
-    space: FeSpace,
-    solution: CascadeSolution,
-    problem: NeumannProblem,
-    r: Polynomial2D,
-) -> float:
+def weak_form_residual(solution: CascadeSolution, r: Polynomial2D) -> float:
     """Defect of sigma_h in the weak formulation, tested against the
     Laplacian of a doubly-clamped polynomial r:
 
@@ -296,6 +300,7 @@ def weak_form_residual(
     rejected because the check (and the identity) needs exact boundary
     arithmetic.
     """
+    space = solution.sigma_h.space
     if space.mesh.domain_tag is not DomainTag.UNIT_SQUARE:
         raise ValueError("weak form residual is implemented for the unit square only")
     _require_clamped_on_square(r)
@@ -303,7 +308,7 @@ def weak_form_residual(
     omega = r.laplacian()
     bilap = omega.laplacian()
 
-    volume_moments, terms = _data_functional(space, problem, omega.degree)
+    volume_moments, terms = _data_functional(space, solution.problem, omega.degree)
     sigma_vals = field_values(solution.sigma_h, triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER))
     term_sigma = _pair(volume_moments(sigma_vals, bilap.degree), bilap)
     term_f, term_g, term_h = terms(omega)

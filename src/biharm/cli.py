@@ -20,6 +20,7 @@ from .biharmonic import (
     DEFAULT_STRICT_TOL,
     CompatibilityError,
     NeumannProblem,
+    _strict_check,
     compatibility_residual,
     solve_neumann,
 )
@@ -34,7 +35,7 @@ from .mesh import (
     unit_square_mesh,
     write_mesh,
 )
-from .poisson import normal_flux, overdetermined_check, overdetermined_fourth
+from .poisson import overdetermined_check, overdetermined_fourth
 from .polynomials import complementing_check, harmonic_basis, laplace_complementing_check
 from .sparse import NonConvergenceError, NotSPDError
 
@@ -132,8 +133,6 @@ def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
 
 
 def _build_mesh(domain: str, n: int, refine: int) -> Mesh:
-    if n < 1:
-        raise ExpressionError("--n must be at least 1")
     mesh = unit_square_mesh(n) if domain == "square" else unit_disk_mesh(n)
     for _ in range(refine):
         mesh = refine_uniform(mesh)
@@ -205,12 +204,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_converge(args) -> int:
     case = cases()[args.case]
+    problem = NeumannProblem(case.f, case.g, case.h)
     rows = []
     prev = None
     for level in range(args.levels):
         n = args.n0 * 2**level
         space = build_space(unit_square_mesh(n), args.degree)
-        problem = NeumannProblem(case.f, case.g, case.h)
         solution = solve_neumann(space, problem, rel_tol=args.rel_tol)
         err_sigma = l2_error(space, solution.sigma_h, case.sigma_exact)
         err_s = l2_error(space, solution.s_h, case.u_exact)
@@ -252,14 +251,13 @@ def _harmonic_labels(kmax: int) -> list[str]:
 
 def _cmd_compat(args) -> int:
     problem, _ = _problem_from_args(args)
+    check = _strict_check(args.strict, args.strict_tol)
     space = build_space(_build_mesh("square", args.n, 0), args.degree)
     residuals = compatibility_residual(space, problem, harmonic_basis(args.kmax))
     for label, r in zip(_harmonic_labels(args.kmax), residuals, strict=True):
         print(f"r[{label}] = {FLOAT_FMT.format(r)}")
-    worst = float(np.abs(residuals).max())
-    print(f"compat_max={FLOAT_FMT.format(worst)}")
-    if args.strict and worst > args.strict_tol:
-        raise CompatibilityError(residuals, args.strict_tol)
+    print(f"compat_max={FLOAT_FMT.format(float(np.abs(residuals).max()))}")
+    check(residuals)
     return 0
 
 
@@ -267,30 +265,21 @@ def _cmd_flux(args) -> int:
     problem, _ = _problem_from_args(args)
     space = build_space(_build_mesh("square", args.n, 0), args.degree)
     solution = solve_neumann(space, problem, rel_tol=args.rel_tol)
-    flux = normal_flux(space, solution.sigma_h, problem.f)
     print(f"flux_mismatch={FLOAT_FMT.format(solution.diagnostics.flux_mismatch)}")
-    print(f"total_flux={FLOAT_FMT.format(flux.total())}")
+    print(f"total_flux={FLOAT_FMT.format(solution.flux.total())}")
     return 0
 
 
 def _cmd_overdet(args) -> int:
     p = parse_expression(args.p)
+    probe = overdetermined_fourth if args.fourth else overdetermined_check
     for level in range(args.levels):
         n = args.n * 2**level
-        space = build_space(unit_square_mesh(n), args.degree)
-        if args.fourth:
-            result = overdetermined_fourth(space, p, rel_tol=args.rel_tol)
-            print(
-                f"n={n} flux_l2={FLOAT_FMT.format(result.flux_l2)} "
-                f"total_flux={FLOAT_FMT.format(result.total_flux)} "
-                f"laplacian_trace_l2={FLOAT_FMT.format(result.laplacian_trace_l2)}"
-            )
-        else:
-            result = overdetermined_check(space, p, rel_tol=args.rel_tol)
-            print(
-                f"n={n} flux_l2={FLOAT_FMT.format(result.flux_l2)} "
-                f"total_flux={FLOAT_FMT.format(result.total_flux)}"
-            )
+        result = probe(build_space(unit_square_mesh(n), args.degree), p, rel_tol=args.rel_tol)
+        print(
+            f"n={n} flux_l2={FLOAT_FMT.format(result.flux_l2)} "
+            f"total_flux={FLOAT_FMT.format(result.total_flux)}"
+        )
     return 0
 
 
@@ -307,6 +296,17 @@ def _cmd_complementing(args) -> int:
     return 0
 
 
+def _count(minimum: int):
+    """argparse type of a count argument: an integer of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    return count
+
+
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", choices=sorted(cases()), help="built-in manufactured case")
     p.add_argument("--f", help="volume source expression in x, y")
@@ -315,7 +315,7 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=16, help="cells per side (default 16)")
+    p.add_argument("--n", type=_count(1), default=16, help="cells per side (default 16)")
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=None)
@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="generate a mesh and optionally write it")
     p.add_argument("--domain", choices=("square", "disk"), default="square")
-    p.add_argument("--n", type=int, default=8, help="cells per side, or rings for the disk")
-    p.add_argument("--refine", type=int, default=0, help="uniform refinement passes")
+    p.add_argument("--n", type=_count(1), default=8, help="cells per side, or rings for the disk")
+    p.add_argument("--refine", type=_count(0), default=0, help="uniform refinement passes")
     p.add_argument("--out", help="output mesh file")
     p.set_defaults(func=_cmd_mesh)
 
@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="refinement study on a manufactured case")
     p.add_argument("--case", choices=sorted(cases()), required=True)
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--n0", type=int, default=8, help="coarsest cells per side")
+    p.add_argument("--levels", type=_count(1), default=4)
+    p.add_argument("--n0", type=_count(1), default=8, help="coarsest cells per side")
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--out", help="CSV output (stdout when omitted)")
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compat", help="compatibility residuals against harmonic polynomials")
     _add_data_options(p)
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_count(1), default=32)
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--kmax", type=int, default=DEFAULT_HARMONIC_DEGREE)
     p.add_argument("--strict", action="store_true")
@@ -370,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overdet", help="overdetermined solvability diagnostics")
     p.add_argument("--p", required=True, help="source expression in x, y")
-    p.add_argument("--n", type=int, default=8, help="coarsest cells per side")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--n", type=_count(1), default=8, help="coarsest cells per side")
+    p.add_argument("--levels", type=_count(1), default=3)
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--fourth", action="store_true", help="fourth-order cascade variant")

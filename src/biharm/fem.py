@@ -162,7 +162,7 @@ class FeSpace:
     dof numbering: vertex dofs keep vertex indices; degree-2 midpoint dofs
     follow, ordered by the lexicographic enumeration of undirected mesh
     edges. ``boundary_edge_dof_map`` row k lists the dofs supported on
-    boundary edge k in trace-basis order.
+    boundary edge k in trace-basis order; ``boundary_dofs`` sorts their union.
     """
 
     mesh: Mesh
@@ -171,7 +171,6 @@ class FeSpace:
     dof_coordinates: np.ndarray
     element_dof_map: np.ndarray
     boundary_dofs: np.ndarray
-    boundary_dof_markers: dict[int, frozenset[int]]
     boundary_edge_dof_map: np.ndarray
 
     def __post_init__(self):
@@ -182,10 +181,6 @@ class FeSpace:
             self.boundary_edge_dof_map,
         ):
             np.asarray(arr).flags.writeable = False
-
-    @property
-    def n_local(self) -> int:
-        return 3 if self.degree == 1 else 6
 
     def boundary_positions(self, dofs: np.ndarray) -> np.ndarray:
         """Positions of the given boundary dofs (any shape) in the sorted boundary set."""
@@ -214,21 +209,13 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
         dof_coords = np.vstack([mesh.vertices, midpoints])
         bedge_dofs = np.column_stack([mesh.boundary_edges[:, :2], nv + boundary])
 
-    markers: dict[int, set[int]] = {}
-    for row, (a, b, m) in zip(bedge_dofs, mesh.boundary_edges):
-        for dof in row:
-            markers.setdefault(int(dof), set()).add(int(m))
-    dof_markers = {d: frozenset(ms) for d, ms in markers.items()}
-    boundary_dofs = np.array(sorted(dof_markers), dtype=np.int64)
-
     space = FeSpace(
         mesh=mesh,
         degree=degree,
         dof_count=len(dof_coords),
         dof_coordinates=dof_coords,
         element_dof_map=element_dofs,
-        boundary_dofs=boundary_dofs,
-        boundary_dof_markers=dof_markers,
+        boundary_dofs=np.unique(bedge_dofs),
         boundary_edge_dof_map=bedge_dofs,
     )
     assert len(np.unique(element_dofs)) == space.dof_count, "unreferenced dof"

@@ -138,14 +138,12 @@ def solve_dirichlet(
 class BoundaryFlux:
     """Consistent normal-derivative data of a solved Dirichlet field.
 
-    ``functional`` holds the Green-identity pairings <dw/dn, phi_i> for
-    each boundary dof (ordered like ``dofs``); ``projected`` holds the
-    coefficients of the L2(boundary) projection of that functional onto
-    the boundary trace space, i.e. a pointwise flux field.
+    ``functional`` holds the Green-identity pairings <dw/dn, phi_i>, one per
+    entry of ``space.boundary_dofs``; ``projected`` holds the coefficients of
+    the L2(boundary) projection of that functional: a pointwise flux field.
     """
 
     space: FeSpace
-    dofs: np.ndarray
     functional: np.ndarray
     projected: np.ndarray
 
@@ -164,13 +162,7 @@ class BoundaryFlux:
         return boundary_l2_error(self.space, self.projected, target)
 
 
-def normal_flux(
-    space: FeSpace,
-    w: ScalarField,
-    source,
-    *,
-    rel_tol: float = 1e-12,
-) -> BoundaryFlux:
+def normal_flux(space: FeSpace, w: ScalarField, source) -> BoundaryFlux:
     """Recover the variational normal derivative of w, given the source it
     was solved with.
 
@@ -183,8 +175,8 @@ def normal_flux(
     ops = _operators(space)
     residual = matvec(ops.stiffness, w.coeffs) + _source_load(space, source)
     t = residual[space.boundary_dofs]
-    projected = cg_solve(ops.boundary_mass, t, rel_tol=rel_tol).x
-    return BoundaryFlux(space, space.boundary_dofs.copy(), t, projected)
+    projected = cg_solve(ops.boundary_mass, t, rel_tol=1e-12).x
+    return BoundaryFlux(space, t, projected)
 
 
 @dataclass(frozen=True)
@@ -226,7 +218,6 @@ class FourthOrderResult:
 
     v: ScalarField
     u: ScalarField
-    laplacian_trace_l2: float
     flux_l2: float
     total_flux: float
 
@@ -244,10 +235,8 @@ def overdetermined_fourth(
     zero trace. V then satisfies bilaplacian V = p with V and laplacian V
     both vanishing on the boundary by construction; the one condition not
     built in is the normal flux of U (= of laplacian V), which is
-    reported, along with the boundary trace norm of U as a sanity value
-    (zero by construction) and the total flux (= integral of p).
+    reported along with the total flux (= integral of p).
     """
     check = overdetermined_check(space, p, rel_tol=rel_tol, max_iter=max_iter)
     v = solve_dirichlet(space, check.u, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-    trace = boundary_l2_error(space, check.u.coeffs[space.boundary_dofs], None)
-    return FourthOrderResult(v, check.u, trace, check.flux_l2, check.total_flux)
+    return FourthOrderResult(v, check.u, check.flux_l2, check.total_flux)

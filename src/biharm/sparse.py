@@ -148,15 +148,14 @@ def cg_solve(
     b: np.ndarray,
     rel_tol: float = 1e-10,
     max_iter: int | None = None,
-    preconditioner: str = "diagonal",
 ) -> CGResult:
-    """Solve A x = b for symmetric positive definite A by conjugate gradients.
+    """Solve A x = b for symmetric positive definite A by Jacobi-preconditioned
+    conjugate gradients.
 
     Parameters
     ----------
-    rel_tol : stop when ||r||_2 <= rel_tol * ||b||_2
-    max_iter : iteration budget, default 10 * n
-    preconditioner : "diagonal" for Jacobi scaling, "none" for plain CG
+    rel_tol : stop when ||r||_2 <= rel_tol * ||b||_2; finite and positive
+    max_iter : iteration budget, default 10 * n; at least 0
 
     Raises
     ------
@@ -167,6 +166,8 @@ def cg_solve(
     NotSPDError
         when a search direction has nonpositive curvature p^T A p, or the
         diagonal preconditioner meets a nonpositive diagonal entry.
+    ValueError
+        on mismatched shapes, a rel_tol not finite and > 0, or max_iter < 0.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
@@ -174,18 +175,15 @@ def cg_solve(
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side length does not match matrix")
-    if max_iter is None:
-        max_iter = 10 * n
-    if preconditioner not in ("diagonal", "none"):
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    max_iter = 10 * n if max_iter is None else max_iter
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
 
-    if preconditioner == "diagonal":
-        diag = a.diagonal()
-        if n and diag.min() <= 0:
-            raise NotSPDError("nonpositive diagonal entry")
-        apply_prec = lambda r: r / diag
-    else:
-        apply_prec = lambda r: r
+    diag = a.diagonal()
+    if n and diag.min() <= 0:
+        raise NotSPDError("nonpositive diagonal entry")
 
     # Iterate on b * 2**-e, largest entry in [0.5, 1): exact scaling, so tiny or
     # huge data neither underflow nor overflow and results scale back bit for bit.
@@ -198,7 +196,7 @@ def cg_solve(
     if b_norm == 0.0:
         return CGResult(x, 0, 0.0)
 
-    z = apply_prec(r)
+    z = r / diag
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
@@ -216,7 +214,7 @@ def cg_solve(
             raise NonConvergenceError(k, res)
         if res <= rel_tol * b_norm:
             return CGResult(np.ldexp(x, e), k, math.ldexp(res, e))
-        z = apply_prec(r)
+        z = r / diag
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

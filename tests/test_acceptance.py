@@ -166,7 +166,7 @@ def test_acceptance_6_flux_mismatch_diagnostic(capfd):
             space = build_space(unit_square_mesh(n), 1)
             sol = solve_neumann(space, prob)
             good.append(sol.diagnostics.flux_mismatch)
-            bad.append(flux_mismatch(space, sol, lambda x, y: case.h(x, y) + 1.0))
+            bad.append(flux_mismatch(sol, lambda x, y: case.h(x, y) + 1.0))
         assert good[0] > good[1] > good[2]
         assert all(value >= 1.0 for value in bad)
 
@@ -197,7 +197,7 @@ def test_acceptance_8_weak_form_residual(capfd):
         for n in (8, 16, 32):
             space = build_space(unit_square_mesh(n), 1)
             sol = solve_neumann(space, prob)
-            values.append(weak_form_residual(space, sol, prob, r))
+            values.append(weak_form_residual(sol, r))
         assert values[0] > values[1] > values[2]
 
 

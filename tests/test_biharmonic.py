@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mesh_properties import meshes
 
+from biharm import biharmonic, poisson
 from biharm.biharmonic import (
     CompatibilityError,
     NeumannProblem,
@@ -135,7 +136,7 @@ def test_flux_mismatch_decreases_for_compatible_data():
         sol = solve_neumann(space, prob)
         values.append(sol.diagnostics.flux_mismatch)
         # default datum reproduces the stored diagnostic
-        assert flux_mismatch(space, sol) == sol.diagnostics.flux_mismatch
+        assert flux_mismatch(sol) == sol.diagnostics.flux_mismatch
     assert values[0] > values[1] > values[2]
     assert values[2] < 1.0
 
@@ -147,9 +148,34 @@ def test_flux_mismatch_bounded_below_for_incompatible_datum():
     for n in (8, 16, 32):
         space = build_space(unit_square_mesh(n), 1)
         sol = solve_neumann(space, prob)
-        bad = flux_mismatch(space, sol, lambda x, y: case.h(x, y) + 1.0)
+        bad = flux_mismatch(sol, lambda x, y: case.h(x, y) + 1.0)
         assert bad >= 1.0
         assert bad > sol.diagnostics.flux_mismatch
+
+
+def test_flux_mismatch_reads_the_flux_the_solve_recovered(monkeypatch):
+    case, prob = sine_problem()
+    space = build_space(unit_square_mesh(8), 2)
+    sol = solve_neumann(space, prob)
+    shifted = lambda x, y: case.h(x, y) + 1.0  # noqa: E731
+    recovered = poisson.normal_flux(space, sol.sigma_h, prob.f)
+    assert np.array_equal(sol.flux.projected, recovered.projected)
+    assert np.array_equal(sol.flux.functional, recovered.functional)
+    calls = []
+    for module in (biharmonic, poisson):
+        monkeypatch.setattr(module, "normal_flux", lambda *args: calls.append(args))
+    assert flux_mismatch(sol, shifted) == recovered.l2_mismatch(shifted)
+    assert flux_mismatch(sol) == recovered.l2_mismatch(prob.h)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-3])
+def test_strict_tolerance_must_be_a_nonnegative_number(tol):
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(4), 1)
+    bad = NeumannProblem(prob.f, prob.g, lambda x, y: prob.h(x, y) + 1.0)
+    with pytest.raises(ValueError, match="strict tolerance"):
+        solve_neumann(space, bad, strict=True, strict_tol=tol)
 
 
 def test_weak_form_residual_decreases():
@@ -159,7 +185,7 @@ def test_weak_form_residual_decreases():
     for n in (8, 16, 32):
         space = build_space(unit_square_mesh(n), 1)
         sol = solve_neumann(space, prob)
-        values.append(weak_form_residual(space, sol, prob, r))
+        values.append(weak_form_residual(sol, r))
     assert values[0] > values[1] > values[2]
     assert values[2] < 0.1
 
@@ -171,9 +197,9 @@ def test_weak_form_rejects_unclamped_polynomials():
     x, y = Polynomial2D.x(), Polynomial2D.y()
     one = Polynomial2D.constant(1)
     with pytest.raises(ValueError):  # nonzero trace
-        weak_form_residual(space, sol, prob, x)
+        weak_form_residual(sol, x)
     with pytest.raises(ValueError):  # zero trace but nonzero normal derivative
-        weak_form_residual(space, sol, prob, x * (one - x) * y * (one - y))
+        weak_form_residual(sol, x * (one - x) * y * (one - y))
 
 
 def test_weak_form_requires_square_domain():
@@ -181,7 +207,7 @@ def test_weak_form_requires_square_domain():
     prob = NeumannProblem(1.0, 0.0, 0.25)
     sol = solve_neumann(space, prob)
     with pytest.raises(ValueError):
-        weak_form_residual(space, sol, prob, clamped_bubble())
+        weak_form_residual(sol, clamped_bubble())
 
 
 def test_harmonic_degree_controls_residual_count():
@@ -283,5 +309,5 @@ def test_diagnostics_evaluate_no_polynomial_pointwise(monkeypatch):
     space = build_space(unit_square_mesh(8), 1)
     sol = solve_neumann(space, prob)
     compatibility_residual(space, prob, harmonic_basis(8))
-    weak_form_residual(space, sol, prob, clamped_bubble())
+    weak_form_residual(sol, clamped_bubble())
     assert calls == []

@@ -159,16 +159,19 @@ def test_boundary_dofs_on_disk_polygon_edges():
             assert perp < 1e-12
 
 
-def test_boundary_markers_attached_to_dofs():
-    space = build_space(unit_square_mesh(2), 1)
-    corner = np.where(
-        (space.dof_coordinates[:, 0] == 0) & (space.dof_coordinates[:, 1] == 0)
-    )[0][0]
-    assert space.boundary_dof_markers[int(corner)] == frozenset({0, 3})
-    mid_bottom = np.where(
-        (space.dof_coordinates[:, 0] == 0.5) & (space.dof_coordinates[:, 1] == 0)
-    )[0][0]
-    assert space.boundary_dof_markers[int(mid_bottom)] == frozenset({0})
+BOUNDARY_MESHES = {"square": unit_square_mesh(3), "disk": refine_uniform(unit_disk_mesh(2))}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_MESHES))
+def test_boundary_dofs_are_the_sorted_dofs_of_boundary_edges(name, degree):
+    mesh = BOUNDARY_MESHES[name]
+    space = build_space(mesh, degree)
+    # reference: one pass over every boundary edge, collecting its dofs
+    expected = sorted({int(dof) for row in space.boundary_edge_dof_map for dof in row})
+    assert space.boundary_dofs.dtype == np.int64
+    assert space.boundary_dofs.tolist() == expected
+    assert len(expected) == degree * mesh.num_boundary_edges  # one closed loop
 
 
 def test_interpolation_reproduces_polynomials():

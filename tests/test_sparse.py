@@ -91,8 +91,7 @@ def test_cg_zero_rhs():
     assert res.residual == 0.0
 
 
-@pytest.mark.parametrize("preconditioner", ["diagonal", "none"])
-def test_cg_matches_dense_factorization(preconditioner):
+def test_cg_matches_dense_factorization():
     # regularized Laplacian on a coarse mesh: SPD, under 200 dofs
     space = build_space(unit_square_mesh(8), 1)
     assert space.dof_count <= 200
@@ -101,7 +100,7 @@ def test_cg_matches_dense_factorization(preconditioner):
     )
     rng = np.random.default_rng(3)
     b = rng.standard_normal(space.dof_count)
-    res = cg_solve(a, b, rel_tol=1e-12, preconditioner=preconditioner)
+    res = cg_solve(a, b, rel_tol=1e-12)
     x_ref = np.linalg.solve(a.toarray(), b)
     assert np.linalg.norm(res.x - x_ref) / np.linalg.norm(x_ref) < 1e-9
     assert 0 < res.iterations <= 10 * space.dof_count
@@ -144,10 +143,25 @@ def test_cg_detects_indefinite_despite_positive_diagonal():
         cg_solve(a, np.array([1.0, -1.0]))
 
 
-def test_cg_unknown_preconditioner():
-    a = from_triplets([0], [0], [1.0], shape=(1, 1))
-    with pytest.raises(ValueError):
-        cg_solve(a, np.array([1.0]), preconditioner="ilu")
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_cg_rejects_a_tolerance_it_cannot_meet(rel_tol):
+    # without the check, a NaN tolerance iterates until p underflows and
+    # then reports a false NotSPDError
+    space = build_space(unit_square_mesh(8), 1)
+    a = assemble_stiffness(space).submatrix(np.arange(1, 10), np.arange(1, 10))
+    with pytest.raises(ValueError, match="rel_tol"):
+        cg_solve(a, np.ones(9), rel_tol=rel_tol)
+
+
+def test_cg_rejects_a_negative_budget_and_takes_zero():
+    a = from_triplets([0, 1], [0, 1], [2.0, 3.0], shape=(2, 2))
+    b = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="max_iter"):
+        cg_solve(a, b, max_iter=-1)
+    with pytest.raises(NonConvergenceError) as err:
+        cg_solve(a, b, max_iter=0)
+    assert err.value.iterations == 0
+    assert cg_solve(a, np.zeros(2), max_iter=0).iterations == 0
 
 
 def test_values_not_writeable_through_wrapper():
