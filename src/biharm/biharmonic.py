@@ -50,7 +50,7 @@ from .fem import (
     triangle_quadrature,
 )
 from .mesh import DomainTag
-from .poisson import BoundaryFlux, normal_flux, solve_dirichlet
+from .poisson import BoundaryFlux, _loaded, normal_flux, solve_dirichlet
 from .polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
 
 __all__ = [
@@ -248,10 +248,11 @@ def solve_neumann(
     residuals = compatibility_residual(space, problem, harmonic_basis(harmonic_degree))
     check(residuals)
 
-    sigma_h = solve_dirichlet(space, problem.f, problem.g, rel_tol=rel_tol, max_iter=max_iter)
+    f_load = _loaded(space, problem.f)
+    sigma_h = solve_dirichlet(space, f_load, problem.g, rel_tol=rel_tol, max_iter=max_iter)
     s_h = solve_dirichlet(space, sigma_h, 0.0, rel_tol=rel_tol, max_iter=max_iter)
 
-    flux = normal_flux(space, sigma_h, problem.f)
+    flux = normal_flux(space, sigma_h, f_load)
     diagnostics = CascadeDiagnostics(
         compat_residuals=residuals,
         flux_mismatch=flux.l2_mismatch(problem.h),

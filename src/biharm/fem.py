@@ -304,13 +304,13 @@ def _affine_maps(mesh: Mesh):
 
 
 def quad_points(mesh: Mesh, rule: QuadratureRule):
-    """Physical coordinates of the rule's points on every triangle, (T, nq) pair."""
+    """Physical coordinates of the rule's points on every triangle: a pair of
+    C-contiguous (T, nq) arrays x, y."""
     origin, jac, _, _ = triangle_geometry(mesh)
-    ref = rule.points[:, 1:]
-    phys = origin[:, None, :] + (
-        jac[:, None, :, 0] * ref[None, :, 0, None] + jac[:, None, :, 1] * ref[None, :, 1, None]
+    r0, r1 = rule.points[:, 1], rule.points[:, 2]
+    return tuple(
+        origin[:, a, None] + (jac[:, a, 0, None] * r0 + jac[:, a, 1, None] * r1) for a in (0, 1)
     )
-    return phys[:, :, 0], phys[:, :, 1]
 
 
 def integrate(mesh: Mesh, rule: QuadratureRule, values: np.ndarray) -> float:
@@ -329,10 +329,18 @@ def field_values(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
 def field_gradients(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
     """Field gradients at the rule's points on every triangle, shape (T, nq, 2)."""
     space = fe_field.space
-    gref = _reference_gradients(space.degree, rule.points[:, 1:])
     _, _, _, inv_jt = triangle_geometry(space.mesh)
-    gphys = np.einsum("tab,lqb->tlqa", inv_jt, gref)
+    gphys = _physical_gradients(space.degree, rule, inv_jt)
     return np.einsum("tl,tlqa->tqa", fe_field.coeffs[space.element_dof_map], gphys)
+
+
+def _physical_gradients(degree: int, rule: QuadratureRule, inv_jt: np.ndarray) -> np.ndarray:
+    """Basis gradients at the rule's points on every triangle, shape (T, n_local, nq, 2):
+    the inverse-transposed Jacobian times each reference gradient, as two broadcast
+    products summed in the order an einsum over the shared axis sums them."""
+    gref = _reference_gradients(degree, rule.points[:, 1:])
+    inv = inv_jt[:, None, None]
+    return inv[..., 0] * gref[None, :, :, None, 0] + inv[..., 1] * gref[None, :, :, None, 1]
 
 
 def default_volume_rule(degree: int) -> QuadratureRule:
@@ -354,9 +362,8 @@ def assemble_stiffness(space: FeSpace) -> SparseMatrix:
     the triplets are summed.
     """
     rule = default_volume_rule(space.degree)
-    gref = _reference_gradients(space.degree, rule.points[:, 1:])
     _, _, det, inv_jt = triangle_geometry(space.mesh)
-    gphys = np.einsum("tab,lqb->tlqa", inv_jt, gref)
+    gphys = _physical_gradients(space.degree, rule, inv_jt)
     local = np.einsum("tlqa,tmqa,q->tlm", gphys, gphys, rule.weights)
     local *= det[:, None, None]
     local = 0.5 * (local + local.transpose(0, 2, 1))

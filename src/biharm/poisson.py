@@ -20,7 +20,10 @@ Operators are built once per space: the stiffness matrix, the mass
 matrix, the boundary mass matrix and the interior/boundary blocks are
 assembled on the first solve or flux recovery on a space and held on that
 space for as long as it lives. Both cascade solves and the flux recovery
-share them, and later calls on the same space assemble nothing.
+share them, and later calls on the same space assemble nothing. The load
+of a callable source is assembled once per cascade: ``solve_neumann`` and
+``overdetermined_check`` hand the same load of f (or p) to the Dirichlet
+solve and to the flux recovery.
 """
 
 from __future__ import annotations
@@ -88,7 +91,24 @@ def _assemble_operators(space: FeSpace) -> _Operators:
     )
 
 
+@dataclass(frozen=True)
+class _Load:
+    """A source whose load (source, phi_i) is assembled already."""
+
+    values: np.ndarray
+
+
+def _loaded(space: FeSpace, source) -> _Load:
+    """The source's load, computed once, for a ``solve_dirichlet`` and a
+    ``normal_flux`` that take the same source on the same space."""
+    values = _source_load(space, source)
+    values.flags.writeable = False
+    return _Load(values)
+
+
 def _source_load(space: FeSpace, source) -> np.ndarray:
+    if isinstance(source, _Load):
+        return source.values
     if isinstance(source, ScalarField):
         if source.space is not space:
             raise ValueError("source field lives on a different space")
@@ -206,8 +226,9 @@ def overdetermined_check(
     otherwise. ``total_flux`` always equals the integral of p up to
     solver tolerance, a useful exactness check in itself.
     """
-    u = solve_dirichlet(space, p, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-    flux = normal_flux(space, u, p)
+    load = _loaded(space, p)
+    u = solve_dirichlet(space, load, 0.0, rel_tol=rel_tol, max_iter=max_iter)
+    flux = normal_flux(space, u, load)
     return OverdeterminedResult(u, flux, flux.l2_norm(), flux.total())
 
 

@@ -311,3 +311,36 @@ def test_diagnostics_evaluate_no_polynomial_pointwise(monkeypatch):
     compatibility_residual(space, prob, harmonic_basis(8))
     weak_form_residual(sol, clamped_bubble())
     assert calls == []
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_one_load_of_the_source_per_cascade(degree, monkeypatch):
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(6), degree)
+    sigma_h = poisson.solve_dirichlet(space, prob.f, prob.g)
+    s_h = poisson.solve_dirichlet(space, sigma_h, 0.0)
+    flux = poisson.normal_flux(space, sigma_h, prob.f)
+    clamped_u = poisson.solve_dirichlet(space, prob.f, 0.0)
+    clamped_flux = poisson.normal_flux(space, clamped_u, prob.f)
+
+    calls = []
+
+    def counted(space, q, _load=poisson.assemble_load):
+        calls.append(q)
+        return _load(space, q)
+
+    monkeypatch.setattr(poisson, "assemble_load", counted)
+    sol = solve_neumann(space, prob)
+    assert calls == [prob.f]
+    assert np.array_equal(sol.sigma_h.coeffs, sigma_h.coeffs)
+    assert np.array_equal(sol.s_h.coeffs, s_h.coeffs)
+    assert np.array_equal(sol.flux.functional, flux.functional)
+    assert np.array_equal(sol.flux.projected, flux.projected)
+
+    calls.clear()
+    check = poisson.overdetermined_check(space, prob.f)
+    assert calls == [prob.f]
+    assert np.array_equal(check.u.coeffs, clamped_u.coeffs)
+    assert np.array_equal(check.flux.functional, clamped_flux.functional)
+    assert check.flux_l2 == clamped_flux.l2_norm()
+    assert check.total_flux == clamped_flux.total()

@@ -294,3 +294,59 @@ def test_nonfinite_datum_is_a_data_error_before_any_assembly(datum, value):
     with pytest.raises(fem.DataError):
         solve_dirichlet(space, 0.0, datum)
     assert "_poisson_operators" not in space.__dict__
+
+
+def stacked_quad_points(mesh, rule):
+    """Reference quadrature points: one broadcast over a (T, nq, 2) array."""
+    origin, jac, _, _ = fem.triangle_geometry(mesh)
+    ref = rule.points[:, 1:]
+    phys = origin[:, None, :] + (
+        jac[:, None, :, 0] * ref[None, :, 0, None] + jac[:, None, :, 1] * ref[None, :, 1, None]
+    )
+    return phys[:, :, 0], phys[:, :, 1]
+
+
+def einsum_gradient_map(space, rule):
+    """Reference physical basis gradients: the einsum over the Jacobian's shared axis."""
+    gref = fem._reference_gradients(space.degree, rule.points[:, 1:])
+    _, _, _, inv_jt = fem.triangle_geometry(space.mesh)
+    return np.einsum("tab,lqb->tlqa", inv_jt, gref)
+
+
+def einsum_stiffness(space):
+    rule = fem.default_volume_rule(space.degree)
+    _, _, det, _ = fem.triangle_geometry(space.mesh)
+    gphys = einsum_gradient_map(space, rule)
+    local = np.einsum("tlqa,tmqa,q->tlm", gphys, gphys, rule.weights)
+    local *= det[:, None, None]
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    return fem._scatter(space.element_dof_map, local, space.dof_count)
+
+
+# at degree 2 a batched matmul in place of the broadcast gradient map moves the
+# last bits of some gradients, on the square and on the refined disk alike
+ORACLE_MESHES = {"square": unit_square_mesh(13), "disk": refine_uniform(unit_disk_mesh(6))}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_assembly_kernels_are_bit_identical_to_the_einsum_oracle(name, degree):
+    mesh = ORACLE_MESHES[name]
+    space = build_space(mesh, degree)
+    k, expected = assemble_stiffness(space), einsum_stiffness(space)
+    assert np.array_equal(k.values, expected.values)
+    assert np.array_equal(k.column_indices, expected.column_indices)
+    assert np.array_equal(k.row_offsets, expected.row_offsets)
+
+    field = interpolate(space, lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x * y)
+    for order in (2, 4, 6):
+        rule = fem.triangle_quadrature(order)
+        expected = np.einsum(
+            "tl,tlqa->tqa", field.coeffs[space.element_dof_map], einsum_gradient_map(space, rule)
+        )
+        assert np.array_equal(fem.field_gradients(field, rule), expected)
+
+        x, y = fem.quad_points(mesh, rule)
+        ex, ey = stacked_quad_points(mesh, rule)
+        assert np.array_equal(x, ex) and np.array_equal(y, ey)
+        assert x.flags.c_contiguous and y.flags.c_contiguous

@@ -11,7 +11,9 @@ from biharm.fem import (
     assemble_mass,
     assemble_stiffness,
     build_space,
+    field_gradients,
     integrate,
+    interpolate,
     quad_points,
     triangle_quadrature,
 )
@@ -71,3 +73,20 @@ def test_flux_datum_shift_leaves_fields_bit_identical(degree, mesh, shift, slope
     shifted = solve_neumann(space, NeumannProblem(f, g, lambda x, y: 0.5 + shift + slope * x))
     assert shifted.sigma_h.coeffs.tobytes() == base.sigma_h.coeffs.tobytes()
     assert shifted.s_h.coeffs.tobytes() == base.s_h.coeffs.tobytes()
+
+
+@degrees
+@PROPERTY_SETTINGS
+@given(meshes(), st.lists(coefficients, min_size=6, max_size=6))
+def test_gradients_of_interpolated_polynomials_are_exact(degree, mesh, c):
+    # the interpolant of a polynomial of the space's degree is the polynomial itself
+    c0, cx, cy, cxx, cxy, cyy = c if degree == 2 else c[:3] + [0.0, 0.0, 0.0]
+
+    def p(x, y):
+        return c0 + cx * x + cy * y + cxx * x * x + cxy * x * y + cyy * y * y
+
+    rule = triangle_quadrature(4)
+    grads = field_gradients(interpolate(build_space(mesh, degree), p), rule)
+    x, y = quad_points(mesh, rule)
+    assert np.abs(grads[:, :, 0] - (cx + 2 * cxx * x + cxy * y)).max() <= 1e-10
+    assert np.abs(grads[:, :, 1] - (cy + cxy * x + 2 * cyy * y)).max() <= 1e-10
