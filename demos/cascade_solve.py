@@ -20,8 +20,8 @@ for name, case in cases().items():
     for n in (8, 16, 32):
         space = build_space(unit_square_mesh(n), 1)
         sol = solve_neumann(space, problem)
-        err_sigma = l2_error(space, sol.sigma_h, case.sigma_exact)
-        err_s = l2_error(space, sol.s_h, case.u_exact)
+        err_sigma = l2_error(sol.sigma_h, case.sigma_exact)
+        err_s = l2_error(sol.s_h, case.u_exact)
         d = sol.diagnostics
         print(
             f"  n={n:3d}  l2_sigma={err_sigma:.4e}  l2_s={err_s:.4e}  "

@@ -21,7 +21,7 @@ for degree in (1, 2):
     for n in (8, 16, 32, 64):
         space = build_space(unit_square_mesh(n), degree)
         w = solve_dirichlet(space, q, 0.0, rel_tol=1e-12)
-        err = l2_error(space, w, u)
+        err = l2_error(w, u)
         rate = "" if prev is None else f"  rate {np.log2(prev / err):.2f}"
         print(f"  n={n:3d}  dofs={space.dof_count:5d}  l2={err:.4e}{rate}")
         prev = err

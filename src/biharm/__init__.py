@@ -25,7 +25,6 @@ from .fem import (
     FeSpace,
     QuadratureRule,
     ScalarField,
-    assemble_boundary_load,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -111,7 +110,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_load",
-    "assemble_boundary_load",
     "boundary_mass_matrix",
     "boundary_l2_error",
     # sparse

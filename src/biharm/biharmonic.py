@@ -43,7 +43,7 @@ from .fem import (
     ScalarField,
     _data_values,
     boundary_geometry,
-    default_boundary_rule,
+    boundary_integrate,
     field_values,
     integrate,
     quad_points,
@@ -183,14 +183,10 @@ def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
 
     f_table = volume_moments(_data_values(problem.f, x, y), degree)
 
-    b_rule = default_boundary_rule()
-    _, bx, by, lengths, normals = boundary_geometry(space.mesh, b_rule)
+    bx, by, _, normals = boundary_geometry(space.mesh)
 
     def boundary_moments(vals, up_to):
-        def integral(v):
-            return np.einsum("eq,q,e->", v, b_rule.weights, lengths)
-
-        return _moment_table(integral, vals, bx, by, up_to)
+        return _moment_table(lambda v: boundary_integrate(space.mesh, v), vals, bx, by, up_to)
 
     g_vals = _data_values(problem.g, bx, by)
     h_table = boundary_moments(_data_values(problem.h, bx, by), degree)
@@ -252,7 +248,7 @@ def solve_neumann(
     sigma_h = solve_dirichlet(space, f_load, problem.g, rel_tol=rel_tol, max_iter=max_iter)
     s_h = solve_dirichlet(space, sigma_h, 0.0, rel_tol=rel_tol, max_iter=max_iter)
 
-    flux = normal_flux(space, sigma_h, f_load)
+    flux = normal_flux(sigma_h, f_load)
     diagnostics = CascadeDiagnostics(
         compat_residuals=residuals,
         flux_mismatch=flux.l2_mismatch(problem.h),

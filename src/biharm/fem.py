@@ -1,20 +1,22 @@
 """Lagrange finite element spaces on triangle meshes.
 
 Degree 1 and 2 spaces, Gauss quadrature on triangles and boundary
-segments, and vectorized assembly of stiffness, mass, volume-load and
-boundary-load forms. Triangle rules come from a conical product of
-Gauss-Jacobi and Gauss-Legendre points, which keeps every weight positive
-and is exact to machine precision for all supported polynomial orders.
+segments, and vectorized assembly of stiffness, mass and volume-load
+forms and of the boundary trace mass. Triangle rules come from a conical
+product of Gauss-Jacobi and Gauss-Legendre points, which keeps every
+weight positive and is exact to machine precision for all supported
+polynomial orders.
 
 Sign conventions: the stiffness matrix is the Dirichlet form
 ``A[i, j] = (grad phi_j, grad phi_i)``; load vectors are plain
 ``(q, phi_i)`` inner products. Data callables receive numpy coordinate
 arrays and must broadcast (constants returned as scalars are fine).
 
-Triangle geometry is built once per mesh and kept on the immutable mesh
-as read-only arrays; every datum, callable or constant, goes through one
-evaluator, ``_data_values``, which raises ``DataError`` on a non-finite
-value before the value reaches any assembly or solve.
+Triangle geometry and boundary geometry are built once per mesh and kept
+on the immutable mesh as read-only arrays; every datum, callable or
+constant, goes through one evaluator, ``_data_values``, which raises
+``DataError`` on a non-finite value before the value reaches any assembly
+or solve.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_load",
-    "assemble_boundary_load",
     "boundary_mass_matrix",
     "boundary_l2_error",
 ]
@@ -147,8 +148,8 @@ def _reference_gradients(degree: int, pts: np.ndarray) -> np.ndarray:
 def _segment_basis(degree: int, t: np.ndarray) -> np.ndarray:
     """Trace basis on a boundary edge at parameters t, shape (n_local, nq).
 
-    Local order matches the boundary edge dof map: start vertex, end
-    vertex, then the midpoint dof for degree 2.
+    Local order matches ``FeSpace.boundary_edge_positions``: start vertex,
+    end vertex, then the midpoint dof for degree 2.
     """
     if degree == 1:
         return np.stack([1.0 - t, t])
@@ -161,8 +162,10 @@ class FeSpace:
 
     dof numbering: vertex dofs keep vertex indices; degree-2 midpoint dofs
     follow, ordered by the lexicographic enumeration of undirected mesh
-    edges. ``boundary_edge_dof_map`` row k lists the dofs supported on
-    boundary edge k in trace-basis order; ``boundary_dofs`` sorts their union.
+    edges. ``boundary_dofs`` sorts the dofs supported on boundary edges, and
+    row k of ``boundary_edge_positions`` holds the positions in
+    ``boundary_dofs`` of the dofs of boundary edge k in trace-basis order, so
+    ``boundary_dofs[boundary_edge_positions]`` is the boundary edge dof map.
     """
 
     mesh: Mesh
@@ -171,24 +174,16 @@ class FeSpace:
     dof_coordinates: np.ndarray
     element_dof_map: np.ndarray
     boundary_dofs: np.ndarray
-    boundary_edge_dof_map: np.ndarray
+    boundary_edge_positions: np.ndarray
 
     def __post_init__(self):
         for arr in (
             self.dof_coordinates,
             self.element_dof_map,
             self.boundary_dofs,
-            self.boundary_edge_dof_map,
+            self.boundary_edge_positions,
         ):
             np.asarray(arr).flags.writeable = False
-
-    def boundary_positions(self, dofs: np.ndarray) -> np.ndarray:
-        """Positions of the given boundary dofs (any shape) in the sorted boundary set."""
-        pos = np.searchsorted(self.boundary_dofs, dofs)
-        # a dof above the largest boundary dof lands one past the end
-        if not np.array_equal(self.boundary_dofs.take(pos, mode="clip"), dofs):
-            raise ValueError("dof is not a boundary dof")
-        return pos
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
@@ -209,14 +204,15 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
         dof_coords = np.vstack([mesh.vertices, midpoints])
         bedge_dofs = np.column_stack([mesh.boundary_edges[:, :2], nv + boundary])
 
+    boundary_dofs, positions = np.unique(bedge_dofs, return_inverse=True)
     space = FeSpace(
         mesh=mesh,
         degree=degree,
         dof_count=len(dof_coords),
         dof_coordinates=dof_coords,
         element_dof_map=element_dofs,
-        boundary_dofs=np.unique(bedge_dofs),
-        boundary_edge_dof_map=bedge_dofs,
+        boundary_dofs=boundary_dofs,
+        boundary_edge_positions=positions.reshape(bedge_dofs.shape),
     )
     assert len(np.unique(element_dofs)) == space.dof_count, "unreferenced dof"
     return space
@@ -401,47 +397,35 @@ def assemble_load(space: FeSpace, q) -> np.ndarray:
     return b
 
 
-def boundary_geometry(mesh: Mesh, rule: QuadratureRule, markers=None):
-    """Per-boundary-edge quadrature geometry.
+def boundary_geometry(mesh: Mesh):
+    """Quadrature geometry of every boundary edge on the default boundary rule:
+    physical coordinates x, y (B, nq), edge lengths (B,) and outward unit
+    normals (B, 2); built once per mesh. Normals are the CCW tangent rotated
+    by -90 degrees, which points out of the domain."""
+    return _built_once(mesh, "_boundary_geometry", _boundary_maps)
 
-    Returns (edge_ids, x, y, lengths, normals): selected boundary edge
-    indices, physical quadrature coordinates (B, nq), edge lengths (B,)
-    and outward unit normals (B, 2). Normals are the CCW tangent rotated
-    by -90 degrees, which points out of the domain.
-    """
+
+def _boundary_maps(mesh: Mesh):
     edges = mesh.boundary_edges
-    ids = np.arange(len(edges))
-    if markers is not None:
-        marker_set = {markers} if np.isscalar(markers) else set(int(m) for m in markers)
-        ids = ids[np.isin(edges[:, 2], list(marker_set))]
-    sel = edges[ids]
-    pa = mesh.vertices[sel[:, 0]]
-    pb = mesh.vertices[sel[:, 1]]
+    pa = mesh.vertices[edges[:, 0]]
+    pb = mesh.vertices[edges[:, 1]]
     tangent = pb - pa
     lengths = np.linalg.norm(tangent, axis=1)
     normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / lengths[:, None]
-    t = rule.points[:, 1]
+    t = default_boundary_rule().points[:, 1]
     x = pa[:, 0, None] + t[None, :] * tangent[:, 0, None]
     y = pa[:, 1, None] + t[None, :] * tangent[:, 1, None]
-    return ids, x, y, lengths, normals
+    maps = (x, y, lengths, normals)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
-def assemble_boundary_load(space: FeSpace, mu, markers=None) -> np.ndarray:
-    """Assemble b[i] = boundary integral of mu phi_i over the marked sides.
-
-    ``markers`` selects boundary side labels (scalar or iterable); None
-    means the whole boundary.
-    """
-    rule = default_boundary_rule()
-    ids, x, y, lengths, _ = boundary_geometry(space.mesh, rule, markers)
-    b = np.zeros(space.dof_count)
-    if len(ids) == 0:
-        return b
-    vals = _data_values(mu, x, y)
-    tr = _segment_basis(space.degree, rule.points[:, 1])
-    local = np.einsum("lq,eq,q->el", tr, vals, rule.weights) * lengths[:, None]
-    np.add.at(b, space.boundary_edge_dof_map[ids], local)
-    return b
+def boundary_integrate(mesh: Mesh, values: np.ndarray) -> float:
+    """Integrate per-point values (B, nq) over the boundary on the default
+    boundary rule."""
+    _, _, lengths, _ = boundary_geometry(mesh)
+    return float(np.einsum("eq,q,e->", values, default_boundary_rule().weights, lengths))
 
 
 def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:
@@ -450,10 +434,9 @@ def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:
     rule = default_boundary_rule()
     tr = _segment_basis(space.degree, rule.points[:, 1])
     ref_local = np.einsum("lq,mq,q->lm", tr, tr, rule.weights)
-    _, _, _, lengths, _ = boundary_geometry(space.mesh, rule)
+    _, _, lengths, _ = boundary_geometry(space.mesh)
     local = lengths[:, None, None] * ref_local[None, :, :]
-    positions = space.boundary_positions(space.boundary_edge_dof_map)
-    return _scatter(positions, local, len(space.boundary_dofs))
+    return _scatter(space.boundary_edge_positions, local, len(space.boundary_dofs))
 
 
 def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) -> float:
@@ -462,12 +445,12 @@ def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) ->
     ``boundary_coeffs`` is indexed like ``space.boundary_dofs``; ``func``
     may be a callable, a constant, or None for the plain norm.
     """
-    rule = default_boundary_rule()
-    _, x, y, lengths, _ = boundary_geometry(space.mesh, rule)
-    tr = _segment_basis(space.degree, rule.points[:, 1])
-    positions = space.boundary_positions(space.boundary_edge_dof_map)
-    vals = np.einsum("el,lq->eq", boundary_coeffs[positions], tr)
+    coeffs = np.asarray(boundary_coeffs)
+    if coeffs.shape != space.boundary_dofs.shape:
+        raise ValueError("coefficient vector length does not match the boundary dofs")
+    x, y, _, _ = boundary_geometry(space.mesh)
+    tr = _segment_basis(space.degree, default_boundary_rule().points[:, 1])
+    vals = np.einsum("el,lq->eq", coeffs[space.boundary_edge_positions], tr)
     if func is not None:
         vals = vals - _data_values(func, x, y)
-    sq = np.einsum("eq,q,e->", vals**2, rule.weights, lengths)
-    return float(np.sqrt(sq))
+    return float(np.sqrt(boundary_integrate(space.mesh, vals**2)))

@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .fem import (
-    FeSpace,
     ScalarField,
     _data_values,
     default_volume_rule,
@@ -160,9 +159,10 @@ def cases() -> dict[str, ManufacturedCase]:
     return {c.name: c for c in (case_sine(), case_bubble())}
 
 
-def _l2_pass(space: FeSpace, fe_field: ScalarField, exact):
+def _l2_pass(fe_field: ScalarField, exact):
     """One pass on the default volume rule: the rule, its points and the L2
     distance between the field and a callable (or constant)."""
+    space = fe_field.space
     rule = default_volume_rule(space.degree)
     x, y = quad_points(space.mesh, rule)
     vals = field_values(fe_field, rule)
@@ -170,18 +170,18 @@ def _l2_pass(space: FeSpace, fe_field: ScalarField, exact):
     return rule, x, y, float(np.sqrt(sq))
 
 
-def l2_error(space: FeSpace, fe_field: ScalarField, exact) -> float:
+def l2_error(fe_field: ScalarField, exact) -> float:
     """L2 distance between a finite element field and a callable (or
     constant), by quadrature at the space's default volume order."""
-    return _l2_pass(space, fe_field, exact)[3]
+    return _l2_pass(fe_field, exact)[3]
 
 
-def h1_error(space: FeSpace, fe_field: ScalarField, exact, grad_exact) -> float:
+def h1_error(fe_field: ScalarField, exact, grad_exact) -> float:
     """Full H1 error: L2 part plus the gradient seminorm against the exact
     gradient pair callable grad_exact(x, y) -> (gx, gy), on the points of
     the L2 pass."""
-    rule, x, y, l2 = _l2_pass(space, fe_field, exact)
+    rule, x, y, l2 = _l2_pass(fe_field, exact)
     grads = field_gradients(fe_field, rule)
     gx, gy = grad_exact(x, y)
-    semi_sq = integrate(space.mesh, rule, (grads[:, :, 0] - gx) ** 2 + (grads[:, :, 1] - gy) ** 2)
-    return float(np.sqrt(l2**2 + semi_sq))
+    semi = (grads[:, :, 0] - gx) ** 2 + (grads[:, :, 1] - gy) ** 2
+    return float(np.sqrt(l2**2 + integrate(fe_field.space.mesh, rule, semi)))

@@ -8,13 +8,15 @@ an existing finite element field (then the load is the exact mass-matrix
 product, which is what lets solves be chained without extra quadrature
 error).
 
-``normal_flux`` recovers the consistent variational normal derivative of
-a solved field: for boundary dofs i, t_i = (A w)_i + b_i is the discrete
-Green identity pairing <dw/dn, phi_i>, and an L2 boundary projection
-turns the functional into a pointwise trace-space field. Summing t over
-the boundary reproduces the integral of the source exactly up to solver
-tolerance (discrete divergence theorem), which the overdetermined
-diagnostics below rely on.
+``normal_flux(w, source)`` recovers the consistent variational normal
+derivative of a solved field w on w's own space: for boundary dofs i,
+t_i = (A w)_i + b_i is the discrete Green identity pairing <dw/dn, phi_i>,
+and an L2 boundary projection turns the functional into a pointwise
+trace-space field. Summing t over the boundary reproduces the integral of
+the source exactly up to solver tolerance (discrete divergence theorem),
+which the overdetermined diagnostics below rely on. They keep the
+recovered ``BoundaryFlux``: its ``l2_mismatch()`` is the leftover flux
+norm and its ``total()`` the outflow.
 
 Operators are built once per space: the stiffness matrix, the mass
 matrix, the boundary mass matrix and the interior/boundary blocks are
@@ -172,26 +174,21 @@ class BoundaryFlux:
         the integral of the source up to solver tolerance."""
         return float(self.functional.sum())
 
-    def l2_norm(self) -> float:
-        """Boundary L2 norm of the projected flux field."""
-        return boundary_l2_error(self.space, self.projected, None)
-
-    def l2_mismatch(self, target) -> float:
+    def l2_mismatch(self, target=None) -> float:
         """Boundary L2 distance between the projected flux and a callable
-        or constant target."""
+        or constant target; None gives the plain norm of the flux."""
         return boundary_l2_error(self.space, self.projected, target)
 
 
-def normal_flux(space: FeSpace, w: ScalarField, source) -> BoundaryFlux:
+def normal_flux(w: ScalarField, source) -> BoundaryFlux:
     """Recover the variational normal derivative of w, given the source it
-    was solved with.
+    was solved with (a source field must live on w's space).
 
     For every boundary dof the functional value is (A w + b)_i; interior
     entries of the same residual vanish to solver tolerance when w came
     out of ``solve_dirichlet``, so no information is lost by restricting.
     """
-    if w.space is not space:
-        raise ValueError("field lives on a different space")
+    space = w.space
     ops = _operators(space)
     residual = matvec(ops.stiffness, w.coeffs) + _source_load(space, source)
     t = residual[space.boundary_dofs]
@@ -206,8 +203,6 @@ class OverdeterminedResult:
 
     u: ScalarField
     flux: BoundaryFlux
-    flux_l2: float
-    total_flux: float
 
 
 def overdetermined_check(
@@ -221,15 +216,14 @@ def overdetermined_check(
     normal derivative.
 
     The overdetermined problem (zero trace and zero flux together) is
-    solvable exactly when that flux vanishes; ``flux_l2`` tends to zero
-    under refinement for such p and stays bounded away from zero
-    otherwise. ``total_flux`` always equals the integral of p up to
+    solvable exactly when that flux vanishes; ``flux.l2_mismatch()`` tends
+    to zero under refinement for such p and stays bounded away from zero
+    otherwise. ``flux.total()`` always equals the integral of p up to
     solver tolerance, a useful exactness check in itself.
     """
     load = _loaded(space, p)
     u = solve_dirichlet(space, load, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-    flux = normal_flux(space, u, load)
-    return OverdeterminedResult(u, flux, flux.l2_norm(), flux.total())
+    return OverdeterminedResult(u, normal_flux(u, load))
 
 
 @dataclass(frozen=True)
@@ -239,8 +233,7 @@ class FourthOrderResult:
 
     v: ScalarField
     u: ScalarField
-    flux_l2: float
-    total_flux: float
+    flux: BoundaryFlux
 
 
 def overdetermined_fourth(
@@ -255,9 +248,9 @@ def overdetermined_fourth(
     First solve laplace(U) = p with zero trace, then laplace(V) = U with
     zero trace. V then satisfies bilaplacian V = p with V and laplacian V
     both vanishing on the boundary by construction; the one condition not
-    built in is the normal flux of U (= of laplacian V), which is
-    reported along with the total flux (= integral of p).
+    built in is the normal flux of U (= of laplacian V), kept as ``flux``;
+    its ``total()`` equals the integral of p.
     """
     check = overdetermined_check(space, p, rel_tol=rel_tol, max_iter=max_iter)
     v = solve_dirichlet(space, check.u, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-    return FourthOrderResult(v, check.u, check.flux_l2, check.total_flux)
+    return FourthOrderResult(v, check.u, check.flux)

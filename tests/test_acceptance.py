@@ -89,7 +89,7 @@ def test_acceptance_2_poisson_convergence(capfd):
         for n in (8, 16, 32, 64):
             space = build_space(unit_square_mesh(n), 1)
             w = solve_dirichlet(space, q, 0.0, rel_tol=1e-12)
-            errors.append(l2_error(space, w, u))
+            errors.append(l2_error(w, u))
         assert math.log2(errors[-2] / errors[-1]) >= 1.9
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert time.perf_counter() - start < 30.0
@@ -103,8 +103,8 @@ def test_acceptance_3_cascade_convergence(capfd):
         for n in (8, 16, 32, 64):
             space = build_space(unit_square_mesh(n), 1)
             sol = solve_neumann(space, prob, rel_tol=1e-11)
-            e_sigma.append(l2_error(space, sol.sigma_h, case.sigma_exact))
-            e_s.append(l2_error(space, sol.s_h, case.u_exact))
+            e_sigma.append(l2_error(sol.sigma_h, case.sigma_exact))
+            e_s.append(l2_error(sol.s_h, case.u_exact))
         for errs in (e_sigma, e_s):
             for coarse, fine in zip(errs, errs[1:]):
                 assert math.log2(coarse / fine) >= 1.8
@@ -115,7 +115,7 @@ def test_acceptance_3_cascade_convergence(capfd):
         for n in (8, 16, 32):
             space = build_space(unit_square_mesh(n), 1)
             sol = solve_neumann(space, bprob, rel_tol=1e-11)
-            b_errors.append(l2_error(space, sol.s_h, bubble.u_exact))
+            b_errors.append(l2_error(sol.s_h, bubble.u_exact))
         assert b_errors[0] > b_errors[1] > b_errors[2]
         assert time.perf_counter() - start < 60.0
 
@@ -178,15 +178,15 @@ def test_acceptance_7_overdetermined_diagnostics(capfd):
         for n in (8, 16, 32):
             space = build_space(unit_square_mesh(n), 1)
             res = overdetermined_check(space, compatible)
-            flux.append(res.flux_l2)
+            flux.append(res.flux.l2_mismatch())
         assert flux[0] > flux[1] > flux[2]
         assert flux[2] < 1e-4
 
         for n in (8, 16, 32):
             space = build_space(unit_square_mesh(n), 1)
             res = overdetermined_check(space, 1.0, rel_tol=1e-12)
-            assert abs(res.total_flux - 1.0) <= 1e-8
-            assert res.flux_l2 > 0.4
+            assert abs(res.flux.total() - 1.0) <= 1e-8
+            assert res.flux.l2_mismatch() > 0.4
 
 
 def test_acceptance_8_weak_form_residual(capfd):

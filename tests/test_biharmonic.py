@@ -61,10 +61,10 @@ def test_cascade_converges_in_both_fields(name):
     for n in (8, 16, 32):
         space = build_space(unit_square_mesh(n), 1)
         sol = solve_neumann(space, prob, rel_tol=1e-11)
-        e_sigma.append(l2_error(space, sol.sigma_h, case.sigma_exact))
+        e_sigma.append(l2_error(sol.sigma_h, case.sigma_exact))
         # both built-in solutions have zero trace, so the zero-trace
         # representative coincides with them
-        e_u.append(l2_error(space, sol.s_h, case.u_exact))
+        e_u.append(l2_error(sol.s_h, case.u_exact))
     for errs in (e_sigma, e_u):
         for coarse, fine in zip(errs, errs[1:]):
             assert math.log2(coarse / fine) > 1.8
@@ -158,7 +158,7 @@ def test_flux_mismatch_reads_the_flux_the_solve_recovered(monkeypatch):
     space = build_space(unit_square_mesh(8), 2)
     sol = solve_neumann(space, prob)
     shifted = lambda x, y: case.h(x, y) + 1.0  # noqa: E731
-    recovered = poisson.normal_flux(space, sol.sigma_h, prob.f)
+    recovered = poisson.normal_flux(sol.sigma_h, prob.f)
     assert np.array_equal(sol.flux.projected, recovered.projected)
     assert np.array_equal(sol.flux.functional, recovered.functional)
     calls = []
@@ -273,7 +273,7 @@ def pointwise_functional(mesh, problem, eta) -> float:
     x, y = quad_points(mesh, rule)
     volume = integrate(mesh, rule, problem.f(x, y) * eta(x, y))
     b_rule = segment_quadrature(5)
-    _, bx, by, lengths, normals = boundary_geometry(mesh, b_rule)
+    bx, by, lengths, normals = boundary_geometry(mesh)
     ex, ey = eta.grad()
     dn_eta = ex(bx, by) * normals[:, 0:1] + ey(bx, by) * normals[:, 1:2]
     boundary = problem.g(bx, by) * dn_eta - problem.h(bx, by) * eta(bx, by)
@@ -319,9 +319,9 @@ def test_one_load_of_the_source_per_cascade(degree, monkeypatch):
     space = build_space(unit_square_mesh(6), degree)
     sigma_h = poisson.solve_dirichlet(space, prob.f, prob.g)
     s_h = poisson.solve_dirichlet(space, sigma_h, 0.0)
-    flux = poisson.normal_flux(space, sigma_h, prob.f)
+    flux = poisson.normal_flux(sigma_h, prob.f)
     clamped_u = poisson.solve_dirichlet(space, prob.f, 0.0)
-    clamped_flux = poisson.normal_flux(space, clamped_u, prob.f)
+    clamped_flux = poisson.normal_flux(clamped_u, prob.f)
 
     calls = []
 
@@ -342,5 +342,4 @@ def test_one_load_of_the_source_per_cascade(degree, monkeypatch):
     assert calls == [prob.f]
     assert np.array_equal(check.u.coeffs, clamped_u.coeffs)
     assert np.array_equal(check.flux.functional, clamped_flux.functional)
-    assert check.flux_l2 == clamped_flux.l2_norm()
-    assert check.total_flux == clamped_flux.total()
+    assert np.array_equal(check.flux.projected, clamped_flux.projected)

@@ -5,9 +5,8 @@ import pytest
 
 import biharm
 from biharm import fem
-from biharm.biharmonic import NeumannProblem, solve_neumann
+from biharm.biharmonic import NeumannProblem, compatibility_residual, flux_mismatch, solve_neumann
 from biharm.fem import (
-    assemble_boundary_load,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -19,6 +18,7 @@ from biharm.fem import (
 from biharm.manufactured import case_sine, h1_error, l2_error
 from biharm.mesh import DomainTag, Mesh, refine_uniform, unit_disk_mesh, unit_square_mesh
 from biharm.poisson import solve_dirichlet
+from biharm.polynomials import harmonic_basis
 from biharm.sparse import SparseMatrix, cg_solve
 
 
@@ -147,7 +147,8 @@ def test_boundary_dofs_lie_on_boundary(degree):
 def test_boundary_dofs_on_disk_polygon_edges():
     space = build_space(unit_disk_mesh(3), 2)
     mesh = space.mesh
-    for edge_dofs, (a, b, _) in zip(space.boundary_edge_dof_map, mesh.boundary_edges):
+    dof_map = space.boundary_dofs[space.boundary_edge_positions]
+    for edge_dofs, (a, b, _) in zip(dof_map, mesh.boundary_edges):
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         tangent = pb - pa
         length = np.linalg.norm(tangent)
@@ -167,8 +168,15 @@ BOUNDARY_MESHES = {"square": unit_square_mesh(3), "disk": refine_uniform(unit_di
 def test_boundary_dofs_are_the_sorted_dofs_of_boundary_edges(name, degree):
     mesh = BOUNDARY_MESHES[name]
     space = build_space(mesh, degree)
-    # reference: one pass over every boundary edge, collecting its dofs
-    expected = sorted({int(dof) for row in space.boundary_edge_dof_map for dof in row})
+    # reference: one pass over every boundary edge, collecting its end vertices
+    # and, at degree 2, the dof placed at its midpoint
+    at = {tuple(p): dof for dof, p in enumerate(space.dof_coordinates.tolist())}
+    expected = set()
+    for a, b, _ in mesh.boundary_edges:
+        expected |= {int(a), int(b)}
+        if degree == 2:
+            expected.add(at[tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b]))])
+    expected = sorted(expected)
     assert space.boundary_dofs.dtype == np.int64
     assert space.boundary_dofs.tolist() == expected
     assert len(expected) == degree * mesh.num_boundary_edges  # one closed loop
@@ -179,11 +187,11 @@ def test_interpolation_reproduces_polynomials():
 
     space1 = build_space(unit_square_mesh(3), 1)
     linear = lambda x, y: 2.0 * x - 3.0 * y + 1.0
-    assert l2_error(space1, interpolate(space1, linear), linear) < 1e-14
+    assert l2_error(interpolate(space1, linear), linear) < 1e-14
 
     space2 = build_space(unit_square_mesh(3), 2)
     quadratic = lambda x, y: x**2 - x * y + 2.0 * y**2 - y
-    assert l2_error(space2, interpolate(space2, quadratic), quadratic) < 1e-13
+    assert l2_error(interpolate(space2, quadratic), quadratic) < 1e-13
 
 
 def test_interpolate_constant():
@@ -198,23 +206,6 @@ def test_load_of_unity_integrates_area():
             space = build_space(mesh, degree)
             b = assemble_load(space, 1.0)
             assert abs(b.sum() - mesh.area()) < 1e-12
-
-
-def test_boundary_load_of_unity_integrates_perimeter():
-    space = build_space(unit_square_mesh(4), 1)
-    b = assemble_boundary_load(space, 1.0)
-    assert abs(b.sum() - 4.0) < 1e-12
-    bottom = assemble_boundary_load(space, 1.0, markers=0)
-    assert abs(bottom.sum() - 1.0) < 1e-12
-    two_sides = assemble_boundary_load(space, 1.0, markers=(0, 2))
-    assert abs(two_sides.sum() - 2.0) < 1e-12
-
-
-def test_boundary_load_supported_on_marked_side_only():
-    space = build_space(unit_square_mesh(3), 2)
-    b = assemble_boundary_load(space, lambda x, y: x + 1.0, markers=0)
-    support = np.nonzero(b)[0]
-    assert all(space.dof_coordinates[d, 1] == 0 for d in support)
 
 
 def test_boundary_mass_matrix_measures_perimeter():
@@ -232,6 +223,14 @@ def test_boundary_l2_error_of_matching_function():
     # trace of x restricted to boundary dofs, compared against x itself
     coeffs = space.dof_coordinates[space.boundary_dofs, 0]
     assert boundary_l2_error(space, coeffs, lambda x, y: x) < 1e-13
+
+
+@pytest.mark.parametrize("length", [13, 21])
+def test_boundary_l2_error_checks_the_coefficient_length(length):
+    space = build_space(unit_square_mesh(4), 1)
+    assert len(space.boundary_dofs) == 16
+    with pytest.raises(ValueError, match="does not match the boundary dofs"):
+        boundary_l2_error(space, np.ones(length))
 
 
 def test_scalar_field_shape_checked():
@@ -253,14 +252,6 @@ def test_refined_space_nests_vertex_dofs():
     )
 
 
-def test_boundary_positions_reject_dofs_off_the_boundary():
-    space = build_space(unit_square_mesh(3), 1)
-    assert space.boundary_positions(space.boundary_dofs).tolist() == list(range(12))
-    for dof in (5, 16):  # an interior dof, and one above the largest boundary dof
-        with pytest.raises(ValueError, match="not a boundary dof"):
-            space.boundary_positions(np.array([dof]))
-
-
 def test_triangle_geometry_built_once_per_mesh(monkeypatch):
     builds = []
 
@@ -273,10 +264,32 @@ def test_triangle_geometry_built_once_per_mesh(monkeypatch):
     space = build_space(mesh, 2)
     case = case_sine()
     solution = solve_neumann(space, NeumannProblem(case.f, case.g, case.h))
-    l2_error(space, solution.sigma_h, case.sigma_exact)
-    h1_error(space, solution.s_h, case.u_exact, case.grad_u)
+    l2_error(solution.sigma_h, case.sigma_exact)
+    h1_error(solution.s_h, case.u_exact, case.grad_u)
     assert builds == [mesh]
     for arr in fem.triangle_geometry(mesh):
+        assert not arr.flags.writeable
+
+
+def test_boundary_geometry_built_once_per_mesh(monkeypatch):
+    builds = []
+
+    def counted(mesh, _build=fem._boundary_maps):
+        builds.append(mesh)
+        return _build(mesh)
+
+    monkeypatch.setattr(fem, "_boundary_maps", counted)
+    mesh = unit_square_mesh(6)
+    space = build_space(mesh, 2)
+    case = case_sine()
+    problem = NeumannProblem(case.f, case.g, case.h)
+    compatibility_residual(space, problem, harmonic_basis(4))
+    solution = solve_neumann(space, problem)
+    flux_mismatch(solution, 0.0)
+    boundary_mass_matrix(space)
+    boundary_mass_matrix(build_space(mesh, 1))
+    assert builds == [mesh]
+    for arr in fem.boundary_geometry(mesh):
         assert not arr.flags.writeable
 
 

@@ -10,6 +10,10 @@ from biharm.biharmonic import NeumannProblem, solve_neumann
 from biharm.fem import (
     assemble_mass,
     assemble_stiffness,
+    boundary_geometry,
+    boundary_integrate,
+    boundary_l2_error,
+    boundary_mass_matrix,
     build_space,
     field_gradients,
     integrate,
@@ -44,6 +48,29 @@ def test_mass_entries_sum_to_area(degree, mesh):
 
 @degrees
 @PROPERTY_SETTINGS
+@given(meshes(max_refine=1))
+def test_boundary_layer_measures_the_perimeter_on_the_edge_dof_map(degree, mesh):
+    space = build_space(mesh, degree)
+    edges = mesh.boundary_edges
+    start, end = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    perimeter = np.linalg.norm(end - start, axis=1).sum()
+    tol = 1e-12 * perimeter
+    ones = np.ones(len(space.boundary_dofs))
+    assert abs(ones @ (boundary_mass_matrix(space) @ ones) - perimeter) <= tol
+    x, _, _, _ = boundary_geometry(mesh)
+    assert abs(boundary_integrate(mesh, np.ones_like(x)) - perimeter) <= tol
+    assert abs(boundary_l2_error(space, ones) ** 2 - perimeter) <= tol
+
+    dof_map = space.boundary_dofs[space.boundary_edge_positions]
+    assert dof_map.shape == (len(edges), degree + 1)
+    assert np.array_equal(dof_map[:, :2], edges[:, :2])
+    if degree == 2:
+        assert (dof_map[:, 2] >= mesh.num_vertices).all()
+        assert np.array_equal(space.dof_coordinates[dof_map[:, 2]], 0.5 * (start + end))
+
+
+@degrees
+@PROPERTY_SETTINGS
 @given(meshes(max_refine=1), coefficients, coefficients, coefficients)
 def test_flux_total_equals_source_integral(degree, mesh, a, b, c):
     def source(x, y):
@@ -54,7 +81,7 @@ def test_flux_total_equals_source_integral(degree, mesh, a, b, c):
     # an order-2 rule integrates the quadratic source exactly
     rule = triangle_quadrature(2)
     exact = integrate(mesh, rule, source(*quad_points(mesh, rule)))
-    total = normal_flux(space, w, source).total()
+    total = normal_flux(w, source).total()
     assert abs(total - exact) <= 1e-9 * (1.0 + abs(a) + abs(b) + abs(c))
 
 

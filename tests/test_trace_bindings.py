@@ -29,7 +29,15 @@ def test_tracer_wraps_every_target_and_puts_them_back():
     case = biharm.case_sine()
     with tracing.Tracer() as tracer:
         assert biharm.poisson.normal_flux is not before
-        biharm.solve_neumann(space, biharm.NeumannProblem(case.f, case.g, case.h))
+        solution = biharm.solve_neumann(space, biharm.NeumannProblem(case.f, case.g, case.h))
+        biharm.flux_mismatch(solution, 0.0)
+        biharm.l2_error(solution.s_h, case.u_exact)
     assert biharm.poisson.normal_flux is before
     names = {span[0] for span in tracer.spans}
-    assert {"biharmonic.solve_neumann", "poisson.normal_flux", "sparse.cg_solve"} <= names
+    assert {
+        "biharmonic.solve_neumann",
+        "poisson.normal_flux",
+        "sparse.cg_solve",
+        "fem.boundary_geometry",
+        "manufactured.l2_error",
+    } <= names
