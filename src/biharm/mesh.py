@@ -17,7 +17,10 @@ order that numbers refinement midpoints and degree-2 dofs.
 from __future__ import annotations
 
 import enum
+import re
+import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import TextIO
 
@@ -191,8 +194,7 @@ class Mesh:
                 f"triangle area sum {total!r} mismatches boundary loop area {loop_area!r}"
             )
 
-        n_edges = len(und_unique)
-        euler = len(v) - n_edges + len(t)
+        euler = len(v) - len(und_unique) + len(t)
         if euler != 1:
             raise MeshValidationError(f"Euler relation violated: V - E + F = {euler}")
 
@@ -322,54 +324,55 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
 
 def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
-    """Write the plain-text mesh format (full-precision decimal floats).
-
-    Coordinates are written with repr, which round-trips float64 exactly,
-    so write followed by read reproduces the mesh bit for bit.
-    """
+    """Write the plain-text mesh format; coordinates as repr, which round-trips float64."""
+    text = f"{FORMAT_MAGIC}\n"
+    for name, rows, row in (
+        ("vertices", mesh.vertices, "%r %r\n"),
+        ("triangles", mesh.triangles, "%d %d %d\n"),
+        ("boundary", mesh.boundary_edges, "%d %d %d\n"),
+    ):
+        text += f"{name} {len(rows)}\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
     if hasattr(destination, "write"):
-        _write_mesh_stream(mesh, destination)
-        return
-    with open(destination, "w", encoding="ascii") as fh:
-        _write_mesh_stream(mesh, fh)
-
-
-def _write_mesh_stream(mesh: Mesh, fh: TextIO) -> None:
-    fh.write(f"{FORMAT_MAGIC}\n")
-    fh.write(f"vertices {mesh.num_vertices}\n")
-    fh.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
-    fh.write(f"triangles {mesh.num_triangles}\n")
-    fh.write("".join(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()))
-    fh.write(f"boundary {mesh.num_boundary_edges}\n")
-    fh.write("".join(f"{a} {b} {m}\n" for a, b, m in mesh.boundary_edges.tolist()))
+        destination.write(text)
+    else:
+        Path(destination).write_text(text, encoding="ascii")
 
 
 def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) -> Mesh:
     """Read the plain-text mesh format and validate all mesh invariants.
 
-    Raises MeshFormatError with a 1-based line number for malformed input,
-    including triangles stored with negative orientation. ``domain_tag``
-    defaults to UNIT_SQUARE when all vertices lie in [0,1]^2 and
-    UNIT_DISK_POLYGON otherwise; pass it explicitly to override.
-    """
+    Rows are ASCII decimal tokens, parsed by numpy a section at a time. A
+    malformed line, a non-ASCII byte in a file or a clockwise triangle raises
+    MeshFormatError with its 1-based line. ``domain_tag`` defaults to
+    UNIT_SQUARE inside [0,1]^2 and UNIT_DISK_POLYGON otherwise."""
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     else:
-        lines = Path(source).read_text(encoding="ascii").splitlines()
-
-    numbered = [(k + 1, text) for k, line in enumerate(lines) if (text := line.strip())]
-    pos = 0
-
-    def next_line() -> tuple[int, str]:
-        nonlocal pos
-        if pos == len(numbered):
+        try:
+            text = Path(source).read_bytes().decode("ascii")
+        except UnicodeDecodeError as err:
+            data, k = err.object, err.start
+            line = len((data[:k].decode("ascii") + "^").splitlines())
+            raise MeshFormatError(f"non-ASCII byte {data[k]:#x}", line=line) from None
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    numbers = list(compress(range(1, len(lines) + 1), stripped))  # file line of each text
+    texts = list(compress(stripped, stripped))  # the non-blank lines
+    if not texts:
+        raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
+    if texts[0] != FORMAT_MAGIC:
+        raise MeshFormatError(
+            f"bad header {texts[0]!r}, expected {FORMAT_MAGIC!r}", line=numbers[0]
+        )
+    pos, sections = 1, []
+    for name, what, width, dtype in (
+        ("vertices", "vertex", 2, float),
+        ("triangles", "triangle", 3, np.int64),
+        ("boundary", "boundary edge", 3, np.int64),
+    ):
+        if pos == len(texts):
             raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
-        pos += 1
-        return numbered[pos - 1]
-
-    def rows(name: str, what: str, width: int, parse, dtype) -> np.ndarray:
-        """Parse the section header '<name> <count>' and its count lines."""
-        ln, text = next_line()
+        ln, text = numbers[pos], texts[pos]
         parts = text.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshFormatError(f"expected '{name} <count>', got {text!r}", line=ln)
@@ -379,45 +382,36 @@ def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) 
             raise MeshFormatError(f"bad {name} count {parts[1]!r}", line=ln) from None
         if count < 0:
             raise MeshFormatError(f"negative {name} count", line=ln)
-        out = []
-        for _ in range(count):
-            ln, text = next_line()
-            parts = text.split()
-            try:
-                if len(parts) != width:
-                    raise ValueError
-                out.extend(map(parse, parts))
-            except ValueError:
-                raise MeshFormatError(f"bad {what} line {text!r}", line=ln) from None
-        try:
-            return np.array(out, dtype=dtype).reshape(count, width)
-        except OverflowError:  # an integer beyond int64
-            k = next(i for i, v in enumerate(out) if not -(2**63) <= v < 2**63) // width
-            ln, text = numbered[pos - count + k]
-            raise MeshFormatError(f"integer out of range in {text!r}", line=ln) from None
-
-    ln, text = next_line()
-    if text != FORMAT_MAGIC:
-        raise MeshFormatError(f"bad header {text!r}, expected {FORMAT_MAGIC!r}", line=ln)
-
-    vertices = rows("vertices", "vertex", 2, float, float)
-    first_triangle = pos + 1  # index in `numbered`, just past the section header
-    triangles = rows("triangles", "triangle", 3, int, np.int64)
-    bedges = rows("boundary", "boundary edge", 3, int, np.int64)
-    if pos < len(numbered):
-        ln, text = numbered[pos]
-        raise MeshFormatError(f"unexpected content after the boundary section: {text!r}", line=ln)
+        start, pos = pos + 1, min(pos + 1 + count, len(texts))
+        values = _parse(texts[start:pos], width, dtype)
+        if values is None or len(values) < count:
+            # Line by line, the same parser finds the first bad line; int64 overflow comes last.
+            first = None  # the first line of ASCII integers that int64 cannot hold
+            for k in (k for k in range(start, pos) if _parse([texts[k]], width, dtype) is None):
+                if dtype is float or not re.fullmatch(r"[+-]?[0-9]+(\s+[+-]?[0-9]+){2}", texts[k]):
+                    raise MeshFormatError(f"bad {what} line {texts[k]!r}", line=numbers[k])
+                first = k if first is None else first
+            if pos - start < count:
+                raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
+            raise MeshFormatError(f"integer out of range in {texts[first]!r}", line=numbers[first])
+        sections.append((start, values))
+    (_, vertices), (first_triangle, triangles), (_, bedges) = sections
+    if pos < len(texts):
+        raise MeshFormatError(
+            f"unexpected content after the boundary section: {texts[pos]!r}", line=numbers[pos]
+        )
 
     nv, nt = len(vertices), len(triangles)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         raise MeshFormatError("triangle vertex index out of range")
     # Orientation is checked here so the error can point at the file line.
-    areas = _signed_areas(vertices, triangles)
+    with np.errstate(invalid="ignore"):  # non-finite vertices fail validation below
+        areas = _signed_areas(vertices, triangles)
     if nt and areas.min() <= 0:
         bad = int(np.argmin(areas))
         raise MeshFormatError(
             f"triangle is not counterclockwise (signed area {areas[bad]:.3e})",
-            line=numbered[first_triangle + bad][0],
+            line=numbers[first_triangle + bad],
         )
 
     if domain_tag is None:
@@ -428,3 +422,16 @@ def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) 
         return Mesh(vertices, triangles, bedges, domain_tag)
     except MeshValidationError as exc:
         raise MeshFormatError(str(exc)) from exc
+
+
+def _parse(block: list[str], width: int, dtype) -> np.ndarray | None:
+    """The lines of ``block`` as a (len(block), width) array; None if any is malformed."""
+    if not block:  # loadtxt warns on empty input
+        return np.empty((0, width), dtype)
+    try:
+        with warnings.catch_warnings():  # numpy 1.x reads a bad integer as a float, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.loadtxt(block, dtype, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return values if values.shape == (len(block), width) else None

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 RationalLike = int | Fraction
+_EVAL_BLOCK = 1 << 14  # points per block of Polynomial2D evaluation; its powers stay cached
 
 
 class Polynomial2D:
@@ -184,14 +185,16 @@ class Polynomial2D:
         return sum((c * xv**i * yv**j for (i, j), c in self._coeffs.items()), Fraction(0))
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (i, j), c in self._coeffs.items():
-            out += float(c) * x**i * y**j
-        if out.ndim == 0:
-            return float(out)
-        return out
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = np.zeros(x.shape)
+        flat = out.reshape(-1), x.reshape(-1), y.reshape(-1)
+        for s in range(0, out.size, _EVAL_BLOCK):  # each distinct power once per block
+            acc, bx, by = (a[s : s + _EVAL_BLOCK] for a in flat)
+            xs = {i: bx**i for i in {i for i, _ in self._coeffs}}
+            ys = {j: by**j for j in {j for _, j in self._coeffs}}
+            for (i, j), c in self._coeffs.items():
+                acc += float(c) * xs[i] * ys[j]
+        return float(out) if out.ndim == 0 else out
 
     def __repr__(self) -> str:
         if not self._coeffs:

@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +269,196 @@ def test_read_rejects_index_out_of_range(triangle, boundary, message):
     text = f"biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n{triangle}\nboundary 3\n{boundary}\n1 2 0\n2 0 0\n"
     with pytest.raises(MeshFormatError, match=message):
         read_mesh(io.StringIO(text))
+
+
+def _f_string_mesh_text(mesh):
+    """The mesh text written one f-string per line."""
+    return "".join(
+        [
+            "biharm-mesh v1\n",
+            f"vertices {mesh.num_vertices}\n",
+            *(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()),
+            f"triangles {mesh.num_triangles}\n",
+            *(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+            f"boundary {mesh.num_boundary_edges}\n",
+            *(f"{a} {b} {m}\n" for a, b, m in mesh.boundary_edges.tolist()),
+        ]
+    )
+
+
+def _edge_value_mesh():
+    # one counterclockwise triangle whose coordinates are float edge cases
+    vertices = [[-1e300, -0.0], [1e16, 5e-324], [float(np.nextafter(1.0, 2.0)), 1e-05]]
+    boundary = [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
+    return Mesh(np.array(vertices), [[0, 1, 2]], boundary, DomainTag.UNIT_DISK_POLYGON)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [_edge_value_mesh(), unit_square_mesh(3), refine_uniform(unit_disk_mesh(2))],
+    ids=["edge-values", "square", "refined-disk"],
+)
+def test_write_matches_per_line_f_strings_and_reads_back_bit_exact(mesh):
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    assert buf.getvalue() == _f_string_mesh_text(mesh)
+    again = read_mesh(io.StringIO(buf.getvalue()), domain_tag=mesh.domain_tag)
+    for name in ("vertices", "triangles", "boundary_edges"):
+        assert getattr(again, name).tobytes() == getattr(mesh, name).tobytes()
+
+
+_ONE_TRIANGLE = (
+    "biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+    "triangles 1\n0 1 2\nboundary 3\n0 1 0\n1 2 0\n2 0 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, replacement, what",
+    [
+        (5, "0.0 1_0.0", "vertex"),
+        (5, "0.0 ١.0", "vertex"),
+        (7, "0_0 1 2", "triangle"),
+        (7, "0 1 ٢", "triangle"),
+        (9, "0 1 0_0", "boundary edge"),
+        (9, "0 1 ٠", "boundary edge"),
+    ],
+    ids=[
+        "vertex-underscore",
+        "vertex-arabic-digit",
+        "triangle-underscore",
+        "triangle-arabic-digit",
+        "boundary-underscore",
+        "boundary-arabic-digit",
+    ],
+)
+def test_read_rejects_underscores_and_non_ascii_digits(line, replacement, what):
+    # float() and int() accept each of these replacements; the mesh
+    # grammar takes ASCII decimal tokens only
+    lines = _ONE_TRIANGLE.splitlines()
+    lines[line - 1] = replacement
+    message = f"^line {line}: bad {what} line {re.escape(repr(replacement))}$"
+    with pytest.raises(MeshFormatError, match=message):
+        read_mesh(io.StringIO("\n".join(lines)))
+
+
+@pytest.mark.parametrize(
+    "first, rows, what",
+    [
+        (3, ["0.0 0.0 1.0", "0.0", "0.0 1.0"], "vertex"),
+        (9, ["0 1", "0 1 2 0", "2 0 0"], "boundary edge"),
+    ],
+    ids=["vertices", "boundary"],
+)
+def test_read_rejects_ragged_block_with_the_right_token_count(first, rows, what):
+    lines = _ONE_TRIANGLE.splitlines()
+    lines[first - 1 : first + 2] = rows
+    message = f"^line {first}: bad {what} line {re.escape(repr(rows[0]))}$"
+    with pytest.raises(MeshFormatError, match=message):
+        read_mesh(io.StringIO("\n".join(lines)))
+
+
+@pytest.mark.parametrize(
+    "boundary, message",
+    [
+        ("0 99999999999999999999 0\n1 2 x\n2 0 0", "^line 10: bad boundary edge line '1 2 x'$"),
+        (
+            "0 99999999999999999999 0\n1 2 -99999999999999999999\n2 0 0",
+            "^line 9: integer out of range",
+        ),
+        ("0 99999999999999999999 0\n1 2 0", "^line 10: unexpected end of file$"),
+    ],
+    ids=["bad-line-after-overflow", "two-overflows", "end-of-file-after-overflow"],
+)
+def test_read_reports_int64_overflow_after_other_faults_of_its_section(boundary, message):
+    text = _ONE_TRIANGLE.split("boundary 3\n")[0] + "boundary 3\n" + boundary
+    with pytest.raises(MeshFormatError, match=message):
+        read_mesh(io.StringIO(text))
+
+
+def _numpy1_loadtxt(loadtxt):
+    """loadtxt as numpy 1.23-1.26 reads an integer it cannot parse: via float, with a warning."""
+
+    def read(block, dtype, **kwargs):
+        try:
+            return loadtxt(block, dtype, **kwargs)
+        except ValueError:
+            if dtype is float:
+                raise
+            values = loadtxt(block, float, **kwargs)
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return values.astype(dtype)
+
+    return read
+
+
+@pytest.mark.parametrize("numpy1", [False, True], ids=["installed-numpy", "numpy-1-loadtxt"])
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [
+        (7, "0 1.5 2", "bad triangle line '0 1.5 2'"),
+        (7, "0 1 1e0", "bad triangle line '0 1 1e0'"),
+        (9, "0 1 0.0", "bad boundary edge line '0 1 0.0'"),
+        (7, "0 1 99999999999999999999", "integer out of range in '0 1 99999999999999999999'"),
+    ],
+    ids=["triangle-fraction", "triangle-exponent", "boundary-float", "triangle-overflow"],
+)
+def test_read_rejects_float_tokens_in_integer_sections(
+    monkeypatch, numpy1, line, replacement, message
+):
+    # numpy 1.x only warns where it reads such a token through float; outside
+    # __main__ that warning is hidden, so the reader must not rely on seeing it
+    if numpy1:
+        monkeypatch.setattr(np, "loadtxt", _numpy1_loadtxt(np.loadtxt))
+    lines = _ONE_TRIANGLE.splitlines()
+    lines[line - 1] = replacement
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(MeshFormatError, match=f"^line {line}: {re.escape(message)}$"):
+            read_mesh(io.StringIO("\n".join(lines)))
+
+
+def test_read_stops_at_the_first_bad_line(monkeypatch):
+    # the bulk parse, then one line at a time up to the bad line, not the whole section
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(block, *args, **kwargs):
+        calls.append(block)
+        return loadtxt(block, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    rows = ["0.0 0.0", "0.0 x"] + ["0.0 0.0"] * 1000
+    text = "biharm-mesh v1\nvertices 1002\n" + "\n".join(rows)
+    with pytest.raises(MeshFormatError, match="^line 4: bad vertex line '0.0 x'$"):
+        read_mesh(io.StringIO(text))
+    assert [len(block) for block in calls] == [1002, 1, 1]
+
+
+@pytest.mark.parametrize("vertices", ["vertices 0\n", "vertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"])
+def test_empty_sections_reach_validation_without_warnings(vertices):
+    text = f"biharm-mesh v1\n{vertices}triangles 0\nboundary 0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFormatError, match="^mesh has no triangles$"):
+            read_mesh(io.StringIO(text))
+
+
+def test_read_leaves_non_finite_vertices_to_validation_without_warnings():
+    # inf - inf in the orientation check would warn before validation ran
+    text = _ONE_TRIANGLE.replace("1.0 0.0", "inf inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFormatError, match="^non-finite vertex coordinate$"):
+            read_mesh(io.StringIO(text))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_read_reports_line_of_non_ascii_byte(tmp_path, newline):
+    path = tmp_path / "latin1.mesh"
+    text = _ONE_TRIANGLE.replace("\n", newline).replace("vertices", "vértices")
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(MeshFormatError, match="^line 2: non-ASCII byte 0xe9$"):
+        read_mesh(path)
 
 
 def _small_mesh(vertices, triangles, boundary):

@@ -51,6 +51,43 @@ def test_vectorized_evaluation_matches_exact():
     assert isinstance(p(0.5, 0.5), float)
 
 
+def _bubble_polynomials():
+    u = (X * (1 - X)) ** 2 * (Y * (1 - Y)) ** 2
+    return [u, u.laplacian(), u.laplacian().laplacian()]
+
+
+def _random_polynomials(rng):
+    return [
+        Polynomial2D(
+            {
+                (int(i), int(j)): Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 12)))
+                for i, j in rng.integers(0, 7, size=(int(rng.integers(1, 20)), 2))
+            }
+        )
+        for _ in range(25)
+    ]
+
+
+def _per_term(p, x, y):
+    out = np.zeros(np.broadcast(x, y).shape)
+    for (i, j), c in p.coeffs.items():
+        out += float(c) * x**i * y**j
+    return out
+
+
+def test_vectorized_evaluation_is_bit_identical_to_the_per_term_formula():
+    # 17,030 points fill one evaluation block and part of a second
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-2, 2, size=(130, 131))
+    ys = rng.uniform(-2, 2, size=(130, 131))
+    y0 = np.asarray(ys[0, 0])
+    for p in _bubble_polynomials() + _random_polynomials(rng):
+        assert p(xs, ys).tobytes() == _per_term(p, xs, ys).tobytes(), p
+        assert p(xs, y0).tobytes() == _per_term(p, xs, y0).tobytes(), p
+        assert p(xs[0, 0], ys[0, 0]) == float(_per_term(p, xs[:1, :1], ys[:1, :1])[0, 0])
+    assert X(np.empty((0, 3)), 1.0).shape == (0, 3)
+
+
 def test_polynomial_rejects_bad_exponents():
     with pytest.raises(ValueError):
         Polynomial2D({(-1, 0): 1})
