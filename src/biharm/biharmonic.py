@@ -19,8 +19,12 @@ Diagnostics:
 * ``compatibility_residual``: r(eta) = (f, eta) + <g, d(eta)/dn> -
   <h, eta> over a basis of harmonic polynomials eta; all residuals vanish
   for compatible data.
-* ``flux_mismatch``: boundary L2 distance between the flux of sigma_h,
-  recovered once by the solve and kept on the solution, and the datum h.
+* ``solution.flux.l2_mismatch(h)``: boundary L2 distance between the
+  flux of sigma_h, recovered once by the solve and kept on the solution,
+  and a flux datum; ``diagnostics.flux_mismatch`` holds it for the
+  problem's own h. A perturbed h gives a mismatch bounded below by the
+  perturbation's boundary norm instead of one that shrinks under
+  refinement.
 * ``weak_form_residual``: the defect of sigma_h in the weak formulation
   tested against laplacians of doubly-clamped polynomials.
 
@@ -52,6 +56,7 @@ from .fem import (
 from .mesh import DomainTag
 from .poisson import BoundaryFlux, _loaded, normal_flux, solve_dirichlet
 from .polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
+from .sparse import _check_cg_budget
 
 __all__ = [
     "NeumannProblem",
@@ -60,7 +65,6 @@ __all__ = [
     "CompatibilityError",
     "solve_neumann",
     "compatibility_residual",
-    "flux_mismatch",
     "weak_form_residual",
     "DEFAULT_HARMONIC_DEGREE",
     "DEFAULT_STRICT_TOL",
@@ -236,11 +240,19 @@ def solve_neumann(
     for diagnostics, so solutions for two problems differing in h alone
     are identical bit for bit.
 
+    ``NeumannProblem(p, 0.0, 0.0)`` is the fully homogeneous fourth-order
+    problem bilaplacian V = p with V, laplacian V and its flux all zero:
+    ``s_h`` is V, ``sigma_h`` is U = laplacian V, and ``flux`` is the flux
+    of U, the one condition the cascade does not build in.
+
     With ``strict=True`` the solve raises CompatibilityError before any
     linear system is touched if the largest compatibility residual
-    exceeds ``strict_tol``; a NaN or negative ``strict_tol`` is a ValueError.
+    exceeds ``strict_tol``. A NaN or negative ``strict_tol``, and a
+    ``rel_tol`` or ``max_iter`` that CG rejects, are a ValueError before
+    any residual is computed.
     """
     check = _strict_check(strict, strict_tol)
+    _check_cg_budget(rel_tol, max_iter)
     residuals = compatibility_residual(space, problem, harmonic_basis(harmonic_degree))
     check(residuals)
 
@@ -255,17 +267,6 @@ def solve_neumann(
         cg_iterations=(sigma_h.solver_iterations or 0, s_h.solver_iterations or 0),
     )
     return CascadeSolution(sigma_h, s_h, problem, flux, diagnostics)
-
-
-def flux_mismatch(solution: CascadeSolution, h=None) -> float:
-    """Boundary L2 distance between the flux the solve recovered from sigma_h
-    and a flux datum (defaults to the problem's own h).
-
-    Passing a different h probes incompatible data: the mismatch then
-    stays bounded from below by the boundary L2 norm of the perturbation
-    instead of shrinking under refinement.
-    """
-    return solution.flux.l2_mismatch(solution.problem.h if h is None else h)
 
 
 def _require_clamped_on_square(r: Polynomial2D) -> None:

@@ -35,7 +35,7 @@ from .mesh import (
     unit_square_mesh,
     write_mesh,
 )
-from .poisson import overdetermined_check, overdetermined_fourth
+from .poisson import overdetermined_check
 from .polynomials import complementing_check, harmonic_basis, laplace_complementing_check
 from .sparse import NonConvergenceError, NotSPDError
 
@@ -272,11 +272,10 @@ def _cmd_flux(args) -> int:
 
 def _cmd_overdet(args) -> int:
     p = parse_expression(args.p)
-    probe = overdetermined_fourth if args.fourth else overdetermined_check
     for level in range(args.levels):
         n = args.n * 2**level
         space = build_space(unit_square_mesh(n), args.degree)
-        flux = probe(space, p, rel_tol=args.rel_tol).flux
+        flux = overdetermined_check(space, p, rel_tol=args.rel_tol).flux
         print(
             f"n={n} flux_l2={FLOAT_FMT.format(flux.l2_mismatch())} "
             f"total_flux={FLOAT_FMT.format(flux.total())}"
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_count(1), default=3)
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--fourth", action="store_true", help="fourth-order cascade variant")
     p.set_defaults(func=_cmd_overdet)
 
     p = sub.add_parser("complementing", help="exact boundary-symbol independence check")

@@ -342,18 +342,18 @@ def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) 
     """Read the plain-text mesh format and validate all mesh invariants.
 
     Rows are ASCII decimal tokens, parsed by numpy a section at a time. A
-    malformed line, a non-ASCII byte in a file or a clockwise triangle raises
-    MeshFormatError with its 1-based line. ``domain_tag`` defaults to
-    UNIT_SQUARE inside [0,1]^2 and UNIT_DISK_POLYGON otherwise."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
+    malformed line, a byte a file or stream cannot decode or a clockwise
+    triangle raises MeshFormatError with its 1-based line. ``domain_tag``
+    defaults to UNIT_SQUARE inside [0,1]^2 and UNIT_DISK_POLYGON otherwise."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()  # a text stream decodes the rest in one call
+        else:
             text = Path(source).read_bytes().decode("ascii")
-        except UnicodeDecodeError as err:
-            data, k = err.object, err.start
-            line = len((data[:k].decode("ascii") + "^").splitlines())
-            raise MeshFormatError(f"non-ASCII byte {data[k]:#x}", line=line) from None
+    except UnicodeDecodeError as err:  # err.object holds every byte that call decoded
+        data, k = err.object, err.start
+        line = len((data[:k].decode(err.encoding) + "^").splitlines())
+        raise MeshFormatError(f"non-ASCII byte {data[k]:#x}", line=line) from None
     lines = text.splitlines()
     stripped = list(map(str.strip, lines))
     numbers = list(compress(range(1, len(lines) + 1), stripped))  # file line of each text

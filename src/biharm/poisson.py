@@ -16,7 +16,11 @@ trace-space field. Summing t over the boundary reproduces the integral of
 the source exactly up to solver tolerance (discrete divergence theorem),
 which the overdetermined diagnostics below rely on. They keep the
 recovered ``BoundaryFlux``: its ``l2_mismatch()`` is the leftover flux
-norm and its ``total()`` the outflow.
+norm and its ``total()`` the outflow. The fully homogeneous fourth-order
+problem, bilaplacian V = p with V, laplacian V and its flux all zero, is
+``biharmonic.solve_neumann`` on ``NeumannProblem(p, 0.0, 0.0)``: its one
+condition not built in is the flux of U = laplacian V, the same flux
+``overdetermined_check`` measures.
 
 Operators are built once per space: the stiffness matrix, the mass
 matrix, the boundary mass matrix and the interior/boundary blocks are
@@ -45,17 +49,14 @@ from .fem import (
     boundary_l2_error,
     boundary_mass_matrix,
 )
-from .sparse import SparseMatrix, cg_solve, matvec
+from .sparse import SparseMatrix, _check_cg_budget, cg_solve, matvec
 
 __all__ = [
-    "ScalarField",
     "BoundaryFlux",
     "solve_dirichlet",
     "normal_flux",
     "OverdeterminedResult",
     "overdetermined_check",
-    "FourthOrderResult",
-    "overdetermined_fourth",
 ]
 
 
@@ -138,6 +139,7 @@ def solve_dirichlet(
     Returns the finite element solution; its ``solver_iterations`` field
     records the CG iteration count (0 when there are no interior dofs).
     """
+    _check_cg_budget(rel_tol, max_iter)  # also when no CG runs: no interior dofs
     # data first, so a non-finite datum fails before any operator is assembled
     b = _source_load(space, source)
     coeffs = np.zeros(space.dof_count)
@@ -224,33 +226,3 @@ def overdetermined_check(
     load = _loaded(space, p)
     u = solve_dirichlet(space, load, 0.0, rel_tol=rel_tol, max_iter=max_iter)
     return OverdeterminedResult(u, normal_flux(u, load))
-
-
-@dataclass(frozen=True)
-class FourthOrderResult:
-    """Diagnostics for the fully homogeneous fourth-order problem: bilaplacian
-    V = p with zero trace, zero Laplacian trace and zero Laplacian flux."""
-
-    v: ScalarField
-    u: ScalarField
-    flux: BoundaryFlux
-
-
-def overdetermined_fourth(
-    space: FeSpace,
-    p,
-    *,
-    rel_tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> FourthOrderResult:
-    """Cascade form of the fourth-order overdetermined problem.
-
-    First solve laplace(U) = p with zero trace, then laplace(V) = U with
-    zero trace. V then satisfies bilaplacian V = p with V and laplacian V
-    both vanishing on the boundary by construction; the one condition not
-    built in is the normal flux of U (= of laplacian V), kept as ``flux``;
-    its ``total()`` equals the integral of p.
-    """
-    check = overdetermined_check(space, p, rel_tol=rel_tol, max_iter=max_iter)
-    v = solve_dirichlet(space, check.u, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-    return FourthOrderResult(v, check.u, check.flux)

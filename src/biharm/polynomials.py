@@ -63,10 +63,6 @@ class Polynomial2D:
         self._coeffs = table
 
     @classmethod
-    def zero(cls) -> Polynomial2D:
-        return cls()
-
-    @classmethod
     def constant(cls, c: RationalLike) -> Polynomial2D:
         return cls({(0, 0): c})
 

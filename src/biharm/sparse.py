@@ -79,9 +79,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self, x)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
 
@@ -143,6 +140,16 @@ class CGResult:
     residual: float
 
 
+def _check_cg_budget(rel_tol: float, max_iter: int | None) -> None:
+    """ValueError unless rel_tol is finite and > 0 and max_iter is None or >= 0.
+    Solvers that may return before any CG runs call it too, so a bad budget
+    is an input error whatever the size of the system."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
+
+
 def cg_solve(
     a: SparseMatrix,
     b: np.ndarray,
@@ -175,11 +182,8 @@ def cg_solve(
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side length does not match matrix")
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    _check_cg_budget(rel_tol, max_iter)
     max_iter = 10 * n if max_iter is None else max_iter
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
 
     diag = a.diagonal()
     if n and diag.min() <= 0:

@@ -16,7 +16,6 @@ import pytest
 from biharm.biharmonic import (
     NeumannProblem,
     compatibility_residual,
-    flux_mismatch,
     solve_neumann,
     weak_form_residual,
 )
@@ -166,7 +165,7 @@ def test_acceptance_6_flux_mismatch_diagnostic(capfd):
             space = build_space(unit_square_mesh(n), 1)
             sol = solve_neumann(space, prob)
             good.append(sol.diagnostics.flux_mismatch)
-            bad.append(flux_mismatch(sol, lambda x, y: case.h(x, y) + 1.0))
+            bad.append(sol.flux.l2_mismatch(lambda x, y: case.h(x, y) + 1.0))
         assert good[0] > good[1] > good[2]
         assert all(value >= 1.0 for value in bad)
 

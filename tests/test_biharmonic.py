@@ -14,7 +14,6 @@ from biharm.biharmonic import (
     CompatibilityError,
     NeumannProblem,
     compatibility_residual,
-    flux_mismatch,
     solve_neumann,
     weak_form_residual,
 )
@@ -136,7 +135,7 @@ def test_flux_mismatch_decreases_for_compatible_data():
         sol = solve_neumann(space, prob)
         values.append(sol.diagnostics.flux_mismatch)
         # default datum reproduces the stored diagnostic
-        assert flux_mismatch(sol) == sol.diagnostics.flux_mismatch
+        assert sol.flux.l2_mismatch(prob.h) == sol.diagnostics.flux_mismatch
     assert values[0] > values[1] > values[2]
     assert values[2] < 1.0
 
@@ -148,7 +147,7 @@ def test_flux_mismatch_bounded_below_for_incompatible_datum():
     for n in (8, 16, 32):
         space = build_space(unit_square_mesh(n), 1)
         sol = solve_neumann(space, prob)
-        bad = flux_mismatch(sol, lambda x, y: case.h(x, y) + 1.0)
+        bad = sol.flux.l2_mismatch(lambda x, y: case.h(x, y) + 1.0)
         assert bad >= 1.0
         assert bad > sol.diagnostics.flux_mismatch
 
@@ -164,8 +163,8 @@ def test_flux_mismatch_reads_the_flux_the_solve_recovered(monkeypatch):
     calls = []
     for module in (biharmonic, poisson):
         monkeypatch.setattr(module, "normal_flux", lambda *args: calls.append(args))
-    assert flux_mismatch(sol, shifted) == recovered.l2_mismatch(shifted)
-    assert flux_mismatch(sol) == recovered.l2_mismatch(prob.h)
+    assert sol.flux.l2_mismatch(shifted) == recovered.l2_mismatch(shifted)
+    assert sol.flux.l2_mismatch(prob.h) == recovered.l2_mismatch(prob.h)
     assert calls == []
 
 

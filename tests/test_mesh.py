@@ -461,6 +461,17 @@ def test_read_reports_line_of_non_ascii_byte(tmp_path, newline):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_read_reports_line_of_non_ascii_byte_in_a_stream(tmp_path, newline):
+    # the stream's own decoding fails inside read(), not the mesh parser's
+    path = tmp_path / "latin1.mesh"
+    text = _ONE_TRIANGLE.replace("\n", newline).replace("vertices", "vértices")
+    path.write_bytes(text.encode("latin-1"))
+    with open(path, encoding="ascii") as stream:
+        with pytest.raises(MeshFormatError, match="^line 2: non-ASCII byte 0xe9$"):
+            read_mesh(stream)
+
+
 def _small_mesh(vertices, triangles, boundary):
     return Mesh(np.array(vertices, dtype=float), triangles, boundary, DomainTag.UNIT_DISK_POLYGON)
 

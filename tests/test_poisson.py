@@ -13,7 +13,6 @@ from biharm.mesh import unit_square_mesh
 from biharm.poisson import (
     normal_flux,
     overdetermined_check,
-    overdetermined_fourth,
     solve_dirichlet,
 )
 from biharm.polynomials import Polynomial2D
@@ -171,13 +170,19 @@ def test_overdetermined_incompatible_source():
         assert res.flux.l2_mismatch() > 0.4
 
 
+def fourth_order(space, p):
+    """The fully homogeneous fourth-order problem: bilaplacian V = p with V,
+    laplacian V and its flux all zero, whose cascade is the Neumann one."""
+    return solve_neumann(space, NeumannProblem(p, 0.0, 0.0))
+
+
 def test_fourth_order_compatible_cascade():
     sigma = clamped_bubble().laplacian()
     values = []
     for n in (8, 16):
         space = build_space(unit_square_mesh(n), 1)
-        res = overdetermined_fourth(space, sigma)
-        assert not res.u.coeffs[space.boundary_dofs].any()  # zero trace built in exactly
+        res = fourth_order(space, sigma)
+        assert not res.sigma_h.coeffs[space.boundary_dofs].any()  # zero trace built in exactly
         assert abs(res.flux.total()) < 1e-7
         values.append(res.flux.l2_mismatch())
     assert values[0] > values[1]
@@ -191,9 +196,30 @@ def test_fourth_order_incompatible_source():
     total = float(integral_over_square(f))
     for n in (8, 16):
         space = build_space(unit_square_mesh(n), 1)
-        res = overdetermined_fourth(space, f)
+        res = fourth_order(space, f)
         assert abs(res.flux.total() - total) < 1e-8
         assert res.flux.l2_mismatch() > 0.5
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "p", [clamped_bubble().laplacian(), 1.0, lambda x, y: np.exp(x) * np.cos(2 * y)]
+)
+def test_fourth_order_cascade_is_the_overdetermined_probe_then_a_zero_trace_solve(p, degree):
+    # bit for bit: the flux of U is the second-order probe's, and V solves laplace(V) = U
+    space = build_space(unit_square_mesh(6), degree)
+    res = fourth_order(space, p)
+    probe = overdetermined_check(space, p).flux
+    assert np.array_equal(res.flux.functional, probe.functional)
+    assert np.array_equal(res.flux.projected, probe.projected)
+    assert np.array_equal(res.s_h.coeffs, solve_dirichlet(space, res.sigma_h, 0.0).coeffs)
+
+
+def test_cg_budget_is_checked_without_interior_dofs():
+    # P1 on one cell has only boundary dofs, so no CG runs
+    space = build_space(unit_square_mesh(1), 1)
+    with pytest.raises(ValueError, match="rel_tol"):
+        solve_dirichlet(space, 1.0, 0.0, rel_tol=math.nan)
 
 
 @pytest.fixture

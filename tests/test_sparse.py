@@ -11,6 +11,7 @@ from biharm.sparse import (
     SparseMatrix,
     cg_solve,
     from_triplets,
+    matvec,
 )
 
 
@@ -57,7 +58,7 @@ def test_matvec_matches_dense():
     x = rng.standard_normal(5)
     dense = dense_from_triplets(rows, cols, vals, (6, 5))
     assert np.allclose(a @ x, dense @ x, atol=1e-14)
-    assert np.allclose(a.matvec(x), dense @ x, atol=1e-14)
+    assert np.allclose(matvec(a, x), dense @ x, atol=1e-14)
 
 
 def test_from_triplets_rejects_bad_input():
