@@ -154,17 +154,22 @@ def _strict_check(strict: bool, tol: float):
 
 def _moment_table(integral, vals, x, y, degree: int) -> np.ndarray:
     """T[i, j] = integral(vals * x**i * y**j) for i + j <= degree (zero above).
-    Monomials are running products on the points, one at a time, so no
-    (points x monomials) array is ever held."""
+    Monomials are running products on the points, formed in place in two work
+    arrays, so no (points x monomials) array is ever held and no product goes
+    unread. T[0, 0] integrates ``vals`` itself: a broadcast view of a constant
+    sums in another order than its contiguous copy."""
     size = max(degree + 1, 0)
     table = np.zeros((size, size))
-    column = vals
+    column = np.array(vals, dtype=float)
+    term = np.empty_like(column)
     for i in range(size):
-        term = column
+        np.copyto(term, column)
         for j in range(size - i):
-            table[i, j] = integral(term)
-            term = term * y
-        column = column * x
+            table[i, j] = integral(term if i + j else vals)
+            if j + 1 < size - i:
+                term *= y
+        if i + 1 < size:
+            column *= x
     return table
 
 

@@ -254,13 +254,18 @@ def _built_once(owner, key: str, build):
 
 
 class DataError(ValueError):
-    """A datum, callable or constant, took a non-finite value."""
+    """A datum, callable or constant, took a non-finite value or one too large
+    for a float."""
 
 
 def _data_values(q, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Values of a callable or constant datum at (x, y), as a float array
-    broadcast to the shape of x; raises ``DataError`` on a non-finite value."""
-    values = np.broadcast_to(np.asarray(q(x, y) if callable(q) else q, dtype=float), x.shape)
+    broadcast to the shape of x; raises ``DataError`` on a non-finite value,
+    or on a Python number too large for a float."""
+    try:
+        values = np.broadcast_to(np.asarray(q(x, y) if callable(q) else q, dtype=float), x.shape)
+    except OverflowError as exc:
+        raise DataError(f"datum overflows a float: {exc}") from None
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(np.argmax(bad))
@@ -333,10 +338,15 @@ def field_gradients(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
 def _physical_gradients(degree: int, rule: QuadratureRule, inv_jt: np.ndarray) -> np.ndarray:
     """Basis gradients at the rule's points on every triangle, shape (T, n_local, nq, 2):
     the inverse-transposed Jacobian times each reference gradient, as two broadcast
-    products summed in the order an einsum over the shared axis sums them."""
+    products summed in the order an einsum over the shared axis sums them. P1
+    gradients are constant on a triangle: they are formed at one point and copied."""
     gref = _reference_gradients(degree, rule.points[:, 1:])
+    shape = (len(inv_jt), *gref.shape)
+    if degree == 1:
+        gref = gref[:, :1]
     inv = inv_jt[:, None, None]
-    return inv[..., 0] * gref[None, :, :, None, 0] + inv[..., 1] * gref[None, :, :, None, 1]
+    grads = inv[..., 0] * gref[None, :, :, None, 0] + inv[..., 1] * gref[None, :, :, None, 1]
+    return np.broadcast_to(grads, shape).copy() if degree == 1 else grads
 
 
 def default_volume_rule(degree: int) -> QuadratureRule:
@@ -392,9 +402,7 @@ def assemble_load(space: FeSpace, q) -> np.ndarray:
     x, y = quad_points(space.mesh, rule)
     vals = _data_values(q, x, y)
     local = np.einsum("lq,tq,q->tl", basis, vals, rule.weights) * det[:, None]
-    b = np.zeros(space.dof_count)
-    np.add.at(b, space.element_dof_map, local)
-    return b
+    return np.bincount(space.element_dof_map.ravel(), local.ravel(), space.dof_count)
 
 
 def boundary_geometry(mesh: Mesh):

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import TextIO
+from typing import IO, TextIO
 
 import numpy as np
 
@@ -338,18 +338,19 @@ def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
         Path(destination).write_text(text, encoding="ascii")
 
 
-def read_mesh(source: str | Path | TextIO, domain_tag: DomainTag | None = None) -> Mesh:
+def read_mesh(source: str | Path | IO, domain_tag: DomainTag | None = None) -> Mesh:
     """Read the plain-text mesh format and validate all mesh invariants.
 
     Rows are ASCII decimal tokens, parsed by numpy a section at a time. A
-    malformed line, a byte a file or stream cannot decode or a clockwise
-    triangle raises MeshFormatError with its 1-based line. ``domain_tag``
-    defaults to UNIT_SQUARE inside [0,1]^2 and UNIT_DISK_POLYGON otherwise."""
+    malformed line, a byte a file or stream cannot decode (a path or a binary
+    stream is read as ASCII) or a clockwise triangle raises MeshFormatError
+    with its 1-based line. ``domain_tag`` defaults to UNIT_SQUARE inside
+    [0,1]^2 and UNIT_DISK_POLYGON otherwise."""
     try:
-        if hasattr(source, "read"):
-            text = source.read()  # a text stream decodes the rest in one call
-        else:
-            text = Path(source).read_bytes().decode("ascii")
+        # a text stream decodes the rest in one call; a path or binary stream is ASCII
+        text = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+        if isinstance(text, bytes):
+            text = text.decode("ascii")
     except UnicodeDecodeError as err:  # err.object holds every byte that call decoded
         data, k = err.object, err.start
         line = len((data[:k].decode(err.encoding) + "^").splitlines())

@@ -18,7 +18,9 @@ from biharm.biharmonic import (
     weak_form_residual,
 )
 from biharm.fem import (
+    _data_values,
     boundary_geometry,
+    boundary_integrate,
     build_space,
     integrate,
     quad_points,
@@ -26,7 +28,7 @@ from biharm.fem import (
     triangle_quadrature,
 )
 from biharm.manufactured import case_sine, cases, l2_error
-from biharm.mesh import unit_disk_mesh, unit_square_mesh
+from biharm.mesh import refine_uniform, unit_disk_mesh, unit_square_mesh
 from biharm.polynomials import Polynomial2D, harmonic_basis
 from biharm.sparse import NonConvergenceError
 
@@ -342,3 +344,43 @@ def test_one_load_of_the_source_per_cascade(degree, monkeypatch):
     assert np.array_equal(check.u.coeffs, clamped_u.coeffs)
     assert np.array_equal(check.flux.functional, clamped_flux.functional)
     assert np.array_equal(check.flux.projected, clamped_flux.projected)
+
+
+def out_of_place_moment_table(integral, vals, x, y, degree):
+    """Reference moment table: every running product a new array, as first written."""
+    size = max(degree + 1, 0)
+    table = np.zeros((size, size))
+    column = vals
+    for i in range(size):
+        term = column
+        for j in range(size - i):
+            table[i, j] = integral(term)
+            term = term * y
+        column = column * x
+    return table
+
+
+@pytest.mark.parametrize("name", ["square", "disk"])
+def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name):
+    mesh = unit_square_mesh(7) if name == "square" else refine_uniform(unit_disk_mesh(6))
+    rule = triangle_quadrature(6)
+    x, y = quad_points(mesh, rule)
+    bx, by, _, normals = boundary_geometry(mesh)
+    sets = [
+        (lambda v: integrate(mesh, rule, v), x, y),
+        (lambda v: boundary_integrate(mesh, v), bx, by),
+    ]
+    for integral, px, py in sets:
+        constant = _data_values(-1.75, px, py)  # a read-only broadcast view
+        assert not constant.flags.writeable
+        datas = [constant, np.exp(px) * np.cos(2.0 * py) - px * py, np.sin(px + py) + 0.5]
+        if px is bx:
+            datas.append(_data_values(lambda a, b: a * b, px, py) * normals[:, 1:2])
+        for vals in datas:
+            before = np.array(vals)
+            for degree in range(-1, 7):
+                table = biharmonic._moment_table(integral, vals, px, py, degree)
+                expected = out_of_place_moment_table(integral, vals, px, py, degree)
+                assert table.shape == expected.shape == (max(degree + 1, 0),) * 2
+                assert np.array_equal(table, expected)
+            assert np.array_equal(vals, before)

@@ -1,6 +1,10 @@
 """Command line interface: subcommands, formats and exit codes."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +346,25 @@ def test_complementing_command(capsys):
 def test_output_path_failure_exits_one(capsys):
     assert run(["mesh", "--n", "2", "--out", "/no/such/dir/m.mesh"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_literal_beyond_float_range_is_an_input_error(capsys):
+    assert run(["solve", "--f", "10**400", "--g", "0", "--h", "0", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: datum overflows a float")
+    assert len(err.splitlines()) == 1
+
+
+def test_module_entry_point_matches_run(capsys):
+    args = ["compat", "--case", "sine", "--n", "4", "--kmax", "2"]
+    code = run(args)
+    expected = capsys.readouterr().out
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "biharm.cli", *args], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, expected, "")
+    assert code == 0 and expected.startswith("r[1] = ")

@@ -363,3 +363,33 @@ def test_assembly_kernels_are_bit_identical_to_the_einsum_oracle(name, degree):
         ex, ey = stacked_quad_points(mesh, rule)
         assert np.array_equal(x, ex) and np.array_equal(y, ey)
         assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("datum", [10**400, lambda x, y: 10**400, lambda x, y: -(10**400) + 0 * x])
+def test_datum_beyond_float_range_is_a_data_error(datum):
+    space = build_space(unit_square_mesh(2), 1)
+    with pytest.raises(fem.DataError, match="overflows a float"):
+        interpolate(space, datum)
+
+
+def add_at_load(space, q):
+    """Reference load vector: the local vectors summed by np.add.at."""
+    rule = fem.default_volume_rule(space.degree)
+    basis = fem._reference_basis(space.degree, rule.points[:, 1:])
+    _, _, det, _ = fem.triangle_geometry(space.mesh)
+    vals = fem._data_values(q, *fem.quad_points(space.mesh, rule))
+    local = np.einsum("lq,tq,q->tl", basis, vals, rule.weights) * det[:, None]
+    b = np.zeros(space.dof_count)
+    np.add.at(b, space.element_dof_map, local)
+    return b
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_load_is_bit_identical_to_the_add_at_oracle(name, degree):
+    space = build_space(ORACLE_MESHES[name], degree)
+    for q in (lambda x, y: np.exp(x) * np.cos(3.0 * y) - x * y, -2.5, 0.0):
+        b, expected = assemble_load(space, q), add_at_load(space, q)
+        assert b.shape == (space.dof_count,) and b.dtype == np.float64
+        assert np.array_equal(b, expected)
+        assert np.array_equal(np.signbit(b), np.signbit(expected))

@@ -539,3 +539,22 @@ def test_read_rejects_trailing_content(trailer):
     with pytest.raises(MeshFormatError) as err:
         read_mesh(io.StringIO(text))
     assert err.value.line == first_extra
+
+
+def test_read_binary_stream_as_ascii():
+    with pytest.raises(MeshFormatError, match="^line 1: unexpected end of file$"):
+        read_mesh(io.BytesIO(b"biharm-mesh v1\n"))
+    text = _ONE_TRIANGLE.replace("vertices", "vértices")
+    with pytest.raises(MeshFormatError, match="^line 2: non-ASCII byte 0xc3$"):
+        read_mesh(io.BytesIO(text.encode("utf-8")))
+
+
+def test_binary_stream_round_trip_is_bit_exact():
+    mesh = refine_uniform(unit_disk_mesh(5))
+    stream = io.StringIO()
+    write_mesh(mesh, stream)
+    back = read_mesh(io.BytesIO(stream.getvalue().encode("ascii")))
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
+    assert back.domain_tag is mesh.domain_tag
