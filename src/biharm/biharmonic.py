@@ -269,7 +269,7 @@ def solve_neumann(
     diagnostics = CascadeDiagnostics(
         compat_residuals=residuals,
         flux_mismatch=flux.l2_mismatch(problem.h),
-        cg_iterations=(sigma_h.solver_iterations or 0, s_h.solver_iterations or 0),
+        cg_iterations=(sigma_h.solver_iterations, s_h.solver_iterations),
     )
     return CascadeSolution(sigma_h, s_h, problem, flux, diagnostics)
 

@@ -27,7 +27,6 @@ from .biharmonic import (
 from .fem import build_space
 from .manufactured import cases, l2_error
 from .mesh import (
-    DomainTag,
     Mesh,
     MeshFormatError,
     refine_uniform,
@@ -42,6 +41,14 @@ from .sparse import NonConvergenceError, NotSPDError
 __all__ = ["main", "run", "parse_expression", "write_vtk", "ExpressionError"]
 
 FLOAT_FMT = "{:.12e}"
+
+# Input limits, checked before any mesh is built. 2**21 triangles is the square
+# at n = 1024, above the largest ladder the benchmarks run (P1 n = 512).
+MAX_TRIANGLES = 2**21
+MAX_KMAX = 64
+# Bits of a power of two Python ints in an expression; a larger one is refused,
+# not computed, since exact integer arithmetic has no bound of its own.
+MAX_POWER_BITS = 2**16
 
 
 class ExpressionError(ValueError):
@@ -80,6 +87,26 @@ def _check_node(node: ast.AST) -> None:
         raise ExpressionError(f"disallowed syntax: {ast.dump(node)[:60]}")
 
 
+class _Powers(ast.NodeTransformer):
+    """Turns each ``a ** b`` into ``_power(a, b)``."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        call = ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
+        return ast.copy_location(call, node)
+
+
+def _power(base, exponent):
+    """``base ** exponent``; for two Python ints, a result beyond MAX_POWER_BITS
+    raises ArithmeticError instead of being computed."""
+    if isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1:
+        if exponent * (abs(base).bit_length() - 1) > MAX_POWER_BITS:
+            raise ArithmeticError(f"integer power {base}**{exponent} is too large")
+    return base**exponent
+
+
 def parse_expression(text: str):
     """Compile an arithmetic expression in x, y, pi into a vectorized
     callable. Supports + - * / ^ (or **), unary signs, numeric literals
@@ -87,18 +114,21 @@ def parse_expression(text: str):
     prepared = text.replace("^", "**")
     try:
         tree = ast.parse(prepared, mode="eval")
+        _check_node(tree)
+        tree = ast.fix_missing_locations(_Powers().visit(tree))
+        code = compile(tree, "<expression>", "eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    _check_node(tree)
-    code = compile(tree, "<expression>", "eval")
-    env = {"pi": np.pi, **_ALLOWED_CALLS}
+    except RecursionError:
+        raise ExpressionError(f"expression {text[:40]!r}... is nested too deeply") from None
+    env = {"pi": np.pi, "_power": _power, **_ALLOWED_CALLS}
 
     def func(x, y):
         # no numpy warning for 1/x at x = 0: the data evaluator rejects inf as DataError
         try:
             with np.errstate(all="ignore"):
                 return eval(code, {"__builtins__": {}}, {"x": x, "y": y, **env})
-        except ArithmeticError as exc:  # Python scalar arithmetic, e.g. 1/0
+        except (ArithmeticError, TypeError) as exc:  # 1/0; sin of an int beyond int64
             raise ExpressionError(f"cannot evaluate expression {text!r}: {exc}") from None
 
     return func
@@ -132,11 +162,30 @@ def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _check_size(domain: str, n: int, refine: int) -> None:
+    """Refuse, before anything is built, a mesh of more than MAX_TRIANGLES
+    triangles: the square has 2 n^2, the disk 6 n^2, times 4 per refinement."""
+    triangles = (2 if domain == "square" else 6) * n * n
+    while refine and triangles <= MAX_TRIANGLES:  # at most 11 passes, however large refine
+        triangles, refine = 4 * triangles, refine - 1
+    if triangles > MAX_TRIANGLES:
+        raise ValueError(f"the mesh would exceed the limit of {MAX_TRIANGLES} triangles")
+
+
 def _build_mesh(domain: str, n: int, refine: int) -> Mesh:
+    _check_size(domain, n, refine)
     mesh = unit_square_mesh(n) if domain == "square" else unit_disk_mesh(n)
     for _ in range(refine):
         mesh = refine_uniform(mesh)
     return mesh
+
+
+def _ladder(n0: int, levels: int, degree: int):
+    """(n, space of ``degree`` on unit_square_mesh(n)) for n = n0 * 2**level, level by
+    level; the finest mesh is checked against the size limit before any is built."""
+    _check_size("square", n0, levels - 1)  # n0 * 2**k cells per side: n0 refined k times
+    sizes = (n0 * 2**level for level in range(levels))
+    return ((n, build_space(unit_square_mesh(n), degree)) for n in sizes)
 
 
 def _problem_from_args(args) -> tuple[NeumannProblem, object]:
@@ -207,9 +256,7 @@ def _cmd_converge(args) -> int:
     problem = NeumannProblem(case.f, case.g, case.h)
     rows = []
     prev = None
-    for level in range(args.levels):
-        n = args.n0 * 2**level
-        space = build_space(unit_square_mesh(n), args.degree)
+    for level, (n, space) in enumerate(_ladder(args.n0, args.levels, args.degree)):
         solution = solve_neumann(space, problem, rel_tol=args.rel_tol)
         err_sigma = l2_error(solution.sigma_h, case.sigma_exact)
         err_s = l2_error(solution.s_h, case.u_exact)
@@ -272,9 +319,7 @@ def _cmd_flux(args) -> int:
 
 def _cmd_overdet(args) -> int:
     p = parse_expression(args.p)
-    for level in range(args.levels):
-        n = args.n * 2**level
-        space = build_space(unit_square_mesh(n), args.degree)
+    for n, space in _ladder(args.n, args.levels, args.degree):
         flux = overdetermined_check(space, p, rel_tol=args.rel_tol).flux
         print(
             f"n={n} flux_l2={FLOAT_FMT.format(flux.l2_mismatch())} "
@@ -296,13 +341,17 @@ def _cmd_complementing(args) -> int:
     return 0
 
 
-def _count(minimum: int):
-    """argparse type of a count argument: an integer of at least ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type of a count argument: an integer of at least ``minimum``
+    and, if given, at most ``maximum``."""
 
     def count(text: str) -> int:
-        if int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return int(text)
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+        return value
 
     return count
 
@@ -321,8 +370,15 @@ def _add_solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, without the usage text."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biharm",
         description="Fourth-order Neumann problems via cascaded Poisson solves",
     )
@@ -339,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     _add_solver_options(p)
     p.add_argument("--domain", choices=("square", "disk"), default="square")
-    p.add_argument("--kmax", type=int, default=DEFAULT_HARMONIC_DEGREE)
+    p.add_argument("--kmax", type=_count(0, MAX_KMAX), default=DEFAULT_HARMONIC_DEGREE)
     p.add_argument("--strict", action="store_true", help="fail on incompatible data")
     p.add_argument("--strict-tol", type=float, default=DEFAULT_STRICT_TOL)
     p.add_argument("--out", help="VTK output with sigma and s point data")
@@ -358,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     p.add_argument("--n", type=_count(1), default=32)
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
-    p.add_argument("--kmax", type=int, default=DEFAULT_HARMONIC_DEGREE)
+    p.add_argument("--kmax", type=_count(0, MAX_KMAX), default=DEFAULT_HARMONIC_DEGREE)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--strict-tol", type=float, default=DEFAULT_STRICT_TOL)
     p.set_defaults(func=_cmd_compat)
@@ -390,11 +446,13 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # an overflow numpy would warn about is a numerical failure, not a stray stderr line
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (ExpressionError, MeshFormatError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergenceError, NotSPDError) as exc:
+    except (NonConvergenceError, NotSPDError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except CompatibilityError as exc:

@@ -21,6 +21,7 @@ or solve.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -254,16 +255,23 @@ def _built_once(owner, key: str, build):
 
 
 class DataError(ValueError):
-    """A datum, callable or constant, took a non-finite value or one too large
-    for a float."""
+    """A datum, callable or constant, took a value that is not a real number
+    (complex or non-numeric), a non-finite value, or one too large for a float."""
 
 
 def _data_values(q, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Values of a callable or constant datum at (x, y), as a float array
-    broadcast to the shape of x; raises ``DataError`` on a non-finite value,
-    or on a Python number too large for a float."""
+    broadcast to the shape of x; raises ``DataError`` on a complex or
+    non-numeric value, checked before the float cast so an imaginary part is
+    never dropped, on a non-finite value, or on a Python number too large for
+    a float."""
     try:
-        values = np.broadcast_to(np.asarray(q(x, y) if callable(q) else q, dtype=float), x.shape)
+        raw = np.asarray(q(x, y) if callable(q) else q)
+        if raw.dtype.kind not in "biuf":  # an object array may hold Python ints beyond int64
+            for v in raw.flat:
+                if not isinstance(v, numbers.Real):
+                    raise DataError(f"datum is not a real number: {v}")
+        values = np.broadcast_to(raw.astype(float, copy=False), x.shape)
     except OverflowError as exc:
         raise DataError(f"datum overflows a float: {exc}") from None
     bad = ~np.isfinite(values)

@@ -29,7 +29,6 @@ from .fem import (
     integrate,
     quad_points,
 )
-from .mesh import DomainTag
 from .polynomials import Polynomial2D
 
 __all__ = [
@@ -79,7 +78,6 @@ class ManufacturedCase:
     """
 
     name: str
-    domain_tag: DomainTag
     u_exact: Callable
     sigma_exact: Callable
     f: Callable
@@ -117,7 +115,6 @@ def case_sine() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="sine",
-        domain_tag=DomainTag.UNIT_SQUARE,
         u_exact=u,
         sigma_exact=sigma,
         f=f,
@@ -144,7 +141,6 @@ def case_bubble() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="bubble",
-        domain_tag=DomainTag.UNIT_SQUARE,
         u_exact=u,
         sigma_exact=sigma,
         f=f,

@@ -50,7 +50,11 @@ class DomainTag(enum.Enum):
 
 
 class MeshValidationError(ValueError):
-    """A mesh invariant does not hold."""
+    """A mesh invariant does not hold; ``triangle`` indexes the one at fault, if any."""
+
+    def __init__(self, message: str, triangle: int | None = None):
+        self.triangle = triangle
+        super().__init__(message)
 
 
 class MeshFormatError(ValueError):
@@ -71,13 +75,11 @@ class Mesh:
     triangles : (T, 3) int array, each row counterclockwise
     boundary_edges : (B, 3) int array of (start, end, marker), oriented so
         the domain lies on the left
-    domain_tag : DomainTag
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    domain_tag: DomainTag
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
@@ -108,8 +110,21 @@ class Mesh:
     def num_boundary_edges(self) -> int:
         return self.boundary_edges.shape[0]
 
+    @property
+    def domain_tag(self) -> DomainTag:
+        """UNIT_SQUARE when every vertex lies in [0,1]^2 (to 1e-12) and the areas sum
+        to 1 (to AREA_RTOL); any other domain, disk or not, is UNIT_DISK_POLYGON."""
+        v = self.vertices
+        in_square = v.min() >= -1e-12 and v.max() <= 1 + 1e-12
+        if in_square and abs(self.area() - 1.0) <= AREA_RTOL:
+            return DomainTag.UNIT_SQUARE
+        return DomainTag.UNIT_DISK_POLYGON
+
     def signed_areas(self) -> np.ndarray:
-        return _signed_areas(self.vertices, self.triangles)
+        p = self.vertices[self.triangles]
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def area(self) -> float:
         return float(self.signed_areas().sum())
@@ -150,11 +165,16 @@ class Mesh:
         if len(t) == 0:
             raise MeshValidationError("mesh has no triangles")
 
-        areas = self.signed_areas()
+        with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates: refused below
+            areas = self.signed_areas()
+        if not np.isfinite(areas).all():
+            bad = int(np.argmin(np.isfinite(areas)))
+            raise MeshValidationError(f"triangle {bad} has an area beyond float range", triangle=bad)
         if not (areas > 0).all():
             bad = int(np.argmin(areas))
             raise MeshValidationError(
-                f"triangle {bad} is not counterclockwise (signed area {areas[bad]:.3e})"
+                f"triangle {bad} is not counterclockwise (signed area {areas[bad]:.3e})",
+                triangle=bad,
             )
 
         # Edge incidence: directed edges of CCW triangles; an undirected edge
@@ -187,9 +207,10 @@ class Mesh:
         # Area consistency: triangle areas against the shoelace of the loop.
         pts = v[loop]
         nxt = np.roll(pts, -1, axis=0)
-        loop_area = 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
-        total = float(areas.sum())
-        if abs(total - loop_area) > AREA_RTOL * max(abs(loop_area), 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sum mismatches
+            loop_area = 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
+            total = float(areas.sum())
+        if not abs(total - loop_area) <= AREA_RTOL * max(abs(loop_area), 1.0) < np.inf:
             raise MeshValidationError(
                 f"triangle area sum {total!r} mismatches boundary loop area {loop_area!r}"
             )
@@ -197,13 +218,6 @@ class Mesh:
         euler = len(v) - len(und_unique) + len(t)
         if euler != 1:
             raise MeshValidationError(f"Euler relation violated: V - E + F = {euler}")
-
-
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _edge_key(a, b, nv: int):
@@ -258,7 +272,7 @@ def unit_square_mesh(n: int) -> Mesh:
     loop = np.concatenate([k, k * (n + 1) + n, n * (n + 1) + n - k, (n - k) * (n + 1)])
     edges = np.column_stack([loop, np.roll(loop, -1), np.repeat(np.arange(4), n)])
 
-    return Mesh(vertices, tris, edges, DomainTag.UNIT_SQUARE)
+    return Mesh(vertices, tris, edges)
 
 
 def unit_disk_mesh(rings: int) -> Mesh:
@@ -294,7 +308,7 @@ def unit_disk_mesh(rings: int) -> Mesh:
     m = np.arange(n_out)
     edges = np.column_stack([outer + m, outer + (m + 1) % n_out, np.zeros_like(m)])
 
-    return Mesh(np.vstack(verts), np.vstack(tris), edges, DomainTag.UNIT_DISK_POLYGON)
+    return Mesh(np.vstack(verts), np.vstack(tris), edges)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -320,7 +334,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     m = base + boundary
     bedges = np.stack([a, m, marker, m, b, marker], axis=1).reshape(-1, 3)
 
-    return Mesh(vertices, tris, bedges, mesh.domain_tag)
+    return Mesh(vertices, tris, bedges)
 
 
 def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
@@ -338,14 +352,14 @@ def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
         Path(destination).write_text(text, encoding="ascii")
 
 
-def read_mesh(source: str | Path | IO, domain_tag: DomainTag | None = None) -> Mesh:
+def read_mesh(source: str | Path | IO) -> Mesh:
     """Read the plain-text mesh format and validate all mesh invariants.
 
     Rows are ASCII decimal tokens, parsed by numpy a section at a time. A
     malformed line, a byte a file or stream cannot decode (a path or a binary
     stream is read as ASCII) or a clockwise triangle raises MeshFormatError
-    with its 1-based line. ``domain_tag`` defaults to UNIT_SQUARE inside
-    [0,1]^2 and UNIT_DISK_POLYGON otherwise."""
+    with its 1-based line; every other invariant is ``Mesh.validate``'s, and
+    its failure is a MeshFormatError too."""
     try:
         # a text stream decodes the rest in one call; a path or binary stream is ASCII
         text = source.read() if hasattr(source, "read") else Path(source).read_bytes()
@@ -402,27 +416,11 @@ def read_mesh(source: str | Path | IO, domain_tag: DomainTag | None = None) -> M
             f"unexpected content after the boundary section: {texts[pos]!r}", line=numbers[pos]
         )
 
-    nv, nt = len(vertices), len(triangles)
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-        raise MeshFormatError("triangle vertex index out of range")
-    # Orientation is checked here so the error can point at the file line.
-    with np.errstate(invalid="ignore"):  # non-finite vertices fail validation below
-        areas = _signed_areas(vertices, triangles)
-    if nt and areas.min() <= 0:
-        bad = int(np.argmin(areas))
-        raise MeshFormatError(
-            f"triangle is not counterclockwise (signed area {areas[bad]:.3e})",
-            line=numbers[first_triangle + bad],
-        )
-
-    if domain_tag is None:
-        in_square = nv > 0 and vertices.min() >= -1e-12 and vertices.max() <= 1 + 1e-12
-        domain_tag = DomainTag.UNIT_SQUARE if in_square else DomainTag.UNIT_DISK_POLYGON
-
     try:
-        return Mesh(vertices, triangles, bedges, domain_tag)
+        return Mesh(vertices, triangles, bedges)
     except MeshValidationError as exc:
-        raise MeshFormatError(str(exc)) from exc
+        line = None if exc.triangle is None else numbers[first_triangle + exc.triangle]
+        raise MeshFormatError(str(exc), line=line) from exc
 
 
 def _parse(block: list[str], width: int, dtype) -> np.ndarray | None:

@@ -368,3 +368,126 @@ def test_module_entry_point_matches_run(capsys):
     )
     assert (done.returncode, done.stdout, done.stderr) == (code, expected, "")
     assert code == 0 and expected.startswith("r[1] = ")
+
+
+def _fails_on_one_line(argv, capsys, code=1):
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mesh was built")
+
+    for name in ("unit_square_mesh", "unit_disk_mesh", "refine_uniform"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overdet", "--p", "1", "--n", "2", "--levels", "40"],
+        ["converge", "--case", "sine", "--levels", "40"],
+        ["converge", "--case", "sine", "--levels", "1000000000"],  # no 2**levels is formed
+        ["overdet", "--p", "1", "--levels", "1000000000"],
+        ["mesh", "--refine", "40"],
+        ["mesh", "--refine", "1000000000"],
+        ["mesh", "--n", "1025"],
+        ["mesh", "--domain", "disk", "--n", "592"],
+        ["mesh", "--n", "512", "--refine", "2"],
+        ["solve", "--case", "sine", "--n", "100000"],
+        ["solve", "--f", "1", "--g", "0", "--h", "0", "--domain", "disk", "--n", "1000"],
+        ["compat", "--case", "sine", "--n", "1025"],
+        ["flux", "--case", "sine", "--n", "1025"],
+    ],
+    ids=" ".join,
+)
+def test_mesh_beyond_the_triangle_limit_is_refused_before_it_is_built(argv, monkeypatch, capsys):
+    _refuse_to_build(monkeypatch)
+    err = _fails_on_one_line(argv, capsys)
+    assert err == f"error: the mesh would exceed the limit of {cli.MAX_TRIANGLES} triangles\n"
+
+
+@pytest.mark.parametrize(
+    "domain, n, refine, accepted",
+    [
+        ("square", 1024, 0, True),
+        ("square", 1025, 0, False),
+        ("square", 512, 1, True),
+        ("square", 1, 10, True),
+        ("square", 1, 11, False),
+        ("disk", 591, 0, True),
+        ("disk", 592, 0, False),
+        ("disk", 295, 1, True),
+        ("disk", 296, 1, False),
+    ],
+)
+def test_triangle_limit_counts_square_and_disk(domain, n, refine, accepted):
+    # the square has 2 n^2 triangles, the disk 6 n^2, times 4 per refinement
+    assert cli.MAX_TRIANGLES == 2**21
+    if accepted:
+        cli._check_size(domain, n, refine)
+    else:
+        with pytest.raises(ValueError, match="limit"):
+            cli._check_size(domain, n, refine)
+
+
+@pytest.mark.parametrize("command", ["compat", "solve"])
+def test_kmax_above_the_cap_is_refused_before_any_mesh(command, monkeypatch, capsys):
+    _refuse_to_build(monkeypatch)
+    argv = [command, "--case", "sine", "--n", "2", "--kmax"]
+    err = _fails_on_one_line(argv + [str(cli.MAX_KMAX + 1)], capsys)
+    assert err.endswith(f"argument --kmax: must be at most {cli.MAX_KMAX}, got 65\n")
+
+
+def test_kmax_at_the_cap_is_accepted():
+    for command in ("compat", "solve"):
+        args = cli.build_parser().parse_args([command, "--kmax", str(cli.MAX_KMAX)])
+        assert args.kmax == cli.MAX_KMAX == 64
+
+
+@pytest.mark.parametrize(
+    "f",
+    ["sin(10**400)", "exp(-10**400)", "cos(10**400)+x"],
+)
+def test_function_of_an_oversized_literal_is_an_input_error(f, capsys):
+    err = _fails_on_one_line(["solve", "--f", f, "--g", "0", "--h", "0", "--n", "4"], capsys)
+    assert err.startswith(f"error: cannot evaluate expression {f!r}")
+
+
+def test_complex_expression_value_is_an_input_error(capsys):
+    argv = ["solve", "--f", "(-1)**0.5", "--g", "0", "--h", "0", "--n", "4"]
+    err = _fails_on_one_line(argv, capsys)
+    assert err.startswith("error: datum is not a real number: ")
+
+
+def test_tower_of_integer_powers_is_refused_not_computed(capsys):
+    # 9**9**9 has 1.2e9 bits: computing it exactly would run for minutes
+    argv = ["solve", "--f", "9**9**9", "--g", "0", "--h", "0", "--n", "4"]
+    err = _fails_on_one_line(argv, capsys)
+    assert "integer power 9**387420489 is too large" in err
+    assert parse_expression("2**64 + 3**40")(0.0, 0.0) == 2**64 + 3**40  # exact as before
+
+
+def test_deeply_nested_expression_is_an_input_error(capsys):
+    argv = ["solve", "--f", "+".join(["x"] * 2000), "--g", "0", "--h", "0", "--n", "4"]
+    err = _fails_on_one_line(argv, capsys)
+    assert "is nested too deeply" in err
+
+
+def test_overflow_inside_a_solve_is_a_numerical_failure(capsys):
+    err = _fails_on_one_line(["overdet", "--p", "1e308", "--n", "2", "--levels", "1"], capsys, 2)
+    assert err.startswith("numerical failure: overflow encountered")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--degree", "7"], ["mesh", "--n", "-1\n"], ["nope"], ["converge"]],
+    ids=["bad-choice", "newline-in-count", "bad-command", "missing-argument"],
+)
+def test_usage_error_is_one_stderr_line(argv, capsys):
+    err = _fails_on_one_line(argv, capsys)
+    assert err.startswith("biharm") and ": error: " in err

@@ -1,5 +1,8 @@
 """Finite element spaces and assembled forms."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from biharm.fem import (
     interpolate,
 )
 from biharm.manufactured import case_sine, h1_error, l2_error
-from biharm.mesh import DomainTag, Mesh, refine_uniform, unit_disk_mesh, unit_square_mesh
+from biharm.mesh import Mesh, refine_uniform, unit_disk_mesh, unit_square_mesh
 from biharm.poisson import solve_dirichlet
 from biharm.polynomials import harmonic_basis
 from biharm.sparse import SparseMatrix, cg_solve
@@ -27,7 +30,6 @@ def corner_triangle_mesh() -> Mesh:
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
         np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
-        DomainTag.UNIT_SQUARE,
     )
 
 
@@ -107,7 +109,6 @@ def test_assembly_independent_of_triangle_order(degree):
         mesh.vertices.copy(),
         mesh.triangles[perm],
         mesh.boundary_edges.copy(),
-        mesh.domain_tag,
     )
     s1 = build_space(mesh, degree)
     s2 = build_space(shuffled, degree)
@@ -370,6 +371,27 @@ def test_datum_beyond_float_range_is_a_data_error(datum):
     space = build_space(unit_square_mesh(2), 1)
     with pytest.raises(fem.DataError, match="overflows a float"):
         interpolate(space, datum)
+
+
+@pytest.mark.parametrize(
+    "datum, shown",
+    [
+        (lambda x, y: x + 1j, "1j"),
+        (1j, "1j"),
+        (lambda x, y: np.exp(1j * x), "(1+0j)"),
+        ("1.5", "1.5"),
+        (None, "None"),
+        (lambda x, y: np.full(x.shape, "a"), "a"),
+    ],
+    ids=["complex-callable", "complex-constant", "complex-array", "string", "none", "strings"],
+)
+def test_datum_that_is_not_a_real_number_is_a_data_error(datum, shown):
+    # checked before the float cast: no imaginary part is dropped with a ComplexWarning
+    space = build_space(unit_square_mesh(2), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fem.DataError, match=f"^datum is not a real number: {re.escape(shown)}$"):
+            interpolate(space, datum)
 
 
 def add_at_load(space, q):

@@ -9,7 +9,7 @@ import sympy as sp
 from biharm import manufactured
 from biharm.fem import build_space, interpolate
 from biharm.manufactured import case_bubble, case_sine, cases, h1_error, l2_error
-from biharm.mesh import DomainTag, unit_square_mesh
+from biharm.mesh import unit_square_mesh
 
 X, Y = sp.symbols("x y")
 
@@ -26,8 +26,6 @@ def sample_points(rng, n=40):
 def test_registry():
     table = cases()
     assert set(table) == {"sine", "bubble"}
-    for case in table.values():
-        assert case.domain_tag is DomainTag.UNIT_SQUARE
 
 
 def test_sine_chain_is_symbolically_consistent():

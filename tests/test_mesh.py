@@ -4,10 +4,13 @@ import io
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from biharm.biharmonic import NeumannProblem, solve_neumann, weak_form_residual
+from biharm.fem import build_space
 from biharm.mesh import (
     DomainTag,
     Mesh,
@@ -19,6 +22,7 @@ from biharm.mesh import (
     unit_square_mesh,
     write_mesh,
 )
+from biharm.polynomials import Polynomial2D
 
 
 def shoelace(points):
@@ -136,7 +140,6 @@ def test_validation_rejects_clockwise_triangle():
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 2, 1]]),
             np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
-            DomainTag.UNIT_SQUARE,
         )
 
 
@@ -147,7 +150,6 @@ def test_validation_rejects_wrong_boundary_orientation():
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 1, 2]]),
             np.array([[1, 0, 0], [1, 2, 0], [2, 0, 0]]),
-            DomainTag.UNIT_SQUARE,
         )
 
 
@@ -157,7 +159,6 @@ def test_validation_rejects_unused_vertex():
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]),
             np.array([[0, 1, 2]]),
             np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
-            DomainTag.UNIT_SQUARE,
         )
 
 
@@ -167,7 +168,6 @@ def test_validation_rejects_incomplete_boundary():
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 1, 2]]),
             np.array([[0, 1, 0], [1, 2, 0]]),
-            DomainTag.UNIT_SQUARE,
         )
 
 
@@ -177,7 +177,6 @@ def test_validation_rejects_out_of_range_index():
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 1, 7]]),
             np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
-            DomainTag.UNIT_SQUARE,
         )
 
 
@@ -206,14 +205,6 @@ def test_roundtrip_bit_identical(mesh, tmp_path):
     buf = io.StringIO()
     write_mesh(again, buf)
     assert buf.getvalue() == path.read_text(encoding="ascii")
-
-
-def test_read_stream_and_explicit_tag():
-    buf = io.StringIO()
-    write_mesh(unit_square_mesh(2), buf)
-    buf.seek(0)
-    m = read_mesh(buf, domain_tag=DomainTag.UNIT_DISK_POLYGON)
-    assert m.domain_tag is DomainTag.UNIT_DISK_POLYGON
 
 
 def test_read_rejects_empty_file():
@@ -290,7 +281,7 @@ def _edge_value_mesh():
     # one counterclockwise triangle whose coordinates are float edge cases
     vertices = [[-1e300, -0.0], [1e16, 5e-324], [float(np.nextafter(1.0, 2.0)), 1e-05]]
     boundary = [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
-    return Mesh(np.array(vertices), [[0, 1, 2]], boundary, DomainTag.UNIT_DISK_POLYGON)
+    return Mesh(np.array(vertices), [[0, 1, 2]], boundary)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +293,7 @@ def test_write_matches_per_line_f_strings_and_reads_back_bit_exact(mesh):
     buf = io.StringIO()
     write_mesh(mesh, buf)
     assert buf.getvalue() == _f_string_mesh_text(mesh)
-    again = read_mesh(io.StringIO(buf.getvalue()), domain_tag=mesh.domain_tag)
+    again = read_mesh(io.StringIO(buf.getvalue()))
     for name in ("vertices", "triangles", "boundary_edges"):
         assert getattr(again, name).tobytes() == getattr(mesh, name).tobytes()
 
@@ -473,7 +464,7 @@ def test_read_reports_line_of_non_ascii_byte_in_a_stream(tmp_path, newline):
 
 
 def _small_mesh(vertices, triangles, boundary):
-    return Mesh(np.array(vertices, dtype=float), triangles, boundary, DomainTag.UNIT_DISK_POLYGON)
+    return Mesh(np.array(vertices, dtype=float), triangles, boundary)
 
 
 def test_validation_rejects_non_finite_vertex():
@@ -558,3 +549,123 @@ def test_binary_stream_round_trip_is_bit_exact():
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
     assert back.domain_tag is mesh.domain_tag
+
+
+def _submesh(mesh, keep):
+    """The mesh of the kept triangles: vertices renumbered, boundary rebuilt from
+    the directed edges seen once, all with marker 0."""
+    used, tris = np.unique(mesh.triangles[keep], return_inverse=True)
+    tris = tris.reshape(-1, 3)
+    directed = [(a, b) for t in tris.tolist() for a, b in zip(t, t[1:] + t[:1])]
+    seen = Counter(frozenset(e) for e in directed)
+    boundary = [(a, b, 0) for a, b in directed if seen[frozenset((a, b))] == 1]
+    return Mesh(mesh.vertices[used], tris, boundary)
+
+
+def _l_shape(n):
+    """[0,1]^2 without its top right quarter, from unit_square_mesh(n), n even."""
+    mesh = unit_square_mesh(n)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    return _submesh(mesh, ~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5)))
+
+
+def _small_square(n):
+    """[0.25,0.75]^2: inside the unit square, a quarter of its area."""
+    mesh = unit_square_mesh(n)
+    return Mesh(0.25 + 0.5 * mesh.vertices, mesh.triangles, mesh.boundary_edges)
+
+
+def _read_back(mesh):
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    return read_mesh(io.StringIO(buf.getvalue()))
+
+
+@pytest.mark.parametrize("build", [_l_shape, _small_square], ids=["l-shape", "small-square"])
+def test_domain_inside_the_unit_square_is_not_the_unit_square(build):
+    # the bounding box lies in [0,1]^2, but the domain is not the square
+    mesh = build(4)
+    for m in (mesh, _read_back(mesh)):
+        assert m.domain_tag is DomainTag.UNIT_DISK_POLYGON
+        sol = solve_neumann(build_space(m, 2), NeumannProblem(1.0, 0.0, 0.0))
+        x, y = Polynomial2D.x(), Polynomial2D.y()
+        one = Polynomial2D.constant(1)
+        with pytest.raises(ValueError, match="unit square only"):
+            weak_form_residual(sol, (x * (one - x)) ** 2 * (y * (one - y)) ** 2)
+
+
+def test_perturbed_interior_vertices_keep_the_unit_square():
+    mesh = unit_square_mesh(6)
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_edges[:, 0]] = False
+    rng = np.random.default_rng(7)
+    vertices = mesh.vertices.copy()
+    vertices[interior] += rng.uniform(-0.04, 0.04, size=(interior.sum(), 2))
+    moved = Mesh(vertices, mesh.triangles, mesh.boundary_edges)
+    assert not np.array_equal(moved.vertices, mesh.vertices)
+    for m in (moved, _read_back(moved)):
+        assert m.domain_tag is DomainTag.UNIT_SQUARE
+
+
+@pytest.mark.parametrize(
+    "mesh, tag",
+    [
+        (unit_square_mesh(1), DomainTag.UNIT_SQUARE),
+        (unit_square_mesh(7), DomainTag.UNIT_SQUARE),
+        (refine_uniform(unit_square_mesh(3)), DomainTag.UNIT_SQUARE),
+        (refine_uniform(refine_uniform(unit_square_mesh(5))), DomainTag.UNIT_SQUARE),
+        (unit_disk_mesh(1), DomainTag.UNIT_DISK_POLYGON),
+        (unit_disk_mesh(6), DomainTag.UNIT_DISK_POLYGON),
+        (refine_uniform(unit_disk_mesh(2)), DomainTag.UNIT_DISK_POLYGON),
+        (refine_uniform(refine_uniform(unit_disk_mesh(3))), DomainTag.UNIT_DISK_POLYGON),
+    ],
+    ids=[
+        "square-1",
+        "square-7",
+        "refined-square",
+        "twice-refined-square",
+        "disk-1",
+        "disk-6",
+        "refined-disk",
+        "twice-refined-disk",
+    ],
+)
+def test_domain_tag_is_read_off_the_three_arrays(mesh, tag):
+    rebuilt = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges)
+    for m in (mesh, rebuilt, _read_back(mesh)):
+        assert m.domain_tag is tag
+
+
+def test_clockwise_triangle_names_its_index_and_file_line():
+    mesh = unit_square_mesh(2)
+    tris = mesh.triangles.copy()
+    tris[5] = tris[5, ::-1]
+    with pytest.raises(MeshValidationError, match="^triangle 5 is not counterclockwise") as err:
+        Mesh(mesh.vertices, tris, mesh.boundary_edges)
+    assert err.value.triangle == 5
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    lines = buf.getvalue().splitlines()
+    first = 2 + mesh.num_vertices + 1  # 0-based index of the first triangle line
+    lines[first + 5] = " ".join(map(str, tris[5]))
+    lines.insert(first + 2, "")  # a blank line moves the file line, not the triangle index
+    with pytest.raises(MeshFormatError, match="triangle 5 is not counterclockwise") as err:
+        read_mesh(io.StringIO("\n".join(lines)))
+    assert err.value.line == (first + 5) + 1 + 1  # the blank line, then 1-based
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ("0.0 0.0\n1e308 0.0\n0.0 1e308", "^line 7: triangle 0 has an area beyond float range$"),
+        ("-1e308 0.0\n1e308 0.0\n0.0 1.0", "^line 7: triangle 0 has an area beyond float range$"),
+        ("1e160 1e160\n1.0000000001e160 1e160\n1e160 1.0000000001e160", "mismatches"),
+    ],
+    ids=["area-overflow", "difference-overflow", "loop-area-overflow"],
+)
+def test_huge_coordinates_are_a_format_error_without_warnings(vertices, message):
+    text = _ONE_TRIANGLE.replace("0.0 0.0\n1.0 0.0\n0.0 1.0", vertices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFormatError, match=message):
+            read_mesh(io.StringIO(text))

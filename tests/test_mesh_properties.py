@@ -1,12 +1,21 @@
 """Property tests of the mesh layer on random squares, disks and refinements."""
 
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biharm.mesh import read_mesh, refine_uniform, unit_disk_mesh, unit_square_mesh, write_mesh
+from biharm.mesh import (
+    MeshFormatError,
+    read_mesh,
+    refine_uniform,
+    unit_disk_mesh,
+    unit_square_mesh,
+    write_mesh,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -57,7 +66,7 @@ def test_undirected_edges_match_oracle(mesh):
 def test_text_round_trip_is_bit_exact(mesh):
     buf = io.StringIO()
     write_mesh(mesh, buf)
-    again = read_mesh(io.StringIO(buf.getvalue()), domain_tag=mesh.domain_tag)
+    again = read_mesh(io.StringIO(buf.getvalue()))
     assert again.vertices.tobytes() == mesh.vertices.tobytes()
     assert np.array_equal(again.triangles, mesh.triangles)
     assert np.array_equal(again.boundary_edges, mesh.boundary_edges)
@@ -81,3 +90,56 @@ def test_refinement_keeps_area_markers_and_loop(mesh):
     assert np.array_equal(fine_loop[::2], loop)
     mids = 0.5 * (mesh.vertices[loop] + mesh.vertices[np.roll(loop, -1)])
     assert np.array_equal(fine.vertices[fine_loop[1::2]], mids)
+
+
+def _seed_text():
+    buf = io.StringIO()
+    write_mesh(refine_uniform(unit_square_mesh(1)), buf)
+    return buf.getvalue()
+
+
+SEED_LINES = _seed_text().splitlines()
+TOKENS = ["0", "-1", "1", "7", "0.5", "nan", "inf", "-1e308", "1e308", "x", "é", "1_0"]
+TOKENS += ["99999999999999999999", "", "biharm-mesh v1", "vertices", "boundary 2"]
+
+
+@st.composite
+def mutated_mesh_texts(draw):
+    """The text of a small valid mesh with one to three edits: a token, a line
+    dropped, repeated or swapped, or the text cut short."""
+    lines = list(SEED_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["token", "drop", "repeat", "swap", "cut"]))
+        if edit == "token":
+            tokens = lines[k].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[k] = " ".join(tokens)
+        elif edit == "drop":
+            del lines[k]
+        elif edit == "repeat":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            text = "\n".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].split("\n")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_mesh_texts(), st.sampled_from(["text", "bytes", "path"]))
+def test_read_gives_a_mesh_or_a_format_error(text, form):
+    # any other exception, or a warning, fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.mesh"
+        path.write_bytes(text.encode("utf-8"))
+        sources = {"text": io.StringIO(text), "bytes": io.BytesIO(path.read_bytes()), "path": path}
+        try:
+            mesh = read_mesh(sources[form])
+        except MeshFormatError:
+            return
+    assert mesh.vertices.tobytes() == read_mesh(io.StringIO(text)).vertices.tobytes()
