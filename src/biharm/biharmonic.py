@@ -46,6 +46,7 @@ from .fem import (
     FeSpace,
     ScalarField,
     _data_values,
+    _raise_on_overflow,
     boundary_geometry,
     boundary_integrate,
     field_values,
@@ -183,24 +184,26 @@ def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
     <= ``degree``, from one moment table of the data: (f, x^i y^j), <g n_x, x^i y^j>,
     <g n_y, x^i y^j> and <h, x^i y^j>. Returns ``volume_moments(vals, up_to)``, the
     table of other values at the same volume points, and ``terms(eta)``, the three
-    terms of l(eta) uncombined; no test function is evaluated at a point."""
+    terms of l(eta) uncombined; no test function is evaluated at a point. The data
+    tables overflow as FloatingPointError."""
     vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
     x, y = quad_points(space.mesh, vol_rule)
+    bx, by, _, normals = boundary_geometry(space.mesh)
+    f_vals = _data_values(problem.f, x, y)
+    g_vals = _data_values(problem.g, bx, by)
+    h_vals = _data_values(problem.h, bx, by)
 
     def volume_moments(vals, up_to):
         return _moment_table(lambda v: integrate(space.mesh, vol_rule, v), vals, x, y, up_to)
 
-    f_table = volume_moments(_data_values(problem.f, x, y), degree)
-
-    bx, by, _, normals = boundary_geometry(space.mesh)
-
     def boundary_moments(vals, up_to):
         return _moment_table(lambda v: boundary_integrate(space.mesh, v), vals, bx, by, up_to)
 
-    g_vals = _data_values(problem.g, bx, by)
-    h_table = boundary_moments(_data_values(problem.h, bx, by), degree)
-    gx_table = boundary_moments(g_vals * normals[:, 0:1], degree - 1)
-    gy_table = boundary_moments(g_vals * normals[:, 1:2], degree - 1)
+    with _raise_on_overflow():
+        f_table = volume_moments(f_vals, degree)
+        h_table = boundary_moments(h_vals, degree)
+        gx_table = boundary_moments(g_vals * normals[:, 0:1], degree - 1)
+        gy_table = boundary_moments(g_vals * normals[:, 1:2], degree - 1)
 
     def terms(eta: Polynomial2D) -> tuple[float, float, float]:
         ex, ey = eta.grad()
@@ -221,11 +224,13 @@ def compatibility_residual(
     For data that actually belong to one fourth-order Neumann problem all
     residuals vanish; the values returned here differ from zero only by
     quadrature error. A constant perturbation of h shifts r(1) by minus
-    the boundary length.
+    the boundary length. A residual beyond float range raises
+    FloatingPointError.
     """
     degree = max((eta.degree for eta in basis), default=0)
     _, terms = _data_functional(space, problem, degree)
-    return np.array([volume + g_term - h_term for volume, g_term, h_term in map(terms, basis)])
+    with _raise_on_overflow():
+        return np.array([volume + g_term - h_term for volume, g_term, h_term in map(terms, basis)])
 
 
 def solve_neumann(

@@ -356,11 +356,15 @@ def _count(minimum: int, maximum: int | None = None):
     return count
 
 
+# argparse reads "--f -x" as two options; the "=" form keeps a leading minus
+_MINUS_HINT = "; one that starts with a minus sign goes after '=', as in --%(dest)s=-x"
+
+
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", choices=sorted(cases()), help="built-in manufactured case")
-    p.add_argument("--f", help="volume source expression in x, y")
-    p.add_argument("--g", help="Laplacian trace expression")
-    p.add_argument("--h", help="Laplacian flux expression")
+    p.add_argument("--f", help=f"volume source expression in x, y{_MINUS_HINT}")
+    p.add_argument("--g", help=f"Laplacian trace expression{_MINUS_HINT}")
+    p.add_argument("--h", help=f"Laplacian flux expression{_MINUS_HINT}")
 
 
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flux)
 
     p = sub.add_parser("overdet", help="overdetermined solvability diagnostics")
-    p.add_argument("--p", required=True, help="source expression in x, y")
+    p.add_argument("--p", required=True, help=f"source expression in x, y{_MINUS_HINT}")
     p.add_argument("--n", type=_count(1), default=8, help="coarsest cells per side")
     p.add_argument("--levels", type=_count(1), default=3)
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)

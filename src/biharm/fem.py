@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import Mesh, _edge_numbering
 from .sparse import SparseMatrix, from_triplets
@@ -49,6 +48,36 @@ __all__ = [
 
 MAX_TRIANGLE_ORDER = 6
 MAX_SEGMENT_ORDER = 11
+
+# The 1-D Gauss rules on [-1, 1] that the conical product reaches, n = 1..4
+# points (n = (order + 2) // 2 and order <= MAX_TRIANGLE_ORDER), as (nodes,
+# weights): the exact float64 values of SciPy's roots_jacobi(n, 1, 0) (weight
+# 1 - x) and roots_legendre(n). Tabulated so that no process loads SciPy's
+# special-function module, 25 modules deep, for eight small rules.
+_GAUSS_JACOBI_1_0 = {
+    1: ((-0.3333333333333333,), (2.0,)),
+    2: ((-0.6898979485566357, 0.2898979485566358), (1.2721655269759087, 0.7278344730240913)),
+    3: (
+        (-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+        (0.8037276549558384, 0.9169644254383448, 0.2793079196058167),
+    ),
+    4: (
+        (-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234),
+    ),
+}
+_GAUSS_LEGENDRE = {
+    1: ((0.0,), (2.0,)),
+    2: ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
+    3: (
+        (-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555558, 0.8888888888888883, 0.5555555555555558),
+    ),
+    4: (
+        (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526),
+        (0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -77,13 +106,18 @@ def triangle_quadrature(order: int) -> QuadratureRule:
     exactly over the reference triangle (0,0), (1,0), (0,1).
 
     Built as the conical product of an n-point Gauss-Jacobi rule (weight
-    1 - x) with an n-point Gauss-Legendre rule, n = ceil((order + 1) / 2).
+    1 - x) with an n-point Gauss-Legendre rule, n = ceil((order + 1) / 2),
+    both read from the tables above. The Legendre factor is SciPy's, not
+    ``np.polynomial.legendre.leggauss``: the two libraries solve for the
+    roots and normalise the weights by different recipes, and differ in the
+    last bit (weights at n = 3, nodes and weights at n = 4), which would move
+    every volume integral.
     """
     if not 1 <= order <= MAX_TRIANGLE_ORDER:
         raise ValueError(f"triangle quadrature order must be in 1..{MAX_TRIANGLE_ORDER}")
     n = (order + 2) // 2
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    xl, wl = roots_legendre(n)
+    xj, wj = map(np.array, _GAUSS_JACOBI_1_0[n])
+    xl, wl = map(np.array, _GAUSS_LEGENDRE[n])
     u = (xj + 1.0) / 2.0  # absorbs the (1 - x) area factor
     wu = wj / 4.0
     v = (xl + 1.0) / 2.0
@@ -97,7 +131,12 @@ def triangle_quadrature(order: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def segment_quadrature(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the unit segment, exact for degree <= order."""
+    """Gauss-Legendre rule on the unit segment, exact for degree <= order.
+
+    The points come from ``np.polynomial.legendre.leggauss``, whose bits the
+    boundary terms have always used; they differ from the triangle rules'
+    Legendre factor, SciPy's, in the last bit from n = 3 points on.
+    """
     if not 1 <= order <= MAX_SEGMENT_ORDER:
         raise ValueError(f"segment quadrature order must be in 1..{MAX_SEGMENT_ORDER}")
     n = (order + 2) // 2
@@ -106,6 +145,13 @@ def segment_quadrature(order: int) -> QuadratureRule:
     w = w / 2.0
     bary = np.column_stack([1.0 - t, t])
     return QuadratureRule(bary, w)
+
+
+def _raise_on_overflow() -> np.errstate:
+    """Scope of a diagnostic's arithmetic: an overflow or invalid value raises
+    FloatingPointError instead of warning and returning inf or nan. Data are
+    evaluated outside it, so a datum that is not finite stays a DataError."""
+    return np.errstate(over="raise", invalid="raise")
 
 
 def _reference_basis(degree: int, pts: np.ndarray) -> np.ndarray:
@@ -459,14 +505,17 @@ def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) ->
     """L2 norm over the boundary of (trace-space function - func).
 
     ``boundary_coeffs`` is indexed like ``space.boundary_dofs``; ``func``
-    may be a callable, a constant, or None for the plain norm.
+    may be a callable, a constant, or None for the plain norm. A norm beyond
+    float range raises FloatingPointError.
     """
     coeffs = np.asarray(boundary_coeffs)
     if coeffs.shape != space.boundary_dofs.shape:
         raise ValueError("coefficient vector length does not match the boundary dofs")
     x, y, _, _ = boundary_geometry(space.mesh)
+    target = None if func is None else _data_values(func, x, y)
     tr = _segment_basis(space.degree, default_boundary_rule().points[:, 1])
-    vals = np.einsum("el,lq->eq", coeffs[space.boundary_edge_positions], tr)
-    if func is not None:
-        vals = vals - _data_values(func, x, y)
-    return float(np.sqrt(boundary_integrate(space.mesh, vals**2)))
+    with _raise_on_overflow():
+        vals = np.einsum("el,lq->eq", coeffs[space.boundary_edge_positions], tr)
+        if target is not None:
+            vals = vals - target
+        return float(np.sqrt(boundary_integrate(space.mesh, vals**2)))

@@ -23,6 +23,7 @@ import numpy as np
 from .fem import (
     ScalarField,
     _data_values,
+    _raise_on_overflow,
     default_volume_rule,
     field_gradients,
     field_values,
@@ -161,23 +162,27 @@ def _l2_pass(fe_field: ScalarField, exact):
     space = fe_field.space
     rule = default_volume_rule(space.degree)
     x, y = quad_points(space.mesh, rule)
-    vals = field_values(fe_field, rule)
-    sq = integrate(space.mesh, rule, (vals - _data_values(exact, x, y)) ** 2)
+    exact_vals = _data_values(exact, x, y)
+    with _raise_on_overflow():
+        vals = field_values(fe_field, rule)
+        sq = integrate(space.mesh, rule, (vals - exact_vals) ** 2)
     return rule, x, y, float(np.sqrt(sq))
 
 
 def l2_error(fe_field: ScalarField, exact) -> float:
     """L2 distance between a finite element field and a callable (or
-    constant), by quadrature at the space's default volume order."""
+    constant), by quadrature at the space's default volume order. A
+    distance beyond float range raises FloatingPointError."""
     return _l2_pass(fe_field, exact)[3]
 
 
 def h1_error(fe_field: ScalarField, exact, grad_exact) -> float:
     """Full H1 error: L2 part plus the gradient seminorm against the exact
     gradient pair callable grad_exact(x, y) -> (gx, gy), on the points of
-    the L2 pass."""
+    the L2 pass. An error beyond float range raises FloatingPointError."""
     rule, x, y, l2 = _l2_pass(fe_field, exact)
-    grads = field_gradients(fe_field, rule)
     gx, gy = grad_exact(x, y)
-    semi = (grads[:, :, 0] - gx) ** 2 + (grads[:, :, 1] - gy) ** 2
-    return float(np.sqrt(l2**2 + integrate(fe_field.space.mesh, rule, semi)))
+    with _raise_on_overflow():
+        grads = field_gradients(fe_field, rule)
+        semi = (grads[:, :, 0] - gx) ** 2 + (grads[:, :, 1] - gy) ** 2
+        return float(np.sqrt(l2**2 + integrate(fe_field.space.mesh, rule, semi)))

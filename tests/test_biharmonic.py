@@ -384,3 +384,16 @@ def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name):
                 assert table.shape == expected.shape == (max(degree + 1, 0),) * 2
                 assert np.array_equal(table, expected)
             assert np.array_equal(vals, before)
+
+
+def test_cascade_whose_flux_mismatch_overflows_raises_floating_point_error():
+    space = build_space(unit_square_mesh(2), 1)
+    with pytest.raises(FloatingPointError):
+        solve_neumann(space, NeumannProblem(1e308, 0.0, 0.0))
+
+
+def test_compatibility_residual_beyond_float_range_raises_floating_point_error():
+    space = build_space(unit_square_mesh(2), 1)
+    problem = NeumannProblem(1e308, 1e308, 1e308)
+    with pytest.raises(FloatingPointError):
+        compatibility_residual(space, problem, harmonic_basis(3))

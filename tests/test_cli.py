@@ -491,3 +491,14 @@ def test_overflow_inside_a_solve_is_a_numerical_failure(capsys):
 def test_usage_error_is_one_stderr_line(argv, capsys):
     err = _fails_on_one_line(argv, capsys)
     assert err.startswith("biharm") and ": error: " in err
+
+
+def test_expression_with_a_leading_minus_follows_its_flag_after_an_equals_sign(capsys):
+    assert run(["solve", "--f=-x", "--g", "0", "--h", "0", "--n", "4"]) == 0
+    assert capsys.readouterr().out.startswith("dofs=25 ")
+    assert run(["overdet", "--p=-1", "--n", "2", "--levels", "1"]) == 0
+
+
+def test_expression_with_a_leading_minus_as_its_own_argument_is_a_usage_error(capsys):
+    err = _fails_on_one_line(["solve", "--f", "-x", "--g", "0", "--h", "0"], capsys)
+    assert err == "biharm solve: error: argument --f: expected one argument\n"

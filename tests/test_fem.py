@@ -415,3 +415,11 @@ def test_load_is_bit_identical_to_the_add_at_oracle(name, degree):
         assert b.shape == (space.dof_count,) and b.dtype == np.float64
         assert np.array_equal(b, expected)
         assert np.array_equal(np.signbit(b), np.signbit(expected))
+
+
+def test_boundary_norm_beyond_float_range_raises_floating_point_error():
+    from biharm.poisson import overdetermined_check
+
+    result = overdetermined_check(build_space(unit_square_mesh(2), 1), 1e308)
+    with pytest.raises(FloatingPointError):
+        result.flux.l2_mismatch()

@@ -1,5 +1,6 @@
 """Manufactured cases: data consistency against independent symbolic algebra."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -180,3 +181,31 @@ def test_h1_error_takes_one_pass_over_the_points(monkeypatch):
     err = h1_error(interpolate(space, case.u_exact), case.u_exact, case.grad_u)
     assert len(rules) == 1
     assert err > l2_error(interpolate(space, case.u_exact), case.u_exact)
+
+
+def test_l2_error_beyond_float_range_raises_floating_point_error():
+    field = interpolate(build_space(unit_square_mesh(2), 1), 1e308)
+    with pytest.raises(FloatingPointError):
+        l2_error(field, 0.0)
+
+
+def test_h1_error_beyond_float_range_raises_floating_point_error():
+    space = build_space(unit_square_mesh(2), 1)
+    zero_gradient = lambda x, y: (np.zeros_like(x), np.zeros_like(y))
+    with pytest.raises(FloatingPointError):
+        h1_error(interpolate(space, 1e308), 0.0, zero_gradient)
+    # a finite L2 part whose gradient part overflows
+    steep = interpolate(space, lambda x, y: 1e307 * x)
+    with pytest.raises(FloatingPointError):
+        h1_error(steep, lambda x, y: 1e307 * x, lambda x, y: (-1e308 * x, 0.0 * y))
+
+
+def test_exact_solution_that_overflows_is_still_a_data_error():
+    # the data are evaluated outside the norms' overflow scope
+    from biharm.fem import DataError
+
+    field = interpolate(build_space(unit_square_mesh(2), 1), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DataError):
+            l2_error(field, lambda x, y: np.exp(1000.0 + x))

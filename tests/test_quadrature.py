@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from biharm import fem
 from biharm.fem import segment_quadrature, triangle_quadrature
 
 
@@ -76,3 +77,45 @@ def test_rule_arrays_immutable():
     rule = triangle_quadrature(3)
     with pytest.raises(ValueError):
         rule.weights[0] = 1.0
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tabulated_gauss_rules_are_scipys_bit_for_bit(n):
+    from scipy.special import roots_jacobi, roots_legendre
+
+    for table, (nodes, weights) in (
+        (fem._GAUSS_JACOBI_1_0, roots_jacobi(n, 1.0, 0.0)),
+        (fem._GAUSS_LEGENDRE, roots_legendre(n)),
+    ):
+        assert _bits(table[n][0]) == _bits(nodes)
+        assert _bits(table[n][1]) == _bits(weights)
+
+
+def _conical_product_from_scipy(order: int):
+    """The triangle rule as built before the Gauss rules were tabulated."""
+    from scipy.special import roots_jacobi, roots_legendre
+
+    n = (order + 2) // 2
+    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xl, wl = roots_legendre(n)
+    u = (xj + 1.0) / 2.0
+    wu = wj / 4.0
+    v = (xl + 1.0) / 2.0
+    wv = wl / 2.0
+    x = np.repeat(u, n)
+    y = np.tile(v, n) * (1.0 - x)
+    w = np.repeat(wu, n) * np.tile(wv, n)
+    return np.column_stack([1.0 - x - y, x, y]), w
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_triangle_rule_matches_the_scipy_conical_product_bit_for_bit(order):
+    rule = triangle_quadrature(order)
+    points, weights = _conical_product_from_scipy(order)
+    assert _bits(rule.points) == _bits(points)
+    assert _bits(rule.weights) == _bits(weights)
+
