@@ -299,7 +299,7 @@ def _harmonic_labels(kmax: int) -> list[str]:
 def _cmd_compat(args) -> int:
     problem, _ = _problem_from_args(args)
     check = _strict_check(args.strict, args.strict_tol)
-    space = build_space(_build_mesh("square", args.n, 0), args.degree)
+    space = build_space(_build_mesh("square", args.n, 0), 1)  # the residuals read only the mesh
     residuals = compatibility_residual(space, problem, harmonic_basis(args.kmax))
     for label, r in zip(_harmonic_labels(args.kmax), residuals, strict=True):
         print(f"r[{label}] = {FLOAT_FMT.format(r)}")
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compat", help="compatibility residuals against harmonic polynomials")
     _add_data_options(p)
     p.add_argument("--n", type=_count(1), default=32)
-    p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--kmax", type=_count(0, MAX_KMAX), default=DEFAULT_HARMONIC_DEGREE)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--strict-tol", type=float, default=DEFAULT_STRICT_TOL)

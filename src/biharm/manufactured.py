@@ -179,9 +179,10 @@ def l2_error(fe_field: ScalarField, exact) -> float:
 def h1_error(fe_field: ScalarField, exact, grad_exact) -> float:
     """Full H1 error: L2 part plus the gradient seminorm against the exact
     gradient pair callable grad_exact(x, y) -> (gx, gy), on the points of
-    the L2 pass. An error beyond float range raises FloatingPointError."""
+    the L2 pass. A gradient component that is not a finite real number
+    raises DataError; an error beyond float range, FloatingPointError."""
     rule, x, y, l2 = _l2_pass(fe_field, exact)
-    gx, gy = grad_exact(x, y)
+    gx, gy = (_data_values(g, x, y) for g in grad_exact(x, y))
     with _raise_on_overflow():
         grads = field_gradients(fe_field, rule)
         semi = (grads[:, :, 0] - gx) ** 2 + (grads[:, :, 1] - gy) ** 2

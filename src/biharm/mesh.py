@@ -177,8 +177,8 @@ class Mesh:
                 triangle=bad,
             )
 
-        # Edge incidence: directed edges of CCW triangles; an undirected edge
-        # seen once is boundary, twice (in opposite directions) is interior.
+        # Edge incidence: directed edges of CCW triangles. No directed edge repeats, so an
+        # undirected edge is seen once (boundary) or twice, in opposite directions (interior).
         nv = len(v)
         heads = np.roll(t, -1, axis=1)
         directed = np.sort(_edge_key(t, heads, nv), axis=None)
@@ -187,8 +187,6 @@ class Mesh:
         und_unique, counts = np.unique(
             _edge_key(np.minimum(t, heads), np.maximum(t, heads), nv), return_counts=True
         )
-        if counts.max() > 2:
-            raise MeshValidationError("an edge is shared by more than two triangles")
         lo, hi = np.sort(b[:, :2], axis=1).T
         if not np.array_equal(np.unique(_edge_key(lo, hi, nv)), und_unique[counts == 1]):
             raise MeshValidationError(

@@ -7,9 +7,10 @@ Two small families of objects, both over exact rational coefficients:
   test functions for compatibility residuals, and
 
 * univariate polynomials with Gaussian-rational coefficients
-  (``ComplexPolynomial``, ``poly_divmod``) used to decide, in exact
-  arithmetic, whether the boundary symbols of the biharmonic Neumann
-  problem stay linearly independent modulo ``(t - i)**2``.
+  (``ComplexPolynomial``) used to decide, in exact arithmetic, whether the
+  boundary symbols of the biharmonic Neumann problem stay linearly
+  independent modulo ``(t - i)**2``; each remainder is read off a symbol's
+  exact value and slope at i, its Taylor polynomial there.
 
 No floating point enters any of the algebra here; evaluation of a
 ``Polynomial2D`` on numpy arrays is the only lossy operation.
@@ -30,7 +31,6 @@ __all__ = [
     "harmonic_basis",
     "GaussianRational",
     "ComplexPolynomial",
-    "poly_divmod",
     "ComplementingResult",
     "complementing_check",
     "laplace_complementing_check",
@@ -276,9 +276,6 @@ class GaussianRational:
         other = GaussianRational.of(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> GaussianRational:
-        return GaussianRational.of(other) - self
-
     def __neg__(self) -> GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
@@ -350,26 +347,7 @@ class ComplexPolynomial:
             return self._coeffs[k]
         return GaussianRational()
 
-    def __add__(self, other: ComplexPolynomial) -> ComplexPolynomial:
-        n = max(len(self._coeffs), len(other._coeffs))
-        return ComplexPolynomial([self[k] + other[k] for k in range(n)])
-
-    def __sub__(self, other: ComplexPolynomial) -> ComplexPolynomial:
-        n = max(len(self._coeffs), len(other._coeffs))
-        return ComplexPolynomial([self[k] - other[k] for k in range(n)])
-
-    def __neg__(self) -> ComplexPolynomial:
-        return ComplexPolynomial([-c for c in self._coeffs])
-
     def __mul__(self, other) -> ComplexPolynomial:
-        if isinstance(other, ComplexPolynomial):
-            if self.is_zero() or other.is_zero():
-                return ComplexPolynomial()
-            out = [GaussianRational() for _ in range(self.degree + other.degree + 1)]
-            for a, ca in enumerate(self._coeffs):
-                for b, cb in enumerate(other._coeffs):
-                    out[a + b] = out[a + b] + ca * cb
-            return ComplexPolynomial(out)
         c = GaussianRational.of(other)
         return ComplexPolynomial([ci * c for ci in self._coeffs])
 
@@ -409,28 +387,18 @@ class ComplexPolynomial:
     __repr__ = __str__
 
 
-def poly_divmod(
-    p: ComplexPolynomial, q: ComplexPolynomial
-) -> tuple[ComplexPolynomial, ComplexPolynomial]:
-    """Exact quotient and remainder of univariate division, p = quot*q + rem.
-
-    The remainder degree is strictly below ``q.degree``. Division by the
-    zero polynomial raises ``ZeroDivisionError``.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [GaussianRational() for _ in range(max(p.degree - q.degree + 1, 0))]
-    rem = list(p.coeffs)
-    qd, qlead = q.degree, q.coeffs[-1]
-    while len(rem) - 1 >= qd and rem:
-        k = len(rem) - 1 - qd
-        c = rem[-1] / qlead
-        quot[k] = c
-        for j in range(qd + 1):
-            rem[k + j] = rem[k + j] - c * q[j]
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    return ComplexPolynomial(quot), ComplexPolynomial(rem)
+def _taylor_remainder(p: Iterable[int], root: GaussianRational, power: int) -> ComplexPolynomial:
+    """Remainder of the polynomial with ascending integer coefficients ``p``
+    modulo ``(t - root)**power`` for ``power`` 1 or 2: its Taylor polynomial
+    at the root, p(root) + p'(root) (t - root), with p(root) and p'(root)
+    from Horner's rule."""
+    value = slope = GaussianRational()
+    for c in reversed(tuple(p)):
+        slope = slope * root + value
+        value = value * root + c
+    if power == 1:
+        return ComplexPolynomial([value])
+    return ComplexPolynomial([value - root * slope, slope])
 
 
 @dataclass(frozen=True)
@@ -470,11 +438,8 @@ def complementing_check() -> ComplementingResult:
     the independence requirement for this boundary operator pair.
     """
     i = GaussianRational.i()
-    b1 = ComplexPolynomial([1, 0, 1])  # 1 + t^2
-    b2 = ComplexPolynomial([0, 1, 0, 1])  # t + t^3
-    modulus = ComplexPolynomial([-1, -2 * i, 1])  # (t - i)^2 = t^2 - 2it - 1
-    _, r1 = poly_divmod(b1, modulus)
-    _, r2 = poly_divmod(b2, modulus)
+    r1 = _taylor_remainder((1, 0, 1), i, 2)  # 1 + t^2
+    r2 = _taylor_remainder((0, 1, 0, 1), i, 2)  # t + t^3
     dependent, factor = _dependence_factor(r1, r2)
     if not dependent:
         factor = None
@@ -486,7 +451,4 @@ def laplace_complementing_check() -> ComplexPolynomial:
     modulo t - i. The remainder is the nonzero constant i, so that symbol
     is not divisible by t - i and the independence requirement holds.
     """
-    i = GaussianRational.i()
-    b1 = ComplexPolynomial([0, 1])
-    _, rem = poly_divmod(b1, ComplexPolynomial([-1 * i, 1]))
-    return rem
+    return _taylor_remainder((0, 1), GaussianRational.i(), 1)

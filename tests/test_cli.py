@@ -290,6 +290,12 @@ def test_compat_lists_every_residual_beyond_degree_15(capsys):
     assert labeled[32].startswith("r[Im (x+iy)^16] = ")
 
 
+def test_compat_has_no_degree_option(capsys):
+    # the residuals read only the mesh, so a degree would change nothing
+    err = _fails_on_one_line(["compat", "--case", "sine", "--n", "4", "--degree", "2"], capsys)
+    assert err == "biharm: error: unrecognized arguments: --degree 2\n"
+
+
 def test_compat_strict_flags_incompatible_data(capsys):
     args = ["compat", "--f", SINE_F, "--g", "0", "--n", "8", "--strict"]
     assert run(args + ["--h", SINE_H]) == 0

@@ -209,3 +209,18 @@ def test_exact_solution_that_overflows_is_still_a_data_error():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DataError):
             l2_error(field, lambda x, y: np.exp(1000.0 + x))
+
+
+@pytest.mark.parametrize("component", [np.inf, 1j], ids=["infinite", "complex"])
+def test_h1_error_refuses_a_gradient_that_is_not_a_finite_real(component):
+    # the gradient goes through the data evaluator, as the exact solution does
+    from biharm.fem import DataError
+
+    field = interpolate(build_space(unit_square_mesh(2), 1), 0.0)
+    with pytest.raises(DataError):
+        h1_error(field, 0.0, lambda x, y: (component + 0 * x, 0 * y))
+
+
+def test_h1_error_takes_a_constant_gradient_pair():
+    field = interpolate(build_space(unit_square_mesh(2), 1), lambda x, y: x)
+    assert h1_error(field, lambda x, y: x, lambda x, y: (1.0, 0.0)) < 1e-13

@@ -489,6 +489,16 @@ def test_validation_rejects_duplicated_directed_edge():
         )
 
 
+def test_validation_rejects_edge_shared_by_three_triangles():
+    # of three CCW triangles on the edge (0, 1), two run it in the same direction
+    with pytest.raises(MeshValidationError, match="duplicated directed edge"):
+        _small_mesh(
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]],
+            [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+            [[1, 2, 0], [2, 0, 0], [0, 3, 0], [3, 1, 0], [1, 4, 0], [4, 0, 0]],
+        )
+
+
 def test_validation_rejects_boundary_vertex_starting_two_edges():
     # two triangles touching only at vertex 0 (a bowtie)
     with pytest.raises(MeshValidationError, match="repeats as an edge start"):

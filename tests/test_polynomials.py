@@ -1,19 +1,20 @@
-"""Exact polynomial arithmetic: harmonic bases, division, symbol checks."""
+"""Exact polynomial arithmetic: harmonic bases, symbol remainders, symbol checks."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from biharm.polynomials import (
     ComplexPolynomial,
     GaussianRational,
     HarmonicPolynomial,
     Polynomial2D,
+    _taylor_remainder,
     complementing_check,
     harmonic_basis,
     laplace_complementing_check,
-    poly_divmod,
 )
 
 X = Polynomial2D.x()
@@ -138,31 +139,24 @@ def test_gaussian_rational_arithmetic():
         i / GaussianRational()
 
 
-def test_poly_divmod_round_trip_random():
-    rng = np.random.default_rng(11)
-    i = GaussianRational.i()
-    for _ in range(50):
-        def rand_poly(max_deg):
-            deg = rng.integers(0, max_deg + 1)
-            coeffs = [
-                GaussianRational.of(int(rng.integers(-4, 5)))
-                + i * int(rng.integers(-4, 5))
-                for _ in range(deg + 1)
-            ]
-            return ComplexPolynomial(coeffs)
-
-        p = rand_poly(6)
-        q = rand_poly(3)
-        if q.is_zero():
-            continue
-        quot, rem = poly_divmod(p, q)
-        assert quot * q + rem == p
-        assert rem.degree < q.degree
+def _sympy_remainder(p, power):
+    """Oracle: sympy's remainder of the integer polynomial with ascending
+    coefficients ``p`` modulo (t - i)**power, as a ComplexPolynomial."""
+    t = sp.symbols("t")
+    rem = sp.Poly(sp.rem(sum(c * t**k for k, c in enumerate(p)), (t - sp.I) ** power, t), t)
+    coeffs = [sp.expand(c) for c in reversed(rem.all_coeffs())]
+    return ComplexPolynomial(
+        GaussianRational(Fraction(str(sp.re(c))), Fraction(str(sp.im(c)))) for c in coeffs
+    )
 
 
-def test_poly_divmod_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        poly_divmod(ComplexPolynomial([1]), ComplexPolynomial())
+def test_taylor_remainder_matches_sympy():
+    rng = np.random.default_rng(14)
+    symbols = [(1, 0, 1), (0, 1, 0, 1), (0, 1)]
+    symbols += [tuple(int(c) for c in rng.integers(-9, 10, rng.integers(1, 8))) for _ in range(40)]
+    for p in symbols:
+        for power in (1, 2):
+            assert _taylor_remainder(p, GaussianRational.i(), power) == _sympy_remainder(p, power)
 
 
 def test_boundary_symbol_remainders_exact():
@@ -175,15 +169,6 @@ def test_boundary_symbol_remainders_exact():
     assert result.linearly_dependent is True
     assert result.factor == i
     assert result.remainder2 == result.remainder1 * i
-
-
-def test_boundary_symbol_quotients_exact():
-    i = GaussianRational.i()
-    modulus = ComplexPolynomial([-1, -2 * i, 1])
-    quot1, _ = poly_divmod(ComplexPolynomial([1, 0, 1]), modulus)
-    quot2, _ = poly_divmod(ComplexPolynomial([0, 1, 0, 1]), modulus)
-    assert quot1 == ComplexPolynomial([1])
-    assert quot2 == ComplexPolynomial([2 * i, 1])  # t + 2i
 
 
 def test_laplace_control_symbol_not_divisible():

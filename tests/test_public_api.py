@@ -26,7 +26,9 @@ def test_module_names_resolve(module):
         assert hasattr(module, name)
 
 
-@pytest.mark.parametrize("name", ["overdetermined_fourth", "FourthOrderResult", "flux_mismatch"])
+@pytest.mark.parametrize(
+    "name", ["overdetermined_fourth", "FourthOrderResult", "flux_mismatch", "poly_divmod"]
+)
 def test_restating_names_are_gone(name):
     assert name not in biharm.__all__
     assert all(not hasattr(module, name) for module in (biharm, *MODULES))
