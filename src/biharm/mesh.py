@@ -134,21 +134,21 @@ class Mesh:
         return _edge_numbering(self)[0]
 
     def boundary_loop(self) -> np.ndarray:
-        """Boundary vertices in traversal order; raises unless one closed loop."""
+        """Boundary vertices in traversal order; raises unless one closed loop.
+
+        ``validate`` calls this once the listed edges are the triangulation's
+        once-seen directed edges. Each CCW triangle at a vertex, and each
+        interior edge there, starts one directed edge and ends one, so every
+        vertex starts as many boundary edges as it ends. With no start
+        repeated, the successor map permutes the starts and the walk closes.
+        """
         edges = self.boundary_edges
         succ = {int(a): int(b) for a, b, _ in edges}
         if len(succ) != len(edges):
             raise MeshValidationError("boundary vertex repeats as an edge start")
-        start = int(edges[0, 0])
-        loop = [start]
-        cur = succ[start]
-        while cur != start:
+        loop = [int(edges[0, 0])]
+        while (cur := succ[loop[-1]]) != loop[0]:
             loop.append(cur)
-            if cur not in succ:
-                raise MeshValidationError("boundary walk left the edge set")
-            cur = succ[cur]
-            if len(loop) > len(edges):
-                raise MeshValidationError("boundary walk does not close")
         if len(loop) != len(edges):
             raise MeshValidationError("boundary edges form more than one loop")
         return np.array(loop, dtype=np.int64)

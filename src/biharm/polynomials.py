@@ -37,14 +37,17 @@ __all__ = [
 ]
 
 RationalLike = int | Fraction
+_Terms = Mapping[tuple[int, int], RationalLike] | Iterable[tuple[tuple[int, int], RationalLike]]
 _EVAL_BLOCK = 1 << 14  # points per block of Polynomial2D evaluation; its powers stay cached
 
 
 class Polynomial2D:
     """Bivariate polynomial with exact rational coefficients.
 
-    Coefficients are stored sparsely as ``{(i, j): Fraction}`` for the
-    monomial ``x**i * y**j``. Instances are immutable and hashable on
+    The coefficient of the monomial ``x**i * y**j`` is given as a mapping
+    ``{(i, j): c}`` or as an iterable of ``((i, j), c)`` pairs; like terms
+    are summed in order of first appearance and the nonzero sums stored
+    as Fractions in that order. Instances are immutable and hashable on
     their coefficient table. Calling an instance evaluates it in floating
     point and broadcasts over numpy arrays, so polynomials can be passed
     anywhere a plain ``f(x, y)`` data callable is expected.
@@ -52,15 +55,14 @@ class Polynomial2D:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], RationalLike] | None = None):
+    def __init__(self, coeffs: _Terms | None = None):
         table: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in (coeffs or {}).items():
+        for (i, j), c in coeffs.items() if hasattr(coeffs, "items") else coeffs or ():
             if i < 0 or j < 0:
                 raise ValueError(f"negative monomial exponent ({i}, {j})")
-            c = Fraction(c)
-            if c != 0:
-                table[(int(i), int(j))] = c
-        self._coeffs = table
+            c, key = Fraction(c), (int(i), int(j))
+            table[key] = table[key] + c if key in table else c
+        self._coeffs = {key: c for key, c in table.items() if c}
 
     @classmethod
     def constant(cls, c: RationalLike) -> Polynomial2D:
@@ -88,21 +90,15 @@ class Polynomial2D:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def _binary(self, other, sign: int) -> Polynomial2D:
+    def __add__(self, other) -> Polynomial2D:
         if not isinstance(other, Polynomial2D):
             other = Polynomial2D.constant(other)
-        table = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            table[key] = table.get(key, Fraction(0)) + sign * c
-        return Polynomial2D(table)
-
-    def __add__(self, other) -> Polynomial2D:
-        return self._binary(other, 1)
+        return Polynomial2D([*self._coeffs.items(), *other._coeffs.items()])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Polynomial2D:
-        return self._binary(other, -1)
+        return self + -other
 
     def __rsub__(self, other) -> Polynomial2D:
         return (-self) + other
@@ -112,12 +108,11 @@ class Polynomial2D:
 
     def __mul__(self, other) -> Polynomial2D:
         if isinstance(other, Polynomial2D):
-            table: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self._coeffs.items():
-                for (i2, j2), c2 in other._coeffs.items():
-                    key = (i1 + i2, j1 + j2)
-                    table[key] = table.get(key, Fraction(0)) + c1 * c2
-            return Polynomial2D(table)
+            return Polynomial2D(
+                ((i1 + i2, j1 + j2), c1 * c2)
+                for (i1, j1), c1 in self._coeffs.items()
+                for (i2, j2), c2 in other._coeffs.items()
+            )
         c = Fraction(other)
         return Polynomial2D({k: v * c for k, v in self._coeffs.items()})
 
@@ -143,15 +138,11 @@ class Polynomial2D:
 
     def diff(self, var: str) -> Polynomial2D:
         """Exact partial derivative with respect to ``"x"`` or ``"y"``."""
-        if var not in ("x", "y"):
-            raise ValueError(f"unknown variable {var!r}")
-        table: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._coeffs.items():
-            if var == "x" and i > 0:
-                table[(i - 1, j)] = c * i
-            elif var == "y" and j > 0:
-                table[(i, j - 1)] = c * j
-        return Polynomial2D(table)
+        if var == "x":
+            return Polynomial2D(((i - 1, j), c * i) for (i, j), c in self._coeffs.items() if i)
+        if var == "y":
+            return Polynomial2D(((i, j - 1), c * j) for (i, j), c in self._coeffs.items() if j)
+        raise ValueError(f"unknown variable {var!r}")
 
     def grad(self) -> tuple[Polynomial2D, Polynomial2D]:
         return self.diff("x"), self.diff("y")
@@ -162,19 +153,11 @@ class Polynomial2D:
     def subs_x(self, value: RationalLike) -> Polynomial2D:
         """Substitute an exact rational value for x, leaving a polynomial in y."""
         v = Fraction(value)
-        table: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._coeffs.items():
-            key = (0, j)
-            table[key] = table.get(key, Fraction(0)) + c * v**i
-        return Polynomial2D(table)
+        return Polynomial2D(((0, j), c * v**i) for (i, j), c in self._coeffs.items())
 
     def subs_y(self, value: RationalLike) -> Polynomial2D:
         v = Fraction(value)
-        table: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._coeffs.items():
-            key = (i, 0)
-            table[key] = table.get(key, Fraction(0)) + c * v**j
-        return Polynomial2D(table)
+        return Polynomial2D(((i, 0), c * v**j) for (i, j), c in self._coeffs.items())
 
     def eval_exact(self, x: RationalLike, y: RationalLike) -> Fraction:
         xv, yv = Fraction(x), Fraction(y)
@@ -213,7 +196,7 @@ class HarmonicPolynomial(Polynomial2D):
     than by convention.
     """
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], RationalLike] | None = None):
+    def __init__(self, coeffs: _Terms | None = None):
         super().__init__(coeffs)
         if not self.laplacian().is_zero():
             raise ValueError("polynomial is not harmonic (symbolic Laplacian is nonzero)")
@@ -230,17 +213,10 @@ def harmonic_basis(kmax: int) -> list[HarmonicPolynomial]:
         raise ValueError("kmax must be nonnegative")
     basis: list[HarmonicPolynomial] = [HarmonicPolynomial({(0, 0): 1})]
     for k in range(1, kmax + 1):
-        re_part: dict[tuple[int, int], Fraction] = {}
-        im_part: dict[tuple[int, int], Fraction] = {}
-        # (x + iy)^k expanded; i^j cycles through 1, i, -1, -i.
-        for j in range(k + 1):
-            c = Fraction(math.comb(k, j))
-            if j % 2 == 0:
-                re_part[(k - j, j)] = c if j % 4 == 0 else -c
-            else:
-                im_part[(k - j, j)] = c if j % 4 == 1 else -c
-        basis.append(HarmonicPolynomial(re_part))
-        basis.append(HarmonicPolynomial(im_part))
+        # (x + iy)^k term by term: i^j is (-1)^(j // 2), times i for odd j
+        terms = [((k - j, j), math.comb(k, j) * (-1) ** (j // 2)) for j in range(k + 1)]
+        basis.append(HarmonicPolynomial(terms[::2]))
+        basis.append(HarmonicPolynomial(terms[1::2]))
     return basis
 
 

@@ -140,6 +140,13 @@ def test_solve_exit_code_numerical_failure():
     assert run(["solve", "--case", "sine", "--n", "16", "--max-iter", "2"]) == 2
 
 
+def test_flux_exit_code_numerical_failure(capsys):
+    assert run(["flux", "--case", "sine", "--n", "16", "--max-iter", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: conjugate gradient did not converge in 1 ")
+    assert captured.out == ""
+
+
 def test_solve_nonfinite_data_fails_without_iterating(capsys, monkeypatch):
     assembled = []
 
@@ -202,6 +209,7 @@ def test_solve_rejects_a_cg_tolerance_it_cannot_meet(tol, capsys):
         ["overdet", "--p", "1", "--n", "0"],
         ["solve", "--case", "sine", "--n", "4", "--max-iter", "-1"],
         ["solve", "--case", "sine", "--n", "1", "--max-iter", "-1"],
+        ["flux", "--case", "sine", "--n", "16", "--max-iter", "-1"],
     ],
     ids=" ".join,
 )

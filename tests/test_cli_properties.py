@@ -51,7 +51,11 @@ COMMANDS = {
         {"--degree": DEGREES, "--rel-tol": NUMBERS},
     ),
     "compat": ({"--n": SIZES}, {"--kmax": KMAX, "--strict": None, "--strict-tol": NUMBERS}),
-    "flux": ({"--n": SIZES}, {"--rel-tol": NUMBERS, "--degree": DEGREES}),
+    "flux": (
+        {"--n": SIZES},
+        {"--rel-tol": NUMBERS, "--degree": DEGREES,
+         "--max-iter": either(["0", "1", "50"], ["-1", "x"])},
+    ),
     "overdet": ({"--n": SIZES, "--levels": LEVELS, "--p": EXPRESSIONS}, {"--degree": DEGREES}),
     "complementing": ({}, {"--help": None}),
 }

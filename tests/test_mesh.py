@@ -180,6 +180,30 @@ def test_validation_rejects_out_of_range_index():
         )
 
 
+@pytest.mark.parametrize(
+    "part, width, message",
+    [
+        ("vertices", 1, "vertices must be a (V, 2) array"),
+        ("triangles", 2, "triangles must be a (T, 3) array"),
+        ("boundary_edges", 2, "boundary_edges must be a (B, 3) array"),
+    ],
+)
+def test_validation_rejects_arrays_of_the_wrong_width(part, width, message):
+    m = unit_square_mesh(1)
+    arrays = {"vertices": m.vertices, "triangles": m.triangles, "boundary_edges": m.boundary_edges}
+    arrays[part] = arrays[part][:, :width]
+    with pytest.raises(MeshValidationError, match=f"^{re.escape(message)}$"):
+        Mesh(**arrays)
+
+
+def test_validation_rejects_boundary_edge_vertex_out_of_range():
+    m = unit_square_mesh(1)
+    boundary = m.boundary_edges.copy()
+    boundary[0, 1] = 99
+    with pytest.raises(MeshValidationError, match="^boundary edge vertex index out of range$"):
+        Mesh(m.vertices, m.triangles, boundary)
+
+
 def test_mesh_arrays_immutable():
     m = unit_square_mesh(2)
     with pytest.raises(ValueError):
@@ -223,6 +247,16 @@ def test_read_rejects_bad_vertex_line():
     with pytest.raises(MeshFormatError) as err:
         read_mesh(io.StringIO(text))
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [("four", "line 2: bad vertices count 'four'"), ("-4", "line 2: negative vertices count")],
+)
+def test_read_rejects_a_bad_section_count(count, message):
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$") as err:
+        read_mesh(io.StringIO(f"biharm-mesh v1\nvertices {count}\n0.0 0.0\n"))
+    assert err.value.line == 2
 
 
 def test_read_rejects_truncated_file():

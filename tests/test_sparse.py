@@ -1,5 +1,7 @@
 """CSR construction and the conjugate gradient solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,26 @@ def test_cg_stops_at_once_on_nan_right_hand_side():
         cg_solve(a, b)
     assert err.value.iterations <= 1
     assert not np.isfinite(err.value.residual)
+
+
+def test_cg_stops_at_once_on_infinite_curvature():
+    a = from_triplets([0, 0, 1, 1], [0, 1, 0, 1], [1.0, np.inf, np.inf, 1.0], shape=(2, 2))
+    with pytest.raises(NonConvergenceError) as err:
+        cg_solve(a, np.array([1.0, 0.5]))
+    assert err.value.iterations == 1
+    assert err.value.residual == np.inf
+
+
+def test_cg_and_matvec_reject_mismatched_shapes():
+    square = from_triplets([0, 1], [0, 1], [1.0, 1.0], shape=(2, 2))
+    wide = from_triplets([0, 1], [0, 2], [1.0, 1.0], shape=(2, 3))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        cg_solve(wide, np.ones(2))
+    with pytest.raises(ValueError, match="^right-hand side length does not match matrix$"):
+        cg_solve(square, np.ones(3))
+    message = "vector length (3,) does not match matrix shape (2, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matvec(square, np.ones(3))
 
 
 def test_cg_rejects_negative_diagonal():
