@@ -1,13 +1,14 @@
 """Weak form residual of the computed sigma field.
 
-Testing the fourth-order equation against the Laplacian of a polynomial
-r that vanishes on the boundary of the square together with its normal
-derivative moves all derivatives onto r:
+Green's formula moves every derivative of the fourth-order equation onto
+the Laplacian of a polynomial r:
 
     (sigma, bilap r) = (f, lap r) + <g, d(lap r)/dn> - <h, lap r>.
 
-The defect of sigma_h in this identity is a per-mesh scalar that tracks
-the discretization error of the first cascade stage.
+The identity holds for any polynomial r on any polygon; this demo takes
+the doubly clamped bubble on the unit square. The defect of sigma_h in
+the identity is a per-mesh scalar that tracks the discretization error
+of the first cascade stage.
 """
 
 from biharm.biharmonic import NeumannProblem, solve_neumann, weak_form_residual

@@ -48,9 +48,10 @@ class Polynomial2D:
     ``{(i, j): c}`` or as an iterable of ``((i, j), c)`` pairs; like terms
     are summed in order of first appearance and the nonzero sums stored
     as Fractions in that order. Instances are immutable and hashable on
-    their coefficient table. Calling an instance evaluates it in floating
-    point and broadcasts over numpy arrays, so polynomials can be passed
-    anywhere a plain ``f(x, y)`` data callable is expected.
+    their coefficient table; a constant equals its number and hashes as
+    it. Calling an instance evaluates it in floating point and broadcasts
+    over numpy arrays, so polynomials can be passed anywhere a plain
+    ``f(x, y)`` data callable is expected.
     """
 
     __slots__ = ("_coeffs",)
@@ -134,6 +135,9 @@ class Polynomial2D:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its value, so it hashes as that Fraction
+        if self.degree <= 0:
+            return hash(self._coeffs.get((0, 0), Fraction(0)))
         return hash(frozenset(self._coeffs.items()))
 
     def diff(self, var: str) -> Polynomial2D:

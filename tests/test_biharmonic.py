@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_mesh import _l_shape
 from test_mesh_properties import meshes
 
 from biharm import biharmonic, poisson
@@ -22,6 +23,7 @@ from biharm.fem import (
     boundary_geometry,
     boundary_integrate,
     build_space,
+    field_values,
     integrate,
     quad_points,
     segment_quadrature,
@@ -29,7 +31,7 @@ from biharm.fem import (
 )
 from biharm.manufactured import case_sine, cases, l2_error
 from biharm.mesh import refine_uniform, unit_disk_mesh, unit_square_mesh
-from biharm.polynomials import Polynomial2D, harmonic_basis
+from biharm.polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
 from biharm.sparse import NonConvergenceError
 
 
@@ -191,24 +193,126 @@ def test_weak_form_residual_decreases():
     assert values[2] < 0.1
 
 
-def test_weak_form_rejects_unclamped_polynomials():
+def pointwise_defect(sol, r) -> float:
+    """|(sigma_h, bilap r) - l(lap r)| with every polynomial evaluated at the
+    quadrature points, as the moment tables replace it."""
+    rule = triangle_quadrature(6)
+    mesh = sol.sigma_h.space.mesh
+    x, y = quad_points(mesh, rule)
+    omega = r.laplacian()
+    sigma_term = integrate(mesh, rule, field_values(sol.sigma_h, rule) * omega.laplacian()(x, y))
+    return abs(sigma_term - pointwise_functional(mesh, sol.problem, omega))
+
+
+def test_weak_form_accepts_unclamped_polynomials():
+    # Green's identity holds for v = lap r whatever r does on the boundary
     _, prob = sine_problem()
-    space = build_space(unit_square_mesh(4), 1)
-    sol = solve_neumann(space, prob)
+    sol = solve_neumann(build_space(unit_square_mesh(4), 1), prob)
     x, y = Polynomial2D.x(), Polynomial2D.y()
     one = Polynomial2D.constant(1)
-    with pytest.raises(ValueError):  # nonzero trace
-        weak_form_residual(sol, x)
-    with pytest.raises(ValueError):  # zero trace but nonzero normal derivative
-        weak_form_residual(sol, x * (one - x) * y * (one - y))
+    assert weak_form_residual(sol, x) == 0.0  # lap r = 0: every term vanishes
+    for r in (x * (one - x) * y * (one - y), x**3 * y + y**4 + x**3 * y**2):
+        assert weak_form_residual(sol, r) == pytest.approx(pointwise_defect(sol, r), rel=1e-12)
 
 
-def test_weak_form_requires_square_domain():
+def test_weak_form_residual_on_the_disk():
     space = build_space(unit_disk_mesh(2), 1)
-    prob = NeumannProblem(1.0, 0.0, 0.25)
+    prob = NeumannProblem(
+        lambda x, y: np.ones_like(x),
+        lambda x, y: np.zeros_like(x),
+        lambda x, y: np.full_like(x, 0.25),
+    )
     sol = solve_neumann(space, prob)
-    with pytest.raises(ValueError):
-        weak_form_residual(sol, clamped_bubble())
+    r = clamped_bubble()  # clamped on the square, not on the disk
+    assert weak_form_residual(sol, r) == pytest.approx(pointwise_defect(sol, r), rel=1e-12)
+
+
+def _sigma_problem(normal):
+    """The data of sigma = e^x cos 2y + x^2 y^2: f = laplace(sigma), g = sigma and
+    h = grad(sigma) . n, with n = normal(x, y) the outward normal of the polygon
+    side through a boundary point."""
+
+    def h(x, y):
+        nx, ny = normal(x, y)
+        sx = np.exp(x) * np.cos(2.0 * y) + 2.0 * x * y**2
+        sy = -2.0 * np.exp(x) * np.sin(2.0 * y) + 2.0 * x**2 * y
+        return sx * nx + sy * ny
+
+    return NeumannProblem(
+        lambda x, y: -3.0 * np.exp(x) * np.cos(2.0 * y) + 2.0 * (x**2 + y**2),
+        lambda x, y: np.exp(x) * np.cos(2.0 * y) + x**2 * y**2,
+        h,
+    )
+
+
+def _disk_normal(x, y, sides=24):
+    """Outward normal of unit_disk_mesh(4)'s 24-gon; boundary points lie inside
+    its sides, never on a vertex."""
+    side = np.floor(np.mod(np.arctan2(y, x), 2.0 * np.pi) * sides / (2.0 * np.pi))
+    angle = 2.0 * np.pi * (side + 0.5) / sides
+    return np.cos(angle), np.sin(angle)
+
+
+def _l_shape_normal(x, y):
+    """Outward normal of the sides x = 0, x = 1, x = 1/2 (y > 1/2), y = 0, y = 1
+    and y = 1/2 (x > 1/2) of the L-shape."""
+    sign = [-1.0, 1.0, 1.0]
+    nx = np.select([np.isclose(x, 0.0), np.isclose(x, 1.0), np.isclose(x, 0.5) & (y > 0.5)], sign)
+    ny = np.select([np.isclose(y, 0.0), np.isclose(y, 1.0), np.isclose(y, 0.5) & (x > 0.5)], sign)
+    return nx, ny
+
+
+def _refined_disk(k):
+    mesh = unit_disk_mesh(4)
+    for _ in range(k):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+# mesh of level k = 0, 1, 2 and the data solved on it
+UNCLAMPED_LADDERS = {
+    "square": (lambda k: unit_square_mesh(8 * 2**k), sine_problem()[1]),
+    "disk": (_refined_disk, _sigma_problem(_disk_normal)),
+    "l-shape": (lambda k: _l_shape(8 * 2**k), _sigma_problem(_l_shape_normal)),
+}
+
+
+@pytest.mark.parametrize("degree, min_rate", [(1, 1.9), (2, 3.8)], ids=["P1", "P2"])
+@pytest.mark.parametrize("domain", UNCLAMPED_LADDERS)
+def test_weak_form_residual_of_unclamped_r_converges(domain, degree, min_rate):
+    build, prob = UNCLAMPED_LADDERS[domain]
+    x, y = Polynomial2D.x(), Polynomial2D.y()
+    r = x**3 * y + y**4 + x**3 * y**2  # neither its trace nor its normal derivative vanishes
+    defects = [
+        weak_form_residual(solve_neumann(build_space(build(k), degree), prob), r) for k in range(3)
+    ]
+    rates = np.log2(np.divide(defects[:-1], defects[1:]))
+    assert rates.min() >= min_rate, defects
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "mesh", [unit_square_mesh(8), refine_uniform(unit_disk_mesh(3))], ids=["square", "disk"]
+)
+def test_weak_form_defect_of_harmonic_lap_r_is_the_compatibility_residual(mesh, degree):
+    # incompatible data, so the residuals are far from zero
+    prob = NeumannProblem(
+        lambda x, y: np.exp(x) * np.cos(3.0 * y), lambda x, y: np.sin(x * y), lambda x, y: 1.0 + x
+    )
+    space = build_space(mesh, degree)
+    sol = solve_neumann(space, prob)
+    residuals = compatibility_residual(space, prob, harmonic_basis(3))
+    x, y = Polynomial2D.x(), Polynomial2D.y()
+    # lap r is Re z^2 = x^2 - y^2, then Im z^2 = 2xy; bilap r = 0 drops sigma_h
+    for r, k in (((x**4 - y**4) * Fraction(1, 12), 3), ((x**3 * y + x * y**3) * Fraction(1, 6), 4)):
+        assert float(weak_form_residual(sol, r)).hex() == float(abs(residuals[k])).hex()
+
+
+def test_weak_form_residual_beyond_float_range_raises_floating_point_error():
+    sol = solve_neumann(build_space(unit_square_mesh(8), 1), NeumannProblem(1e150, 0.0, 0.0))
+    for scale in (10**160, 10**400):  # the pairing overflows, then the coefficient itself
+        with pytest.raises(FloatingPointError):
+            weak_form_residual(sol, clamped_bubble() * scale)
 
 
 def test_harmonic_degree_controls_residual_count():
@@ -397,3 +501,6 @@ def test_compatibility_residual_beyond_float_range_raises_floating_point_error()
     problem = NeumannProblem(1e308, 1e308, 1e308)
     with pytest.raises(FloatingPointError):
         compatibility_residual(space, problem, harmonic_basis(3))
+    huge = HarmonicPolynomial({(0, 0): 10**400})  # a coefficient beyond float range
+    with pytest.raises(FloatingPointError):
+        compatibility_residual(space, NeumannProblem(1.0, 0.0, 0.0), [huge])

@@ -31,6 +31,18 @@ def test_polynomial_algebra_exact():
     assert q.coeffs == {(1, 0): Fraction(1, 3)}
 
 
+def test_constant_polynomial_hashes_as_the_number_it_equals():
+    one, half = Polynomial2D.constant(1), Polynomial2D.constant(Fraction(1, 2))
+    assert one == 1 and half == Fraction(1, 2) and Polynomial2D() == 0
+    assert {1: "a"}[one] == "a"
+    assert {Fraction(1, 2): "b"}[half] == "b"
+    assert {0: "c"}[Polynomial2D()] == "c"
+    assert len({one, 1}) == 1
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({Polynomial2D(), 0}) == 1
+    assert len({X, X + 0, 1 + X}) == 2
+
+
 def test_differentiation_and_substitution():
     p = X**3 * Y - 2 * Y**2
     assert p.diff("x") == 3 * X**2 * Y
