@@ -176,10 +176,11 @@ def _moment_table(integral, vals, x, y, degree: int) -> np.ndarray:
 
 
 def _pair(table: np.ndarray, poly: Polynomial2D) -> float:
-    """The integral a moment table holds, taken against poly: sum of c_ij T[i, j].
-    A coefficient beyond float range raises FloatingPointError."""
+    """The integral a moment table holds, taken against poly: sum of c_ij T[i, j],
+    a float also for the zero polynomial. A coefficient beyond float range
+    raises FloatingPointError."""
     try:
-        return sum(float(c) * table[i, j] for (i, j), c in poly.coeffs.items())
+        return sum((float(c) * table[i, j] for (i, j), c in poly.coeffs.items()), 0.0)
     except OverflowError as exc:
         raise FloatingPointError("test polynomial coefficient beyond float range") from exc
 

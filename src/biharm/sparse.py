@@ -1,13 +1,16 @@
 """Sparse matrices and a preconditioned conjugate gradient solver.
 
 Storage is compressed sparse row, backed by ``scipy.sparse``; the wrapper
-pins down construction semantics (duplicate triplets are summed, column
-indices sorted within each row) and exposes the raw CSR arrays. The CG
-solver is written out longhand because its failure behavior is part of
-the contract: it reports iteration counts, raises a typed error carrying
-the residual when the iteration budget runs out or a value turns
-non-finite, and detects loss of positive definiteness through the p^T A p
-curvature term.
+pins down construction semantics (duplicate triplets are summed, sums that
+come to zero are not stored, column indices sorted within each row) and
+exposes the raw CSR arrays. The CG solver is written out longhand because
+its failure behavior is part of the contract: it reports iteration counts,
+raises a typed error carrying the residual when the iteration budget runs
+out or a value turns non-finite, and detects loss of positive definiteness
+through the p^T A p curvature term. It allocates nothing per iteration: the
+matvec runs scipy's CSR kernel into a reused buffer and the updates run in
+place, with the same floating-point operations as ``csr @ p`` and fresh
+temporaries.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 __all__ = [
     "SparseMatrix",
@@ -105,8 +109,8 @@ def from_triplets(
 ) -> SparseMatrix:
     """Build a SparseMatrix from (row, col, value) triplets.
 
-    Triplets hitting the same position are summed. Indices outside
-    ``shape`` raise ValueError.
+    Triplets hitting the same position are summed, and a position whose sum
+    is zero is not stored. Indices outside ``shape`` raise ValueError.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -120,6 +124,7 @@ def from_triplets(
         raise ValueError("column index out of range")
     coo = scipy.sparse.coo_matrix((entries, (rows, cols)), shape=shape)
     csr = coo.tocsr()  # sums duplicates
+    csr.eliminate_zeros()
     csr.sort_indices()
     return SparseMatrix(csr)
 
@@ -200,26 +205,34 @@ def cg_solve(
     if b_norm == 0.0:
         return CGResult(x, 0, 0.0)
 
+    # One set of work vectors for the whole solve. Each matvec is the CSR
+    # kernel that ``csr @ p`` runs, into a buffer zeroed the way it zeroes its
+    # fresh output, so every iterate is bit for bit the allocating loop's.
+    indptr, indices, data = a.csr.indptr, a.csr.indices, a.csr.data
     z = r / diag
     p = z.copy()
+    ap = np.empty(n)
+    step = np.empty(n)
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
-        ap = a @ p
+        ap.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, p, ap)
         pap = float(p @ ap)
         if not math.isfinite(pap):
             raise NonConvergenceError(k, pap)
         if pap <= 0.0:
             raise NotSPDError(f"nonpositive curvature p^T A p = {math.ldexp(pap, 2 * e):.6e}")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=step)
         res = float(np.linalg.norm(r))
         if not math.isfinite(res):
             raise NonConvergenceError(k, res)
         if res <= rel_tol * b_norm:
             return CGResult(np.ldexp(x, e), k, math.ldexp(res, e))
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise NonConvergenceError(max_iter, math.ldexp(float(np.linalg.norm(r)), e))

@@ -4,7 +4,9 @@ import argparse
 
 import pytest
 
+from biharm import cli
 from biharm.cli import build_parser
+from biharm.manufactured import cases
 
 DATA = ["--f", "0", "--g", "0", "--h", "0"]
 SOLVER = ["--n", "2", "--degree", "1", "--rel-tol", "1e-10", "--max-iter", "50"]
@@ -55,3 +57,15 @@ def test_subcommand_reads_every_option_it_declares(command, tmp_path, capsys):
     assert args.func(reads) == 0
     declared = {a.dest for a in _subparsers(parser)[command]._actions} - {"help"}
     assert declared <= reads.names, f"declared but never read: {sorted(declared - reads.names)}"
+
+
+def test_case_options_offer_the_built_in_cases_without_building_them(monkeypatch):
+    monkeypatch.setattr(cli, "cases", lambda: pytest.fail("the parser built the cases"))
+    offered = [
+        list(action.choices)
+        for sub in _subparsers(build_parser()).values()
+        for action in sub._actions
+        if "--case" in action.option_strings
+    ]
+    monkeypatch.undo()
+    assert offered == [sorted(cases())] * 4

@@ -1,12 +1,17 @@
 """CSR construction and the conjugate gradient solver."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
+from biharm import fem
 from biharm.fem import assemble_mass, assemble_stiffness, build_space
-from biharm.mesh import unit_square_mesh
+from biharm.mesh import refine_uniform, unit_disk_mesh, unit_square_mesh
+from biharm.poisson import _operators
 from biharm.sparse import (
     NonConvergenceError,
     NotSPDError,
@@ -208,3 +213,179 @@ def test_cg_is_exact_under_power_of_two_scaling_of_the_data(scale):
     assert res.iterations == ref.iterations
     assert res.x.tobytes() == (ref.x * scale).tobytes()
     assert res.residual == ref.residual * scale
+
+
+def allocating_cg(a, b, rel_tol=1e-10, max_iter=None):
+    """The conjugate gradient loop as it was written before it reused its
+    vectors: a fresh ``csr @ p`` and fresh temporaries every iteration. The
+    reference for the in-place loop, which must agree with it bit for bit."""
+    n = a.shape[0]
+    max_iter = 10 * n if max_iter is None else max_iter
+    diag = a.diagonal()
+    if n and diag.min() <= 0:
+        raise NotSPDError("nonpositive diagonal entry")
+    e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
+    r = np.ldexp(b, -e)
+    b_norm = float(np.linalg.norm(r))
+    if not math.isfinite(b_norm):
+        raise NonConvergenceError(0, b_norm)
+    x = np.zeros(n)
+    if b_norm == 0.0:
+        return x, 0, 0.0
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    for k in range(1, max_iter + 1):
+        ap = a.csr @ p
+        pap = float(p @ ap)
+        if not math.isfinite(pap):
+            raise NonConvergenceError(k, pap)
+        if pap <= 0.0:
+            raise NotSPDError(f"nonpositive curvature p^T A p = {math.ldexp(pap, 2 * e):.6e}")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        res = float(np.linalg.norm(r))
+        if not math.isfinite(res):
+            raise NonConvergenceError(k, res)
+        if res <= rel_tol * b_norm:
+            return np.ldexp(x, e), k, math.ldexp(res, e)
+        z = r / diag
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise NonConvergenceError(max_iter, math.ldexp(float(np.linalg.norm(r)), e))
+
+
+CG_MESHES = {"square": unit_square_mesh(12), "disk": refine_uniform(unit_disk_mesh(4))}
+
+
+def _cg_operators():
+    """P1 and P2 A_ii on the square and the refined disk, and the P1 boundary
+    mass matrix of each mesh: the three operators the cascade solves with."""
+    for name, mesh in sorted(CG_MESHES.items()):
+        for degree in (1, 2):
+            ops = _operators(build_space(mesh, degree))
+            yield f"{name}-P{degree}-A_ii", ops.a_ii
+            if degree == 1:
+                yield f"{name}-boundary-mass", ops.boundary_mass
+
+
+CG_OPERATORS = dict(_cg_operators())
+
+
+@pytest.mark.parametrize("name", sorted(CG_OPERATORS))
+def test_cg_is_bit_identical_to_the_allocating_loop(name):
+    a = CG_OPERATORS[name]
+    b = np.random.default_rng(11).standard_normal(a.shape[0])
+    x, iterations, residual = allocating_cg(a, b)
+    res = cg_solve(a, b)
+    assert res.x.tobytes() == x.tobytes()
+    assert res.iterations == iterations > 1
+    assert res.residual.hex() == residual.hex()
+
+
+def test_cg_runs_out_of_budget_where_the_allocating_loop_does():
+    a = CG_OPERATORS["disk-P2-A_ii"]
+    b = np.random.default_rng(12).standard_normal(a.shape[0])
+    with pytest.raises(NonConvergenceError) as expected:
+        allocating_cg(a, b, max_iter=7)
+    with pytest.raises(NonConvergenceError) as err:
+        cg_solve(a, b, max_iter=7)
+    assert err.value.iterations == expected.value.iterations == 7
+    assert err.value.residual.hex() == expected.value.residual.hex()
+
+
+def test_cg_meets_indefiniteness_where_the_allocating_loop_does():
+    # 1-D Laplacian with its last diagonal entry lowered: positive diagonal,
+    # one negative eigenvalue, met after a few iterations
+    n = 20
+    main = np.full(n, 2.0)
+    main[-1] = 0.1
+    rows = np.r_[np.arange(n), np.arange(n - 1), np.arange(1, n)]
+    cols = np.r_[np.arange(n), np.arange(1, n), np.arange(n - 1)]
+    a = from_triplets(rows, cols, np.r_[main, -np.ones(2 * (n - 1))], shape=(n, n))
+    b = np.linspace(1.0, -1.0, n)
+    with pytest.raises(NotSPDError) as expected:
+        allocating_cg(a, b)
+    with pytest.raises(NotSPDError) as err:
+        cg_solve(a, b)
+    assert str(err.value) == str(expected.value)
+    assert str(err.value).startswith("nonpositive curvature")
+
+
+def test_a_second_solve_leaves_the_first_result_unchanged():
+    a = CG_OPERATORS["square-P1-A_ii"]
+    rng = np.random.default_rng(13)
+    first = cg_solve(a, rng.standard_normal(a.shape[0]))
+    kept = first.x.copy()
+    second = cg_solve(a, rng.standard_normal(a.shape[0]))
+    assert not np.shares_memory(first.x, second.x)
+    assert first.x.tobytes() == kept.tobytes()
+    assert second.x.tobytes() != kept.tobytes()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_the_csr_kernel_is_what_scipy_matmul_runs(index_dtype):
+    # cg_solve calls scipy's private CSR matvec kernel; a scipy upgrade that
+    # changes it or its arguments fails here before any solve goes wrong
+    csr = CG_OPERATORS["disk-P2-A_ii"].csr.copy()
+    csr.indices = csr.indices.astype(index_dtype)
+    csr.indptr = csr.indptr.astype(index_dtype)
+    n = csr.shape[0]
+    x = np.random.default_rng(14).standard_normal(n)
+    x[::5] = -0.0
+    out = np.full(n, np.nan)  # a reused buffer, zeroed the way cg_solve zeroes it
+    out.fill(0.0)
+    csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, out)
+    expected = csr @ x
+    assert csr.indices.dtype == index_dtype
+    assert out.tobytes() == expected.tobytes()
+
+    a = SparseMatrix(csr)
+    b = np.random.default_rng(15).standard_normal(n)
+    x_ref, iterations, residual = allocating_cg(a, b)
+    res = cg_solve(a, b)
+    assert (res.x.tobytes(), res.iterations, res.residual) == (x_ref.tobytes(), iterations, residual)
+
+
+def test_duplicates_that_cancel_to_zero_are_not_stored():
+    a = from_triplets([0, 0, 1, 1], [1, 1, 0, 1], [2.5, -2.5, 1.0, 0.0], shape=(2, 2))
+    assert a.nnz == 1
+    assert np.array_equal(a.column_indices, [0])
+    assert np.array_equal(a.row_offsets, [0, 0, 1])
+    assert np.array_equal(a.toarray(), [[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stiffness_without_stored_zeros_multiplies_bit_for_bit(degree, monkeypatch):
+    # the zeros of the P1 stiffness on the square (and of P2's) are exact
+    # cancellations; dropping them changes no product
+    triplets = []
+
+    def recording(rows, cols, entries, shape):
+        triplets.append((rows, cols, entries, shape))
+        return from_triplets(rows, cols, entries, shape)
+
+    monkeypatch.setattr(fem, "from_triplets", recording)
+    space = build_space(unit_square_mesh(12), degree)
+    k = assemble_stiffness(space)
+    rows, cols, entries, shape = triplets[-1]
+    keeping = scipy.sparse.coo_matrix(
+        (np.ravel(entries), (np.ravel(rows), np.ravel(cols))), shape=shape
+    ).tocsr()
+    keeping.sort_indices()
+    assert keeping.nnz > k.nnz
+    assert np.count_nonzero(keeping.data) == k.nnz
+    rng = np.random.default_rng(16 + degree)
+    for x in (rng.standard_normal(shape[1]), np.where(rng.random(shape[1]) < 0.5, -0.0, 1.0)):
+        assert (k @ x).tobytes() == (keeping @ x).tobytes()
+        assert matvec(k, x).tobytes() == (keeping @ x).tobytes()
+
+
+def test_cg_rejects_a_diagonal_entry_summed_to_zero():
+    # the zero is not stored, and the diagonal still reads it as 0
+    a = from_triplets([0, 0, 1], [0, 0, 1], [1.0, -1.0, 2.0], shape=(2, 2))
+    assert a.nnz == 1
+    with pytest.raises(NotSPDError, match="nonpositive diagonal entry"):
+        cg_solve(a, np.array([1.0, 1.0]))
