@@ -56,7 +56,7 @@ from .fem import (
     quad_points,
     triangle_quadrature,
 )
-from .poisson import BoundaryFlux, _loaded, normal_flux, solve_dirichlet
+from .poisson import BoundaryFlux, _solve_with_flux, solve_dirichlet
 from .polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
 from .sparse import _check_cg_budget
 
@@ -272,11 +272,8 @@ def solve_neumann(
     residuals = compatibility_residual(space, problem, harmonic_basis(harmonic_degree))
     check(residuals)
 
-    f_load = _loaded(space, problem.f)
-    sigma_h = solve_dirichlet(space, f_load, problem.g, rel_tol=rel_tol, max_iter=max_iter)
+    sigma_h, flux = _solve_with_flux(space, problem.f, problem.g, rel_tol, max_iter)
     s_h = solve_dirichlet(space, sigma_h, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-
-    flux = normal_flux(sigma_h, f_load)
     diagnostics = CascadeDiagnostics(
         compat_residuals=residuals,
         flux_mismatch=flux.l2_mismatch(problem.h),

@@ -1,35 +1,35 @@
 """Dirichlet Poisson solves and variational normal-flux recovery.
 
+The solve and the flux recovery read one residual of a field w with source
+q: r = K w + b, with K the stiffness matrix and b_i = (q, phi_i) the load.
 ``solve_dirichlet`` handles ``laplace(w) = q`` with ``w = g`` on the
-boundary by eliminating boundary dofs: interpolate g there, move its
-stiffness coupling to the right-hand side, and solve the interior system
-with conjugate gradients. The source may be a callable on the domain or
-an existing finite element field (then the load is the exact mass-matrix
-product, which is what lets solves be chained without extra quadrature
-error).
+boundary by eliminating boundary dofs: it interpolates g there and solves
+the interior rows of r = 0 with conjugate gradients, the boundary values
+lifted to the right-hand side through K. The source may be a callable on
+the domain or an existing finite element field (then the load is the exact
+mass-matrix product, which is what lets solves be chained without extra
+quadrature error).
 
-``normal_flux(w, source)`` recovers the consistent variational normal
-derivative of a solved field w on w's own space: for boundary dofs i,
-t_i = (A w)_i + b_i is the discrete Green identity pairing <dw/dn, phi_i>,
-and an L2 boundary projection turns the functional into a pointwise
-trace-space field. Summing t over the boundary reproduces the integral of
-the source exactly up to solver tolerance (discrete divergence theorem),
-which the overdetermined diagnostics below rely on. They keep the
-recovered ``BoundaryFlux``: its ``l2_mismatch()`` is the leftover flux
-norm and its ``total()`` the outflow. The fully homogeneous fourth-order
-problem, bilaplacian V = p with V, laplacian V and its flux all zero, is
+``normal_flux(w, source)`` reads the boundary rows of the same residual: for
+boundary dofs i, t_i = (K w + b)_i is the discrete Green identity pairing
+<dw/dn, phi_i>, and an L2 boundary projection turns the functional into a
+pointwise trace-space field. Summing t over the boundary reproduces the
+integral of the source exactly up to solver tolerance (discrete divergence
+theorem), which the overdetermined diagnostics below rely on. They keep the
+recovered ``BoundaryFlux``: its ``l2_mismatch()`` is the leftover flux norm
+and its ``total()`` the outflow. The fully homogeneous fourth-order problem,
+bilaplacian V = p with V, laplacian V and its flux all zero, is
 ``biharmonic.solve_neumann`` on ``NeumannProblem(p, 0.0, 0.0)``: its one
 condition not built in is the flux of U = laplacian V, the same flux
 ``overdetermined_check`` measures.
 
-Operators are built once per space: the stiffness matrix, the mass
-matrix, the boundary mass matrix and the interior/boundary blocks are
-assembled on the first solve or flux recovery on a space and held on that
-space for as long as it lives. Both cascade solves and the flux recovery
-share them, and later calls on the same space assemble nothing. The load
-of a callable source is assembled once per cascade: ``solve_neumann`` and
-``overdetermined_check`` hand the same load of f (or p) to the Dirichlet
-solve and to the flux recovery.
+Operators are built once per space: the stiffness matrix, its interior
+block, the mass matrix and the boundary mass matrix are assembled on the
+first solve or flux recovery on a space and held on that space for as long
+as it lives, so later calls assemble nothing. A solve and its flux from one
+load is the first stage, ``_solve_with_flux``: the whole of
+``overdetermined_check`` and the first half of ``solve_neumann``, which
+assembles the load of p (or f) once for both residual reads.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .fem import (
     boundary_l2_error,
     boundary_mass_matrix,
 )
-from .sparse import SparseMatrix, _check_cg_budget, cg_solve, matvec
+from .sparse import SparseMatrix, _check_cg_budget, cg_solve
 
 __all__ = [
     "BoundaryFlux",
@@ -64,14 +64,14 @@ __all__ = [
 class _Operators:
     """Poisson operators of one space: stiffness K, mass M, boundary mass
     (indexed like ``boundary_dofs``), the interior dofs and the interior
-    blocks A_ii = K[interior, interior], A_ib = K[interior, boundary]."""
+    block A_ii = K[interior, interior]. The lift of the boundary values and
+    the flux, read in one first stage, are the rows of K w + b."""
 
     stiffness: SparseMatrix
     mass: SparseMatrix
     boundary_mass: SparseMatrix
     interior: np.ndarray
     a_ii: SparseMatrix
-    a_ib: SparseMatrix
 
 
 def _operators(space: FeSpace) -> _Operators:
@@ -81,8 +81,7 @@ def _operators(space: FeSpace) -> _Operators:
 
 def _assemble_operators(space: FeSpace) -> _Operators:
     k = assemble_stiffness(space)
-    bdofs = space.boundary_dofs
-    interior = np.setdiff1d(np.arange(space.dof_count), bdofs, assume_unique=True)
+    interior = np.setdiff1d(np.arange(space.dof_count), space.boundary_dofs, assume_unique=True)
     interior.flags.writeable = False
     return _Operators(
         stiffness=k,
@@ -90,7 +89,6 @@ def _assemble_operators(space: FeSpace) -> _Operators:
         boundary_mass=boundary_mass_matrix(space),
         interior=interior,
         a_ii=k.submatrix(interior, interior),
-        a_ib=k.submatrix(interior, bdofs),
     )
 
 
@@ -101,21 +99,13 @@ class _Load:
     values: np.ndarray
 
 
-def _loaded(space: FeSpace, source) -> _Load:
-    """The source's load, computed once, for a ``solve_dirichlet`` and a
-    ``normal_flux`` that take the same source on the same space."""
-    values = _source_load(space, source)
-    values.flags.writeable = False
-    return _Load(values)
-
-
 def _source_load(space: FeSpace, source) -> np.ndarray:
     if isinstance(source, _Load):
         return source.values
     if isinstance(source, ScalarField):
         if source.space is not space:
             raise ValueError("source field lives on a different space")
-        return matvec(_operators(space).mass, source.coeffs)
+        return _operators(space).mass @ source.coeffs
     return assemble_load(space, source)
 
 
@@ -151,8 +141,9 @@ def solve_dirichlet(
     if len(interior) == 0:
         return ScalarField(space, coeffs, solver_iterations=0)
 
-    # Weak form: (grad w, grad v) = -(q, v) for interior v, boundary part lifted.
-    rhs = -b[interior] - matvec(ops.a_ib, coeffs[bdofs])
+    # Weak form: (grad w, grad v) = -(q, v) for interior v, i.e. the interior rows
+    # of K w + b vanish; coeffs holds g on the boundary and 0 inside, the lift.
+    rhs = -(ops.stiffness @ coeffs + b)[interior]
     result = cg_solve(ops.a_ii, rhs, rel_tol=rel_tol, max_iter=max_iter)
     coeffs[interior] = result.x
     return ScalarField(space, coeffs, solver_iterations=result.iterations)
@@ -186,13 +177,13 @@ def normal_flux(w: ScalarField, source) -> BoundaryFlux:
     """Recover the variational normal derivative of w, given the source it
     was solved with (a source field must live on w's space).
 
-    For every boundary dof the functional value is (A w + b)_i; interior
+    For every boundary dof the functional value is (K w + b)_i; interior
     entries of the same residual vanish to solver tolerance when w came
     out of ``solve_dirichlet``, so no information is lost by restricting.
     """
     space = w.space
     ops = _operators(space)
-    residual = matvec(ops.stiffness, w.coeffs) + _source_load(space, source)
+    residual = ops.stiffness @ w.coeffs + _source_load(space, source)
     t = residual[space.boundary_dofs]
     projected = cg_solve(ops.boundary_mass, t, rel_tol=1e-12).x
     return BoundaryFlux(space, t, projected)
@@ -223,6 +214,15 @@ def overdetermined_check(
     otherwise. ``flux.total()`` always equals the integral of p up to
     solver tolerance, a useful exactness check in itself.
     """
-    load = _loaded(space, p)
-    u = solve_dirichlet(space, load, 0.0, rel_tol=rel_tol, max_iter=max_iter)
-    return OverdeterminedResult(u, normal_flux(u, load))
+    return OverdeterminedResult(*_solve_with_flux(space, p, 0.0, rel_tol, max_iter))
+
+
+def _solve_with_flux(
+    space: FeSpace, source, boundary_value, rel_tol: float, max_iter: int | None
+) -> tuple[ScalarField, BoundaryFlux]:
+    """The first stage: ``solve_dirichlet`` and the ``normal_flux`` of its
+    solution, from one load of the source, assembled once."""
+    load = _Load(_source_load(space, source))
+    load.values.flags.writeable = False
+    w = solve_dirichlet(space, load, boundary_value, rel_tol=rel_tol, max_iter=max_iter)
+    return w, normal_flux(w, load)

@@ -7,15 +7,16 @@ import pytest
 
 from biharm import poisson
 from biharm.biharmonic import NeumannProblem, solve_neumann
-from biharm.fem import build_space, interpolate
+from biharm.fem import assemble_load, assemble_stiffness, build_space, interpolate
 from biharm.manufactured import case_sine, l2_error
-from biharm.mesh import unit_square_mesh
+from biharm.mesh import refine_uniform, unit_disk_mesh, unit_square_mesh
 from biharm.poisson import (
     normal_flux,
     overdetermined_check,
     solve_dirichlet,
 )
 from biharm.polynomials import Polynomial2D
+from biharm.sparse import cg_solve
 
 
 def clamped_bubble():
@@ -264,3 +265,74 @@ def test_new_space_on_same_mesh_gets_its_own_operators(assembly_counts):
     assert assembly_counts["boundary_mass_matrix"] == 2
     assert fresh.sigma_h.coeffs.tobytes() == cached.sigma_h.coeffs.tobytes()
     assert fresh.s_h.coeffs.tobytes() == cached.s_h.coeffs.tobytes()
+
+
+# one residual r = K w + b: the lift is its interior rows, the flux its boundary rows
+RESIDUAL_MESHES = {
+    "square": lambda: unit_square_mesh(12),
+    "disk": lambda: refine_uniform(unit_disk_mesh(3)),
+}
+SOURCE = lambda x, y: np.exp(x) * np.cos(3.0 * y)  # noqa: E731
+TRACE = lambda x, y: np.sin(x * y) + 1.5 * x  # noqa: E731
+
+
+def split_dofs(space):
+    bdofs = space.boundary_dofs
+    return np.setdiff1d(np.arange(space.dof_count), bdofs), bdofs
+
+
+def a_ib_lift(space, source, g):
+    """The interior right-hand side as formed through its own block
+    A_ib = K[interior, boundary]: -b[I] - A_ib g."""
+    interior, bdofs = split_dofs(space)
+    b = assemble_load(space, source)
+    a_ib = assemble_stiffness(space).submatrix(interior, bdofs)
+    return -b[interior] - a_ib @ interpolate(space, g).coeffs[bdofs]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("mesh", RESIDUAL_MESHES)
+@pytest.mark.parametrize(
+    "source, g",
+    [(SOURCE, TRACE), (SOURCE, 0.0), (0.0, TRACE)],
+    ids=["both", "zero-trace", "zero-source"],
+)
+def test_lift_through_k_is_the_a_ib_lift_bit_for_bit(monkeypatch, mesh, degree, source, g):
+    space = build_space(RESIDUAL_MESHES[mesh](), degree)
+    handed_to_cg = []
+
+    def capture(a, b, **kwargs):
+        handed_to_cg.append(b)
+        return cg_solve(a, b, **kwargs)
+
+    monkeypatch.setattr(poisson, "cg_solve", capture)
+    solve_dirichlet(space, source, g)
+    # a row of K @ (g, 0) adds only +-0 to A_ib's row sum, and a load entry is
+    # never -0 (it is a sum from +0), so (-b) - s and -(b + s) agree in every bit
+    assert handed_to_cg[0].tobytes() == a_ib_lift(space, source, g).tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("mesh", RESIDUAL_MESHES)
+def test_solve_and_flux_read_the_rows_of_one_residual(mesh, degree):
+    space = build_space(RESIDUAL_MESHES[mesh](), degree)
+    interior, bdofs = split_dofs(space)
+    rel_tol = 1e-10
+    w = solve_dirichlet(space, SOURCE, TRACE, rel_tol=rel_tol)
+    residual = assemble_stiffness(space) @ w.coeffs + assemble_load(space, SOURCE)
+    assert residual[bdofs].tobytes() == normal_flux(w, SOURCE).functional.tobytes()
+    # the interior rows are the CG residual of A_ii x = rhs
+    rhs_norm = np.linalg.norm(a_ib_lift(space, SOURCE, TRACE))
+    assert np.linalg.norm(residual[interior]) <= rel_tol * rhs_norm
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("mesh", RESIDUAL_MESHES)
+def test_cascade_and_overdetermined_probe_share_one_first_stage(mesh, degree):
+    space = build_space(RESIDUAL_MESHES[mesh](), degree)
+    cascade = fourth_order(space, SOURCE)
+    probe = overdetermined_check(space, SOURCE)
+    assert cascade.sigma_h.coeffs.tobytes() == probe.u.coeffs.tobytes()
+    assert cascade.sigma_h.solver_iterations == probe.u.solver_iterations
+    assert cascade.flux.functional.tobytes() == probe.flux.functional.tobytes()
+    assert cascade.flux.projected.tobytes() == probe.flux.projected.tobytes()
