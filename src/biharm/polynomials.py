@@ -6,11 +6,11 @@ Two small families of objects, both over exact rational coefficients:
   harmonic subfamily (``HarmonicPolynomial``, ``harmonic_basis``) used as
   test functions for compatibility residuals, and
 
-* univariate polynomials with Gaussian-rational coefficients
-  (``ComplexPolynomial``) used to decide, in exact arithmetic, whether the
-  boundary symbols of the biharmonic Neumann problem stay linearly
-  independent modulo ``(t - i)**2``; each remainder is read off a symbol's
-  exact value and slope at i, its Taylor polynomial there.
+* remainders ``c0 + c1*t`` of the boundary symbols of the biharmonic
+  Neumann problem modulo ``(t - i)**2`` (``SymbolRemainder``), with
+  Gaussian-rational coefficients read off a symbol's exact value p(i) and
+  slope p'(i); two remainders are linearly dependent exactly when the
+  2x2 determinant of their coefficients vanishes.
 
 No floating point enters any of the algebra here; evaluation of a
 ``Polynomial2D`` on numpy arrays is the only lossy operation.
@@ -30,7 +30,7 @@ __all__ = [
     "HarmonicPolynomial",
     "harmonic_basis",
     "GaussianRational",
-    "ComplexPolynomial",
+    "SymbolRemainder",
     "ComplementingResult",
     "complementing_check",
     "laplace_complementing_check",
@@ -231,13 +231,17 @@ class GaussianRational:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
+    def __post_init__(self) -> None:
+        for name in ("re", "im"):  # store each part as a Fraction, so no float enters the algebra
+            part = getattr(self, name)
+            if type(part) is not Fraction:
+                if isinstance(part, complex):
+                    raise TypeError("float-based complex is not exact; build from rationals")
+                object.__setattr__(self, name, Fraction(part))
+
     @classmethod
     def of(cls, value) -> GaussianRational:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, complex):
-            raise TypeError("float-based complex is not exact; build from rationals")
-        return cls(Fraction(value), Fraction(0))
+        return value if isinstance(value, GaussianRational) else cls(value)
 
     @classmethod
     def i(cls) -> GaussianRational:
@@ -296,78 +300,31 @@ class GaussianRational:
         return f"{self.re} {sign} {imag(abs(self.im)).lstrip('-')}"
 
 
-class ComplexPolynomial:
-    """Univariate polynomial in t over the Gaussian rationals.
+@dataclass(frozen=True)
+class SymbolRemainder:
+    """Remainder c0 + c1*t of a boundary symbol modulo (t - i)**2, or the
+    constant c0 modulo t - i."""
 
-    Coefficients ascend from the constant term; trailing zeros are
-    stripped so ``degree`` is well defined (-1 for the zero polynomial).
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [GaussianRational.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[GaussianRational, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
+    c0: GaussianRational
+    c1: GaussianRational = GaussianRational()
 
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __getitem__(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return GaussianRational()
-
-    def __mul__(self, other) -> ComplexPolynomial:
-        c = GaussianRational.of(other)
-        return ComplexPolynomial([ci * c for ci in self._coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return self.c0.is_zero() and self.c1.is_zero()
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if c.is_zero():
-                continue
-            mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            cs = str(c)
-            if mono and cs == "1":
-                parts.append(mono)
-            elif mono and cs == "-1":
-                parts.append(f"-{mono}")
-            elif mono:
-                cs = f"({cs})" if (" " in cs) else cs
-                parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    __repr__ = __str__
+        if self.c1.is_zero():
+            return str(self.c0)
+        slope = str(self.c1)
+        if slope in ("1", "-1"):
+            term = "t" if slope == "1" else "-t"
+        else:
+            term = f"({slope})*t" if " " in slope else f"{slope}*t"
+        if self.c0.is_zero():
+            return term
+        return f"{self.c0} - {term[1:]}" if term.startswith("-") else f"{self.c0} + {term}"
 
 
-def _taylor_remainder(p: Iterable[int], root: GaussianRational, power: int) -> ComplexPolynomial:
+def _taylor_remainder(p: Iterable[int], root: GaussianRational, power: int) -> SymbolRemainder:
     """Remainder of the polynomial with ascending integer coefficients ``p``
     modulo ``(t - root)**power`` for ``power`` 1 or 2: its Taylor polynomial
     at the root, p(root) + p'(root) (t - root), with p(root) and p'(root)
@@ -377,8 +334,8 @@ def _taylor_remainder(p: Iterable[int], root: GaussianRational, power: int) -> C
         slope = slope * root + value
         value = value * root + c
     if power == 1:
-        return ComplexPolynomial([value])
-    return ComplexPolynomial([value - root * slope, slope])
+        return SymbolRemainder(value)
+    return SymbolRemainder(value - root * slope, slope)
 
 
 @dataclass(frozen=True)
@@ -392,20 +349,21 @@ class ComplementingResult:
     ``factor`` is that multiple when it exists.
     """
 
-    remainder1: ComplexPolynomial
-    remainder2: ComplexPolynomial
+    remainder1: SymbolRemainder
+    remainder2: SymbolRemainder
     linearly_dependent: bool
     factor: GaussianRational | None
 
 
 def _dependence_factor(
-    r1: ComplexPolynomial, r2: ComplexPolynomial
+    r1: SymbolRemainder, r2: SymbolRemainder
 ) -> tuple[bool, GaussianRational | None]:
-    if r1.is_zero() or r2.is_zero():
-        return True, None
-    pivot = next(k for k, c in enumerate(r1.coeffs) if not c.is_zero())
-    factor = r2[pivot] / r1[pivot]
-    return (r2 == r1 * factor), factor
+    """Whether r1 and r2 are linearly dependent, by the determinant
+    c0*d1 - c1*d0, and the factor r2/r1 when they are and neither is zero."""
+    dependent = (r1.c0 * r2.c1 - r1.c1 * r2.c0).is_zero()
+    if not dependent or r1.is_zero() or r2.is_zero():
+        return dependent, None
+    return True, (r2.c1 / r1.c1 if r1.c0.is_zero() else r2.c0 / r1.c0)
 
 
 def complementing_check() -> ComplementingResult:
@@ -421,12 +379,10 @@ def complementing_check() -> ComplementingResult:
     r1 = _taylor_remainder((1, 0, 1), i, 2)  # 1 + t^2
     r2 = _taylor_remainder((0, 1, 0, 1), i, 2)  # t + t^3
     dependent, factor = _dependence_factor(r1, r2)
-    if not dependent:
-        factor = None
     return ComplementingResult(r1, r2, dependent, factor)
 
 
-def laplace_complementing_check() -> ComplexPolynomial:
+def laplace_complementing_check() -> SymbolRemainder:
     """Control computation: the Neumann symbol t for the Laplacian reduced
     modulo t - i. The remainder is the nonzero constant i, so that symbol
     is not divisible by t - i and the independence requirement holds.

@@ -3,6 +3,8 @@
 The text was recorded before the moment tables, the P1 gradient map and the
 load scatter were rewritten to work in place. Numbers print to 13 significant
 digits; the oracle tests of those kernels pin their results bit for bit.
+The complementing, solve and mesh entries were recorded before the symbol
+remainders moved from an any-degree polynomial class to c0 + c1*t.
 """
 
 import pytest
@@ -54,6 +56,46 @@ GOLDEN = [
         (
             "n=4 flux_l2=1.026331863509e-01 total_flux=1.666666666667e-01\n"
             "n=8 flux_l2=9.512420170310e-02 total_flux=1.666666666667e-01\n"
+        ),
+    ),
+    (
+        ["complementing"],
+        (
+            "symbols: 1 + t^2, t + t^3 modulo (t - i)^2\n"
+            "remainder 1: 2 + 2i*t\n"
+            "remainder 2: 2i - 2*t\n"
+            "dependent: true, factor: i\n"
+            "control (Laplace flux symbol t mod t - i): remainder i\n"
+        ),
+    ),
+    (
+        ["solve", "--case", "sine", "--n", "8"],
+        (
+            "dofs=81 cg_iterations=7+13\n"
+            "compat_max=2.898449054101e-07\n"
+            "flux_mismatch=7.877095522702e+00\n"
+            "l2_sigma=4.171589170469e-01\n"
+            "l2_s=3.819080247323e-02\n"
+        ),
+    ),
+    (
+        ["solve", "--f", "exp(x)*cos(2*y)", "--g", "x*y", "--h", "1+x", "--domain", "disk"]
+        + ["--n", "3", "--degree", "2", "--kmax", "2"],
+        (
+            "dofs=127 cg_iterations=31+32\n"
+            "compat_max=4.173890714647e+00\n"
+            "flux_mismatch=2.823167989373e+00\n"
+        ),
+    ),
+    (
+        ["mesh", "--n", "4"],
+        "domain=unit_square vertices=25 triangles=32 boundary_edges=16 area=1.000000000000e+00\n",
+    ),
+    (
+        ["mesh", "--domain", "disk", "--n", "3", "--refine", "1"],
+        (
+            "domain=unit_disk_polygon vertices=127 triangles=216 boundary_edges=36"
+            " area=3.078181289931e+00\n"
         ),
     ),
 ]

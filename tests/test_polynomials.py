@@ -7,10 +7,11 @@ import pytest
 import sympy as sp
 
 from biharm.polynomials import (
-    ComplexPolynomial,
     GaussianRational,
     HarmonicPolynomial,
     Polynomial2D,
+    SymbolRemainder,
+    _dependence_factor,
     _taylor_remainder,
     complementing_check,
     harmonic_basis,
@@ -151,47 +152,157 @@ def test_gaussian_rational_arithmetic():
         i / GaussianRational()
 
 
+def test_gaussian_rational_stores_exact_fractions():
+    half = GaussianRational(0.5, 1.5)
+    assert (half.re, half.im) == (Fraction(1, 2), Fraction(3, 2))
+    assert type(half.re) is Fraction and type(half.im) is Fraction
+    assert str(half) == "1/2 + (3/2)i"
+    product = GaussianRational(1, 2) * GaussianRational(0.5, 0)
+    assert product == GaussianRational(Fraction(1, 2), Fraction(1))
+    assert str(product) == "1/2 + i"
+    with pytest.raises(TypeError, match="float-based complex is not exact"):
+        GaussianRational(1j, 0)
+    with pytest.raises(TypeError, match="float-based complex is not exact"):
+        GaussianRational.of(1j)
+
+
 def _sympy_remainder(p, power):
     """Oracle: sympy's remainder of the integer polynomial with ascending
-    coefficients ``p`` modulo (t - i)**power, as a ComplexPolynomial."""
+    coefficients ``p`` modulo (t - i)**power, as a SymbolRemainder."""
     t = sp.symbols("t")
     rem = sp.Poly(sp.rem(sum(c * t**k for k, c in enumerate(p)), (t - sp.I) ** power, t), t)
     coeffs = [sp.expand(c) for c in reversed(rem.all_coeffs())]
-    return ComplexPolynomial(
-        GaussianRational(Fraction(str(sp.re(c))), Fraction(str(sp.im(c)))) for c in coeffs
+    assert len(coeffs) <= power
+    return SymbolRemainder(
+        *(GaussianRational(Fraction(str(sp.re(c))), Fraction(str(sp.im(c)))) for c in coeffs)
     )
 
 
-def test_taylor_remainder_matches_sympy():
+def _symbols():
+    """The two boundary symbols, the Laplace control symbol and 40 random
+    integer polynomials of degree up to 6, as ascending coefficients."""
     rng = np.random.default_rng(14)
     symbols = [(1, 0, 1), (0, 1, 0, 1), (0, 1)]
     symbols += [tuple(int(c) for c in rng.integers(-9, 10, rng.integers(1, 8))) for _ in range(40)]
-    for p in symbols:
+    return symbols
+
+
+def test_taylor_remainder_matches_sympy():
+    for p in _symbols():
         for power in (1, 2):
             assert _taylor_remainder(p, GaussianRational.i(), power) == _sympy_remainder(p, power)
+
+
+def _stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def any_degree_str(coeffs):
+    """The printer of the any-degree polynomial class that held the
+    remainders before they became c0 + c1*t: ascending Gaussian-rational
+    coefficients, trailing zeros stripped. The reference for
+    ``SymbolRemainder.__str__``, which must agree with it on degree <= 1."""
+    coeffs = _stripped(coeffs)
+    if not coeffs:
+        return "0"
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        cs = str(c)
+        if mono and cs == "1":
+            parts.append(mono)
+        elif mono and cs == "-1":
+            parts.append(f"-{mono}")
+        elif mono:
+            cs = f"({cs})" if (" " in cs) else cs
+            parts.append(f"{cs}*{mono}")
+        else:
+            parts.append(cs)
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def pivot_rule(r1, r2):
+    """The dependence rule of the any-degree class: divide at the first
+    nonzero coefficient of r1 and compare r2 with r1 times that factor; the
+    factor is dropped for an independent pair, as the check dropped it. The
+    reference for the determinant rule of ``_dependence_factor``."""
+    a, b = _stripped((r1.c0, r1.c1)), _stripped((r2.c0, r2.c1))
+    if not a or not b:
+        return True, None
+    pivot = next(k for k, c in enumerate(a) if not c.is_zero())
+    factor = (r2.c0, r2.c1)[pivot] / a[pivot]
+    dependent = _stripped(c * factor for c in a) == b
+    return dependent, (factor if dependent else None)
+
+
+_GRID = [
+    GaussianRational(re, im)
+    for re in (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-5, 2))
+    for im in (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-5, 2))
+]
+
+
+def test_symbol_remainder_prints_as_the_any_degree_printer():
+    # 2,401 coefficient pairs: real and imaginary parts in {0, ±1, ±2, 1/3, -5/2}
+    for c0 in _GRID:
+        for c1 in _GRID:
+            assert str(SymbolRemainder(c0, c1)) == any_degree_str((c0, c1)), (c0, c1)
+
+
+def test_dependence_determinant_agrees_with_the_pivot_rule():
+    i, zero, one = GaussianRational.i(), GaussianRational(), GaussianRational(1)
+    r = SymbolRemainder(2 * one, 2 * i)
+    remainders = [_taylor_remainder(p, i, power) for p in _symbols() for power in (1, 2)]
+    pairs = [(r1, r2) for r1 in remainders for r2 in remainders]
+    pairs += [
+        (SymbolRemainder(zero), r),  # r1 = 0
+        (r, SymbolRemainder(zero)),  # r2 = 0
+        (SymbolRemainder(zero), SymbolRemainder(zero)),
+        (SymbolRemainder(zero, one), SymbolRemainder(zero, i)),  # t and i*t: dependent, c0 = 0
+        (SymbolRemainder(one), SymbolRemainder(zero, one)),  # 1 and t: independent
+    ]
+    for r1, r2 in pairs:
+        assert _dependence_factor(r1, r2) == pivot_rule(r1, r2), (r1, r2)
+    assert _dependence_factor(SymbolRemainder(zero, one), SymbolRemainder(zero, i)) == (True, i)
+    assert _dependence_factor(SymbolRemainder(one), SymbolRemainder(zero, one)) == (False, None)
+    assert _dependence_factor(SymbolRemainder(zero), r) == (True, None)
+    dependent = sum(pivot_rule(r1, r2)[0] for r1, r2 in pairs)
+    assert 0 < dependent < len(pairs)
 
 
 def test_boundary_symbol_remainders_exact():
     i = GaussianRational.i()
     result = complementing_check()
     # 1 + t^2 mod (t - i)^2 leaves 2 + 2it
-    assert result.remainder1 == ComplexPolynomial([2, 2 * i])
+    assert result.remainder1 == SymbolRemainder(GaussianRational(2), 2 * i)
     # t + t^3 mod (t - i)^2 leaves 2i - 2t
-    assert result.remainder2 == ComplexPolynomial([2 * i, -2])
+    assert result.remainder2 == SymbolRemainder(2 * i, GaussianRational(-2))
     assert result.linearly_dependent is True
     assert result.factor == i
-    assert result.remainder2 == result.remainder1 * i
+    r1 = result.remainder1
+    assert result.remainder2 == SymbolRemainder(i * r1.c0, i * r1.c1)
 
 
 def test_laplace_control_symbol_not_divisible():
     rem = laplace_complementing_check()
-    assert rem == ComplexPolynomial([GaussianRational.i()])
+    assert rem == SymbolRemainder(GaussianRational.i())
     assert not rem.is_zero()
 
 
-def test_complex_polynomial_formatting():
-    i = GaussianRational.i()
-    assert str(ComplexPolynomial([2, 2 * i])) == "2 + 2i*t"
-    assert str(ComplexPolynomial([2 * i, -2])) == "2i - 2*t"
-    assert str(ComplexPolynomial()) == "0"
-    assert str(ComplexPolynomial([0, 1])) == "t"
+def test_symbol_remainder_formatting():
+    i, zero, one = GaussianRational.i(), GaussianRational(), GaussianRational(1)
+    assert str(SymbolRemainder(GaussianRational(2), 2 * i)) == "2 + 2i*t"
+    assert str(SymbolRemainder(2 * i, GaussianRational(-2))) == "2i - 2*t"
+    assert str(SymbolRemainder(zero)) == "0"
+    assert str(SymbolRemainder(zero, one)) == "t"
+    assert str(SymbolRemainder(zero, -one)) == "-t"
+    assert str(SymbolRemainder(one, one + i)) == "1 + (1 + i)*t"
+    assert str(SymbolRemainder(one, -one - i)) == "1 + (-1 - i)*t"

@@ -27,7 +27,14 @@ def test_module_names_resolve(module):
 
 
 @pytest.mark.parametrize(
-    "name", ["overdetermined_fourth", "FourthOrderResult", "flux_mismatch", "poly_divmod"]
+    "name",
+    [
+        "overdetermined_fourth",
+        "FourthOrderResult",
+        "flux_mismatch",
+        "poly_divmod",
+        "ComplexPolynomial",
+    ],
 )
 def test_restating_names_are_gone(name):
     assert name not in biharm.__all__
