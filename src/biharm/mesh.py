@@ -3,15 +3,17 @@
 Meshes are immutable: vertex coordinates, counterclockwise triangles and
 oriented boundary edges (domain on the left, so the outward normal is the
 tangent rotated by -90 degrees). Every constructor and the text-format
-reader validate the full invariant set: positive triangle areas, area sum
-equal to the shoelace area of the boundary loop, interior edges shared by
-exactly two triangles and boundary edges by exactly one, a single closed
-boundary loop, and the Euler relation V - E + F = 1.
+reader validate the full invariant set: positive triangle areas, every
+vertex in a triangle, interior edges shared by exactly two triangles and
+boundary edges by exactly one, a single closed boundary loop, and the Euler
+relation V - E + F = 1. Green's identity then makes the area sum equal to
+the shoelace area of the loop: interior edges cancel in pairs.
 
 Construction, refinement and validation are array operations. Every edge
 is named by one integer key, lo * V + hi for its sorted endpoint indices;
 ascending keys list the edges in lexicographic (lo, hi) order, which is the
-order that numbers refinement midpoints and degree-2 dofs.
+order that numbers refinement midpoints and degree-2 dofs. Validation keys
+the edge from a to b as 2 * (lo * V + hi) + (a > b), a directed-edge key.
 """
 
 from __future__ import annotations
@@ -154,7 +156,14 @@ class Mesh:
         return np.array(loop, dtype=np.int64)
 
     def validate(self) -> None:
-        """Check all mesh invariants; raise MeshValidationError on the first failure."""
+        """Check all mesh invariants; raise MeshValidationError on the first failure.
+
+        One sort of the triangles' directed-edge keys finds overlaps (a repeated
+        key), the boundary (the once-seen edges, which must equal the listed
+        ones, direction included) and the E of the Euler relation. The area sum
+        is not checked: it equals the loop's shoelace area, so only rounding
+        could fail such a check.
+        """
         v, t, b = self.vertices, self.triangles, self.boundary_edges
         if not np.isfinite(v).all():
             raise MeshValidationError("non-finite vertex coordinate")
@@ -177,43 +186,27 @@ class Mesh:
                 triangle=bad,
             )
 
-        # Edge incidence: directed edges of CCW triangles. No directed edge repeats, so an
-        # undirected edge is seen once (boundary) or twice, in opposite directions (interior).
+        # No directed edge of CCW triangles repeats, so an undirected edge is seen once
+        # (boundary) or twice, in opposite directions (interior), its keys side by side.
         nv = len(v)
-        heads = np.roll(t, -1, axis=1)
-        directed = np.sort(_edge_key(t, heads, nv), axis=None)
-        if (directed[1:] == directed[:-1]).any():
+        keys = np.sort(_directed_key(t, np.roll(t, -1, axis=1), nv), axis=None)
+        if (keys[1:] == keys[:-1]).any():
             raise MeshValidationError("duplicated directed edge (overlapping triangles)")
-        und_unique, counts = np.unique(
-            _edge_key(np.minimum(t, heads), np.maximum(t, heads), nv), return_counts=True
-        )
-        lo, hi = np.sort(b[:, :2], axis=1).T
-        if not np.array_equal(np.unique(_edge_key(lo, hi, nv)), und_unique[counts == 1]):
+        # cut[k]: keys k - 1 and k name different undirected edges (always at both ends)
+        cut = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(keys[1:] >> 1, keys[:-1] >> 1, out=cut[1:-1])
+        once = keys[cut[:-1] & cut[1:]]
+        if not np.array_equal(np.sort(_directed_key(*b[:, :2].T, nv)), once):
             raise MeshValidationError(
-                "boundary_edges do not match the triangulation's once-seen edges"
+                "boundary_edges are not the triangulation's once-seen directed edges"
             )
-        listed = _edge_key(b[:, 0], b[:, 1], nv)
-        found = directed[np.searchsorted(directed, listed).clip(max=len(directed) - 1)] == listed
-        if not found.all():
-            a, bb = b[np.argmin(found), :2]
-            raise MeshValidationError(
-                f"boundary edge ({a}, {bb}) disagrees with triangle orientation"
-            )
+        uses = np.bincount(t.ravel(), minlength=nv)
+        if not uses.all():
+            raise MeshValidationError(f"vertex {int(np.argmin(uses))} is in no triangle")
 
-        loop = self.boundary_loop()
+        self.boundary_loop()
 
-        # Area consistency: triangle areas against the shoelace of the loop.
-        pts = v[loop]
-        nxt = np.roll(pts, -1, axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sum mismatches
-            loop_area = 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
-            total = float(areas.sum())
-        if not abs(total - loop_area) <= AREA_RTOL * max(abs(loop_area), 1.0) < np.inf:
-            raise MeshValidationError(
-                f"triangle area sum {total!r} mismatches boundary loop area {loop_area!r}"
-            )
-
-        euler = len(v) - len(und_unique) + len(t)
+        euler = nv - (int(cut.sum()) - 1) + len(t)
         if euler != 1:
             raise MeshValidationError(f"Euler relation violated: V - E + F = {euler}")
 
@@ -227,6 +220,11 @@ def _edge_key(a, b, nv: int):
     return a * nv + b
 
 
+def _directed_key(a, b, nv: int):
+    """Integer key 2 * (lo * nv + hi) + (a > b) of the edge from vertex a to vertex b."""
+    return 2 * _edge_key(np.minimum(a, b), np.maximum(a, b), nv) + (a > b)
+
+
 def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the undirected edges in lexicographic (lo, hi) order.
 
@@ -236,12 +234,10 @@ def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     nv = mesh.num_vertices
     t = mesh.triangles
-    heads = np.roll(t, -1, axis=1)
-    keys, inverse = np.unique(
-        _edge_key(np.minimum(t, heads), np.maximum(t, heads), nv), return_inverse=True
-    )
-    lo, hi = np.sort(mesh.boundary_edges[:, :2], axis=1).T
-    boundary = np.searchsorted(keys, _edge_key(lo, hi, nv))
+    # a directed-edge key without its direction bit is the undirected key
+    undirected = _directed_key(t, np.roll(t, -1, axis=1), nv) >> 1
+    keys, inverse = np.unique(undirected, return_inverse=True)
+    boundary = np.searchsorted(keys, _directed_key(*mesh.boundary_edges[:, :2].T, nv) >> 1)
     return np.column_stack(np.divmod(keys, nv)), inverse.reshape(t.shape), boundary
 
 

@@ -321,7 +321,7 @@ def test_flux_command_total_is_source_integral(capsys):
 
 
 def test_flux_command_recovers_flux_once(monkeypatch, capsys):
-    # inside solve_neumann's first stage; total_flux reads the flux kept on the solution
+    # inside the first stage, _solve_with_flux; both lines read the flux it returns
     calls = []
     recover = poisson.normal_flux
 
@@ -334,6 +334,35 @@ def test_flux_command_recovers_flux_once(monkeypatch, capsys):
     assert len(calls) == 1
     lines = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
     assert abs(float(lines["total_flux"]) - 16.0 * np.pi**2) < 1e-3
+
+
+def _counted_cg(monkeypatch):
+    calls, solve = [], poisson.cg_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "cg_solve", counted)
+    return calls
+
+
+def test_flux_command_runs_the_first_stage_only(monkeypatch, capsys):
+    # the Dirichlet solve for sigma and the boundary mass solve of its flux; no solve for s
+    calls = _counted_cg(monkeypatch)
+    assert run(["flux", "--case", "sine", "--n", "4"]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", ["f", "g", "h"])
+def test_flux_command_nonfinite_datum_fails_before_any_cg(bad, monkeypatch, capsys):
+    calls = _counted_cg(monkeypatch)
+    data = {"f": "1", "g": "x", "h": "0", bad: "1/(x - x)"}
+    assert run(["flux"] + [f"--{k}={v}" for k, v in data.items()] + ["--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: datum is inf")
+    assert captured.out == ""
+    assert calls == []
 
 
 def test_overdet_command(capsys):

@@ -552,16 +552,67 @@ def test_validation_rejects_two_boundary_loops():
         )
 
 
-def test_validation_rejects_loop_area_mismatch():
-    # far from the origin the shoelace sum cancels catastrophically, while
-    # the triangle areas are formed from coordinate differences
-    off = 1e8 + 0.1
-    with pytest.raises(MeshValidationError, match="mismatches boundary loop area"):
-        _small_mesh(
-            [[off, off], [off + 1.0, off], [off, off + 1.0]],
-            [[0, 1, 2]],
-            [[0, 1, 0], [1, 2, 0], [2, 0, 0]],
-        )
+def _strip(turn=3.0 * np.pi, step=np.pi / 8, radii=(1.0, 1.5, 2.0)):
+    """Vertices, CCW triangles and boundary of a strip of quads between
+    rings of the given radii, winding from angle 0 to ``turn``; vertex
+    ring * (steps + 1) + k sits at angle k * step on ring ``ring``."""
+    steps = round(turn / step)
+    theta = step * np.arange(steps + 1)
+    vertices = np.concatenate([r * np.column_stack([np.cos(theta), np.sin(theta)]) for r in radii])
+    n, k = steps + 1, np.arange(steps)
+    triangles = []
+    for ring in range(len(radii) - 1):
+        a, b = ring * n + k, ring * n + k + 1
+        triangles += [np.stack([a, a + n, b + n], axis=1), np.stack([a, b + n, b], axis=1)]
+    # out along angle 0, the outer ring forward, in along the last angle, the inner ring back
+    rings = n * np.arange(len(radii))
+    loop = np.concatenate([rings, rings[-1] + np.arange(1, n), rings[-2::-1] + steps, k[:0:-1]])
+    boundary = np.column_stack([loop, np.roll(loop, -1), np.zeros_like(loop)])
+    return vertices, np.concatenate(triangles), boundary
+
+
+def test_validation_rejects_vertex_in_no_triangle():
+    # a strip winding 3 pi passes over itself; joining its middle-ring vertex at
+    # 5 pi / 2 to the one at pi / 2, at the same point, leaves V - E + F = 0 on the
+    # used vertices, and counting the unused one too gives the 1 of a disk
+    vertices, triangles, boundary = _strip()
+    strip = Mesh(vertices, triangles, boundary)
+    assert (strip.num_vertices, strip.num_triangles) == (75, 96)
+    middle = 25  # first vertex of the middle ring; 25 angles per ring
+    assert np.allclose(vertices[middle + 20], vertices[middle + 4])
+    joined = np.where(triangles == middle + 20, middle + 4, triangles)
+    with pytest.raises(MeshValidationError, match="^vertex 45 is in no triangle$"):
+        Mesh(vertices, joined, boundary)
+    buf = io.StringIO()
+    write_mesh(strip, buf)
+    rows = buf.getvalue().splitlines()
+    first = 3 + len(vertices)  # after the header, the vertices and 'triangles 96'
+    rows[first : first + len(triangles)] = [f"{a} {b} {c}" for a, b, c in joined.tolist()]
+    with pytest.raises(MeshFormatError, match="^vertex 45 is in no triangle$"):
+        read_mesh(io.StringIO("\n".join(rows)))
+
+
+OFF = 1e8 + 0.1
+
+
+@pytest.mark.parametrize(
+    "vertices, area",
+    [
+        ([[OFF, OFF], [OFF + 1.0, OFF], [OFF, OFF + 1.0]], 0.5),
+        ([[1e160, 1e160], [1.0000000001e160, 1e160], [1e160, 1.0000000001e160]], 5e299),
+    ],
+    ids=["offset-1e8", "corners-1e160"],
+)
+def test_valid_triangle_far_from_the_origin_is_accepted_without_warnings(vertices, area):
+    # the shoelace sum of the loop cancels catastrophically here, while the
+    # triangle areas are formed from coordinate differences
+    edges = [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
+    rows = "\n".join(f"{x!r} {y!r}" for x, y in vertices)
+    text = _ONE_TRIANGLE.replace("0.0 0.0\n1.0 0.0\n0.0 1.0", rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mesh in (_small_mesh(vertices, [[0, 1, 2]], edges), read_mesh(io.StringIO(text))):
+            assert mesh.area() == pytest.approx(area, rel=1e-4)
 
 
 @pytest.mark.parametrize("trailer", ["garbage here\n", None], ids=["garbage", "second-mesh"])
@@ -703,9 +754,8 @@ def test_clockwise_triangle_names_its_index_and_file_line():
     [
         ("0.0 0.0\n1e308 0.0\n0.0 1e308", "^line 7: triangle 0 has an area beyond float range$"),
         ("-1e308 0.0\n1e308 0.0\n0.0 1.0", "^line 7: triangle 0 has an area beyond float range$"),
-        ("1e160 1e160\n1.0000000001e160 1e160\n1e160 1.0000000001e160", "mismatches"),
     ],
-    ids=["area-overflow", "difference-overflow", "loop-area-overflow"],
+    ids=["area-overflow", "difference-overflow"],
 )
 def test_huge_coordinates_are_a_format_error_without_warnings(vertices, message):
     text = _ONE_TRIANGLE.replace("0.0 0.0\n1.0 0.0\n0.0 1.0", vertices)

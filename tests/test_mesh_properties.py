@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharm.mesh import (
+    Mesh,
     MeshFormatError,
+    MeshValidationError,
     read_mesh,
     refine_uniform,
     unit_disk_mesh,
@@ -90,6 +92,94 @@ def test_refinement_keeps_area_markers_and_loop(mesh):
     assert np.array_equal(fine_loop[::2], loop)
     mids = 0.5 * (mesh.vertices[loop] + mesh.vertices[np.roll(loop, -1)])
     assert np.array_equal(fine.vertices[fine_loop[1::2]], mids)
+
+
+def three_pass_accepts(vertices, triangles, boundary):
+    """Accept or reject as validation did before it sorted one array of
+    directed-edge keys: counterclockwise triangles; three edge passes (no
+    repeated directed edge, the listed edges equal as undirected edges to the
+    ones seen once, each listed edge a directed triangle edge); one boundary
+    loop; and V - E + F = 1. The loop-area check of that validation, which only
+    rounding can fail, is left out."""
+    t, b, nv = triangles, boundary, len(vertices)
+    p = vertices[t]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    if not (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0).all():
+        return False
+    heads = np.roll(t, -1, axis=1)
+    directed = np.sort(t * nv + heads, axis=None)
+    if (directed[1:] == directed[:-1]).any():
+        return False
+    undirected = np.minimum(t, heads) * nv + np.maximum(t, heads)
+    und_unique, counts = np.unique(undirected, return_counts=True)
+    lo, hi = np.sort(b[:, :2], axis=1).T
+    if not np.array_equal(np.unique(lo * nv + hi), und_unique[counts == 1]):
+        return False
+    listed = b[:, 0] * nv + b[:, 1]
+    found = directed[np.searchsorted(directed, listed).clip(max=len(directed) - 1)] == listed
+    if not found.all():
+        return False
+    succ = dict(zip(b[:, 0].tolist(), b[:, 1].tolist()))
+    if len(succ) != len(b):
+        return False
+    loop = [int(b[0, 0])]
+    while (cur := succ[loop[-1]]) != loop[0]:
+        loop.append(cur)
+    return len(loop) == len(b) and nv - len(und_unique) + len(t) == 1
+
+
+SMALL_MESHES = [
+    unit_square_mesh(1),
+    unit_square_mesh(3),
+    unit_disk_mesh(1),
+    unit_disk_mesh(2),
+    refine_uniform(unit_disk_mesh(1)),
+]
+
+
+@st.composite
+def corrupted_meshes(draw):
+    """The arrays of a small valid mesh after zero to three edits: a boundary
+    edge reversed, dropped, duplicated or added, every boundary edge reversed
+    (a clockwise loop), or a triangle flipped or repeated."""
+    mesh = draw(st.sampled_from(SMALL_MESHES))
+    t, b = mesh.triangles.tolist(), mesh.boundary_edges.tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        edits = ["reverse", "drop", "duplicate", "add", "reverse-all", "flip", "repeat"]
+        edit = draw(st.sampled_from(edits))
+        if edit in ("reverse", "drop", "duplicate") and b:
+            k = draw(st.integers(0, len(b) - 1))
+            if edit == "reverse":
+                b[k] = [b[k][1], b[k][0], b[k][2]]
+            elif edit == "drop":
+                del b[k]
+            else:
+                b.insert(draw(st.integers(0, len(b))), b[k])
+        elif edit == "reverse-all":
+            b = [[q, p, m] for p, q, m in b]
+        elif edit == "add":
+            vertex = st.integers(0, mesh.num_vertices - 1)
+            pair = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+            b.insert(draw(st.integers(0, len(b))), pair + [0])
+        elif edit in ("flip", "repeat"):
+            k = draw(st.integers(0, len(t) - 1))
+            if edit == "flip":
+                t[k] = t[k][::-1]
+            else:
+                r = draw(st.integers(0, 2))  # the same triangle, from any of its corners
+                t.append(t[k][r:] + t[k][:r])
+    return mesh.vertices, np.array(t, dtype=np.int64), np.array(b, dtype=np.int64).reshape(-1, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted_meshes())
+def test_validation_agrees_with_the_three_pass_oracle(arrays):
+    try:
+        Mesh(*arrays)
+        accepted = True
+    except MeshValidationError:
+        accepted = False
+    assert accepted == three_pass_accepts(*arrays)
 
 
 def _seed_text():

@@ -1,0 +1,17 @@
+"""Rules on the library source that no behaviour test can see."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "biharm").glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant must be a typed raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and found == []
