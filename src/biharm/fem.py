@@ -243,13 +243,13 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
     if degree == 1:
         dof_coords = mesh.vertices.copy()
         element_dofs = tris.copy()
-        bedge_dofs = mesh.boundary_edges[:, :2].copy()
+        bedge_dofs = mesh.boundary_edges
     else:
         edges, sides, boundary = _edge_numbering(mesh)
         element_dofs = np.column_stack([tris, nv + sides])
         midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
         dof_coords = np.vstack([mesh.vertices, midpoints])
-        bedge_dofs = np.column_stack([mesh.boundary_edges[:, :2], nv + boundary])
+        bedge_dofs = np.column_stack([mesh.boundary_edges, nv + boundary])
 
     boundary_dofs, positions = np.unique(bedge_dofs, return_inverse=True)
     space = FeSpace(

@@ -1,13 +1,15 @@
 """Triangle meshes of the unit square and of a polygonal unit disk.
 
-Meshes are immutable: vertex coordinates, counterclockwise triangles and
-oriented boundary edges (domain on the left, so the outward normal is the
-tangent rotated by -90 degrees). Every constructor and the text-format
-reader validate the full invariant set: positive triangle areas, every
-vertex in a triangle, interior edges shared by exactly two triangles and
-boundary edges by exactly one, a single closed boundary loop, and the Euler
-relation V - E + F = 1. Green's identity then makes the area sum equal to
-the shoelace area of the loop: interior edges cancel in pairs.
+A mesh is its vertex coordinates and counterclockwise triangles; both are
+immutable. Every constructor and the text-format reader validate the full
+invariant set: positive triangle areas, every vertex in a triangle, interior
+edges shared by exactly two triangles and boundary edges by exactly one, a
+single closed boundary loop, and the Euler relation V - E + F = 1.
+Validation reads the boundary off the triangles: its edges are the directed
+triangle sides seen once, oriented with the domain on the left (so the
+outward normal is the tangent rotated by -90 degrees). Green's identity then
+makes the area sum equal to the shoelace area of the loop: interior edges
+cancel in pairs.
 
 Construction, refinement and validation are array operations. Every edge
 is named by one integer key, lo * V + hi for its sorted endpoint indices;
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
 from typing import IO, TextIO
@@ -43,7 +45,7 @@ __all__ = [
 AREA_RTOL = 1e-12
 
 # Text format magic line; version suffix guards future layout changes.
-FORMAT_MAGIC = "biharm-mesh v1"
+FORMAT_MAGIC = "biharm-mesh v2"
 
 
 class DomainTag(enum.Enum):
@@ -69,35 +71,33 @@ class MeshFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with oriented boundary.
+    """Immutable triangulation; validation derives its oriented boundary.
 
     Parameters
     ----------
     vertices : (V, 2) float array
     triangles : (T, 3) int array, each row counterclockwise
-    boundary_edges : (B, 3) int array of (start, end, marker), oriented so
-        the domain lies on the left
+
+    ``boundary_edges`` is the read-only (B, 2) int array of (start, end)
+    pairs, oriented so the domain lies on the left and walked as one loop
+    from the smallest boundary vertex.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
+    boundary_edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        b = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshValidationError("vertices must be a (V, 2) array")
         if t.ndim != 2 or t.shape[1] != 3:
             raise MeshValidationError("triangles must be a (T, 3) array")
-        if b.ndim != 2 or b.shape[1] != 3:
-            raise MeshValidationError("boundary_edges must be a (B, 3) array")
-        for arr in (v, t, b):
+        for arr in (v, t):
             arr.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "boundary_edges", b)
         self.validate()
 
     @property
@@ -136,41 +136,27 @@ class Mesh:
         return _edge_numbering(self)[0]
 
     def boundary_loop(self) -> np.ndarray:
-        """Boundary vertices in traversal order; raises unless one closed loop.
-
-        ``validate`` calls this once the listed edges are the triangulation's
-        once-seen directed edges. Each CCW triangle at a vertex, and each
-        interior edge there, starts one directed edge and ends one, so every
-        vertex starts as many boundary edges as it ends. With no start
-        repeated, the successor map permutes the starts and the walk closes.
-        """
-        edges = self.boundary_edges
-        succ = {int(a): int(b) for a, b, _ in edges}
-        if len(succ) != len(edges):
-            raise MeshValidationError("boundary vertex repeats as an edge start")
-        loop = [int(edges[0, 0])]
-        while (cur := succ[loop[-1]]) != loop[0]:
-            loop.append(cur)
-        if len(loop) != len(edges):
-            raise MeshValidationError("boundary edges form more than one loop")
-        return np.array(loop, dtype=np.int64)
+        """Boundary vertices in traversal order, from the smallest."""
+        return self.boundary_edges[:, 0]
 
     def validate(self) -> None:
-        """Check all mesh invariants; raise MeshValidationError on the first failure.
+        """Check all mesh invariants and derive ``boundary_edges``; raise
+        MeshValidationError on the first failure.
 
         One sort of the triangles' directed-edge keys finds overlaps (a repeated
-        key), the boundary (the once-seen edges, which must equal the listed
-        ones, direction included) and the E of the Euler relation. The area sum
-        is not checked: it equals the loop's shoelace area, so only rounding
-        could fail such a check.
+        key), the boundary (the keys whose undirected edge is seen once) and the
+        E of the Euler relation. Each CCW triangle at a vertex, and each interior
+        edge there, starts one directed edge and ends one, so every vertex starts
+        as many boundary edges as it ends. With no start repeated, the successor
+        map permutes the starts and the walk from the smallest one closes. The
+        area sum is not checked: it equals the loop's shoelace area, so only
+        rounding could fail such a check.
         """
-        v, t, b = self.vertices, self.triangles, self.boundary_edges
+        v, t = self.vertices, self.triangles
         if not np.isfinite(v).all():
             raise MeshValidationError("non-finite vertex coordinate")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshValidationError("triangle vertex index out of range")
-        if b.size and (b[:, :2].min() < 0 or b[:, :2].max() >= len(v)):
-            raise MeshValidationError("boundary edge vertex index out of range")
         if len(t) == 0:
             raise MeshValidationError("mesh has no triangles")
 
@@ -196,19 +182,29 @@ class Mesh:
         cut = np.ones(len(keys) + 1, dtype=bool)
         np.not_equal(keys[1:] >> 1, keys[:-1] >> 1, out=cut[1:-1])
         once = keys[cut[:-1] & cut[1:]]
-        if not np.array_equal(np.sort(_directed_key(*b[:, :2].T, nv)), once):
-            raise MeshValidationError(
-                "boundary_edges are not the triangulation's once-seen directed edges"
-            )
         uses = np.bincount(t.ravel(), minlength=nv)
         if not uses.all():
             raise MeshValidationError(f"vertex {int(np.argmin(uses))} is in no triangle")
 
-        self.boundary_loop()
+        lo, hi = np.divmod(once >> 1, nv)
+        backward = (once & 1).astype(bool)  # the edge runs from hi to lo
+        succ = dict(zip(np.where(backward, hi, lo).tolist(), np.where(backward, lo, hi).tolist()))
+        if len(succ) != len(once):
+            raise MeshValidationError("boundary vertex repeats as an edge start")
+        loop = [min(succ)]
+        while (cur := succ[loop[-1]]) != loop[0]:
+            loop.append(cur)
+        if len(loop) != len(once):
+            raise MeshValidationError("boundary edges form more than one loop")
 
         euler = nv - (int(cut.sum()) - 1) + len(t)
         if euler != 1:
             raise MeshValidationError(f"Euler relation violated: V - E + F = {euler}")
+
+        starts = np.array(loop, dtype=np.int64)
+        edges = np.column_stack([starts, np.roll(starts, -1)])
+        edges.flags.writeable = False
+        object.__setattr__(self, "boundary_edges", edges)
 
 
 def _edge_key(a, b, nv: int):
@@ -237,7 +233,7 @@ def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a directed-edge key without its direction bit is the undirected key
     undirected = _directed_key(t, np.roll(t, -1, axis=1), nv) >> 1
     keys, inverse = np.unique(undirected, return_inverse=True)
-    boundary = np.searchsorted(keys, _directed_key(*mesh.boundary_edges[:, :2].T, nv) >> 1)
+    boundary = np.searchsorted(keys, _directed_key(*mesh.boundary_edges.T, nv) >> 1)
     return np.column_stack(np.divmod(keys, nv)), inverse.reshape(t.shape), boundary
 
 
@@ -245,9 +241,8 @@ def unit_square_mesh(n: int) -> Mesh:
     """Structured triangulation of [0,1]^2 with n cells per side.
 
     Each grid cell is split along its bottom-left to top-right diagonal,
-    giving (n+1)^2 vertices and 2 n^2 triangles. Boundary markers: 0 on
-    y=0, 1 on x=1, 2 on y=1, 3 on x=0, with the loop oriented
-    counterclockwise.
+    giving (n+1)^2 vertices and 2 n^2 triangles. The boundary loop runs
+    counterclockwise from the corner (0, 0), vertex 0.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -259,14 +254,7 @@ def unit_square_mesh(n: int) -> Mesh:
     v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-
-    # loop starts: bottom left to right, right bottom to top, top right to
-    # left, left top to bottom
-    k = np.arange(n)
-    loop = np.concatenate([k, k * (n + 1) + n, n * (n + 1) + n - k, (n - k) * (n + 1)])
-    edges = np.column_stack([loop, np.roll(loop, -1), np.repeat(np.arange(4), n)])
-
-    return Mesh(vertices, tris, edges)
+    return Mesh(vertices, tris)
 
 
 def unit_disk_mesh(rings: int) -> Mesh:
@@ -275,8 +263,9 @@ def unit_disk_mesh(rings: int) -> Mesh:
     Ring k (1 <= k <= rings) carries 6k vertices at radius k/rings, plus
     the center vertex; the strip between consecutive rings is filled with
     a fan of triangles. ``rings=1`` gives the regular hexagon (7 vertices,
-    6 triangles). All boundary edges carry marker 0. The mesh covers the
-    inscribed polygon, not the exact disk.
+    6 triangles). The boundary loop is the outer ring, counterclockwise from
+    its vertex at angle 0. The mesh covers the inscribed polygon, not the
+    exact disk.
     """
     if rings < 1:
         raise ValueError("rings must be at least 1")
@@ -298,22 +287,18 @@ def unit_disk_mesh(rings: int) -> Mesh:
         down = np.stack([O[:, 1:-1], I[:, 1:], I[:, :-1]], axis=-1)
         tris.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
         inner, n_in = outer, n_out
-
-    m = np.arange(n_out)
-    edges = np.column_stack([outer + m, outer + (m + 1) % n_out, np.zeros_like(m)])
-
-    return Mesh(np.vstack(verts), np.vstack(tris), edges)
+    return Mesh(np.vstack(verts), np.vstack(tris))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into four by edge midpoints.
 
     Original vertices keep their indices and coordinates; midpoint
-    vertices are appended in lexicographic edge order. Boundary edges are
-    split in two, inheriting marker and orientation, so markers, the loop
-    and the total area are all preserved.
+    vertices are appended in lexicographic edge order. Each boundary edge is
+    split in two, so the loop keeps its start vertex and gains a midpoint
+    after each of its vertices, and the total area is preserved.
     """
-    edges, sides, boundary = _edge_numbering(mesh)
+    edges, sides, _ = _edge_numbering(mesh)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
     base = mesh.num_vertices
@@ -323,12 +308,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     tris = np.stack(
         [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
     ).reshape(-1, 3)
-
-    a, b, marker = mesh.boundary_edges.T
-    m = base + boundary
-    bedges = np.stack([a, m, marker, m, b, marker], axis=1).reshape(-1, 3)
-
-    return Mesh(vertices, tris, bedges)
+    return Mesh(vertices, tris)
 
 
 def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
@@ -337,7 +317,6 @@ def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
     for name, rows, row in (
         ("vertices", mesh.vertices, "%r %r\n"),
         ("triangles", mesh.triangles, "%d %d %d\n"),
-        ("boundary", mesh.boundary_edges, "%d %d %d\n"),
     ):
         text += f"{name} {len(rows)}\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
     if hasattr(destination, "write"):
@@ -377,7 +356,6 @@ def read_mesh(source: str | Path | IO) -> Mesh:
     for name, what, width, dtype in (
         ("vertices", "vertex", 2, float),
         ("triangles", "triangle", 3, np.int64),
-        ("boundary", "boundary edge", 3, np.int64),
     ):
         if pos == len(texts):
             raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
@@ -404,14 +382,14 @@ def read_mesh(source: str | Path | IO) -> Mesh:
                 raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
             raise MeshFormatError(f"integer out of range in {texts[first]!r}", line=numbers[first])
         sections.append((start, values))
-    (_, vertices), (first_triangle, triangles), (_, bedges) = sections
+    (_, vertices), (first_triangle, triangles) = sections
     if pos < len(texts):
         raise MeshFormatError(
-            f"unexpected content after the boundary section: {texts[pos]!r}", line=numbers[pos]
+            f"unexpected content after the triangles section: {texts[pos]!r}", line=numbers[pos]
         )
 
     try:
-        return Mesh(vertices, triangles, bedges)
+        return Mesh(vertices, triangles)
     except MeshValidationError as exc:
         line = None if exc.triangle is None else numbers[first_triangle + exc.triangle]
         raise MeshFormatError(str(exc), line=line) from exc

@@ -127,7 +127,8 @@ def solve_dirichlet(
     rel_tol, max_iter : forwarded to the CG solve of the interior system
 
     Returns the finite element solution; its ``solver_iterations`` field
-    records the CG iteration count (0 when there are no interior dofs).
+    records the CG iteration count (0 when there are no interior dofs). A
+    right-hand side that overflows in the lift raises FloatingPointError.
     """
     _check_cg_budget(rel_tol, max_iter)  # also when no CG runs: no interior dofs
     # data first, so a non-finite datum fails before any operator is assembled
@@ -143,7 +144,10 @@ def solve_dirichlet(
 
     # Weak form: (grad w, grad v) = -(q, v) for interior v, i.e. the interior rows
     # of K w + b vanish; coeffs holds g on the boundary and 0 inside, the lift.
-    rhs = -(ops.stiffness @ coeffs + b)[interior]
+    with np.errstate(over="ignore", invalid="ignore"):  # scipy's K @ coeffs overflows unflagged
+        rhs = -(ops.stiffness @ coeffs + b)[interior]
+    if not np.isfinite(rhs).all():
+        raise FloatingPointError("lifted right-hand side beyond float range")
     result = cg_solve(ops.a_ii, rhs, rel_tol=rel_tol, max_iter=max_iter)
     coeffs[interior] = result.x
     return ScalarField(space, coeffs, solver_iterations=result.iterations)

@@ -527,6 +527,12 @@ def test_overflow_inside_a_solve_is_a_numerical_failure(capsys):
     assert err.startswith("numerical failure: overflow encountered")
 
 
+def test_overflow_in_the_lift_is_a_numerical_failure_not_non_convergence(capsys):
+    argv = ["flux", "--f", "0", "--g", "1e308", "--h", "0", "--n", "4"]
+    err = _fails_on_one_line(argv, capsys, 2)
+    assert err == "numerical failure: lifted right-hand side beyond float range\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["solve", "--degree", "7"], ["mesh", "--n", "-1\n"], ["nope"], ["converge"]],

@@ -29,7 +29,6 @@ def corner_triangle_mesh() -> Mesh:
     return Mesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
-        np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
     )
 
 
@@ -105,11 +104,7 @@ def test_assembly_independent_of_triangle_order(degree):
     mesh = unit_square_mesh(3)
     rng = np.random.default_rng(5)
     perm = rng.permutation(mesh.num_triangles)
-    shuffled = Mesh(
-        mesh.vertices.copy(),
-        mesh.triangles[perm],
-        mesh.boundary_edges.copy(),
-    )
+    shuffled = Mesh(mesh.vertices.copy(), mesh.triangles[perm])
     s1 = build_space(mesh, degree)
     s2 = build_space(shuffled, degree)
     a1 = assemble_stiffness(s1).toarray()
@@ -149,7 +144,7 @@ def test_boundary_dofs_on_disk_polygon_edges():
     space = build_space(unit_disk_mesh(3), 2)
     mesh = space.mesh
     dof_map = space.boundary_dofs[space.boundary_edge_positions]
-    for edge_dofs, (a, b, _) in zip(dof_map, mesh.boundary_edges):
+    for edge_dofs, (a, b) in zip(dof_map, mesh.boundary_edges):
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         tangent = pb - pa
         length = np.linalg.norm(tangent)
@@ -173,7 +168,7 @@ def test_boundary_dofs_are_the_sorted_dofs_of_boundary_edges(name, degree):
     # and, at degree 2, the dof placed at its midpoint
     at = {tuple(p): dof for dof, p in enumerate(space.dof_coordinates.tolist())}
     expected = set()
-    for a, b, _ in mesh.boundary_edges:
+    for a, b in mesh.boundary_edges:
         expected |= {int(a), int(b)}
         if degree == 2:
             expected.add(at[tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b]))])

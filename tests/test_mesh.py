@@ -4,7 +4,6 @@ import io
 import math
 import re
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,27 +51,10 @@ def test_square_area_and_orientation():
     assert abs(m.area() - 1.0) < 1e-14
 
 
-def test_square_side_markers():
-    m = unit_square_mesh(4)
-    for a, b, marker in m.boundary_edges:
-        pa, pb = m.vertices[a], m.vertices[b]
-        if marker == 0:
-            assert pa[1] == 0 and pb[1] == 0
-        elif marker == 1:
-            assert pa[0] == 1 and pb[0] == 1
-        elif marker == 2:
-            assert pa[1] == 1 and pb[1] == 1
-        elif marker == 3:
-            assert pa[0] == 0 and pb[0] == 0
-        else:
-            raise AssertionError(f"unexpected marker {marker}")
-    assert sorted(set(m.boundary_edges[:, 2])) == [0, 1, 2, 3]
-
-
 def test_square_boundary_outward_normals():
     m = unit_square_mesh(3)
     centroid = np.array([0.5, 0.5])
-    for a, b, _ in m.boundary_edges:
+    for a, b in m.boundary_edges:
         pa, pb = m.vertices[a], m.vertices[b]
         tangent = pb - pa
         normal = np.array([tangent[1], -tangent[0]])
@@ -113,7 +95,6 @@ def test_refine_counts_and_area():
     assert r.num_boundary_edges == 2 * m.num_boundary_edges
     assert abs(r.area() - m.area()) < 1e-12
     assert np.array_equal(r.vertices[: m.num_vertices], m.vertices)
-    assert set(r.boundary_edges[:, 2]) == set(m.boundary_edges[:, 2])
 
 
 def test_refine_twice_keeps_originals():
@@ -134,22 +115,51 @@ def test_refined_square_matches_direct():
     assert r_set == d_set
 
 
+def _listed_boundary(kind, n, refinements):
+    """The boundary edges as the constructors listed them before validation
+    derived them: the square's sides bottom, right, top, left from vertex 0;
+    the disk's outer ring from its vertex at angle 0; each refinement splitting
+    every edge at its midpoint, numbered base + the rank of its (lo, hi) key."""
+    if kind == "square":
+        k = np.arange(n)
+        loop = np.concatenate([k, k * (n + 1) + n, n * (n + 1) + n - k, (n - k) * (n + 1)])
+        mesh = unit_square_mesh(n)
+    else:
+        outer, m = 1 + 3 * n * (n - 1), np.arange(6 * n)  # vertices inside the outer ring
+        loop = outer + m
+        mesh = unit_disk_mesh(n)
+    edges = np.column_stack([loop, np.roll(loop, -1)])
+    for _ in range(refinements):
+        nv, t = mesh.num_vertices, mesh.triangles
+        heads = np.roll(t, -1, axis=1)
+        keys = np.unique(np.minimum(t, heads) * nv + np.maximum(t, heads))
+        a, b = edges.T
+        mid = nv + np.searchsorted(keys, np.minimum(a, b) * nv + np.maximum(a, b))
+        edges = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)
+        mesh = refine_uniform(mesh)
+    return mesh, edges
+
+
+@pytest.mark.parametrize("refinements", [0, 1, 2])
+@pytest.mark.parametrize(
+    "kind, n",
+    [("square", n) for n in (1, 2, 3, 7, 16, 33, 128)]
+    + [("disk", n) for n in (1, 2, 3, 5, 12, 32)],
+)
+def test_derived_boundary_is_the_listed_boundary_byte_for_byte(kind, n, refinements):
+    # the same edges in the same order, so every boundary sum keeps its bits
+    mesh, listed = _listed_boundary(kind, n, refinements)
+    assert mesh.boundary_edges.dtype == np.int64
+    assert mesh.boundary_edges.shape == listed.shape
+    assert mesh.boundary_edges.tobytes() == listed.tobytes()
+    assert mesh.boundary_loop().tobytes() == listed[:, 0].tobytes()
+
+
 def test_validation_rejects_clockwise_triangle():
     with pytest.raises(MeshValidationError, match="counterclockwise"):
         Mesh(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 2, 1]]),
-            np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
-        )
-
-
-def test_validation_rejects_wrong_boundary_orientation():
-    # (1, 0) traverses the bottom edge against the triangle orientation
-    with pytest.raises(MeshValidationError):
-        Mesh(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            np.array([[0, 1, 2]]),
-            np.array([[1, 0, 0], [1, 2, 0], [2, 0, 0]]),
         )
 
 
@@ -158,16 +168,6 @@ def test_validation_rejects_unused_vertex():
         Mesh(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]),
             np.array([[0, 1, 2]]),
-            np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
-        )
-
-
-def test_validation_rejects_incomplete_boundary():
-    with pytest.raises(MeshValidationError):
-        Mesh(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            np.array([[0, 1, 2]]),
-            np.array([[0, 1, 0], [1, 2, 0]]),
         )
 
 
@@ -176,7 +176,6 @@ def test_validation_rejects_out_of_range_index():
         Mesh(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 1, 7]]),
-            np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]]),
         )
 
 
@@ -185,23 +184,14 @@ def test_validation_rejects_out_of_range_index():
     [
         ("vertices", 1, "vertices must be a (V, 2) array"),
         ("triangles", 2, "triangles must be a (T, 3) array"),
-        ("boundary_edges", 2, "boundary_edges must be a (B, 3) array"),
     ],
 )
 def test_validation_rejects_arrays_of_the_wrong_width(part, width, message):
     m = unit_square_mesh(1)
-    arrays = {"vertices": m.vertices, "triangles": m.triangles, "boundary_edges": m.boundary_edges}
+    arrays = {"vertices": m.vertices, "triangles": m.triangles}
     arrays[part] = arrays[part][:, :width]
     with pytest.raises(MeshValidationError, match=f"^{re.escape(message)}$"):
         Mesh(**arrays)
-
-
-def test_validation_rejects_boundary_edge_vertex_out_of_range():
-    m = unit_square_mesh(1)
-    boundary = m.boundary_edges.copy()
-    boundary[0, 1] = 99
-    with pytest.raises(MeshValidationError, match="^boundary edge vertex index out of range$"):
-        Mesh(m.vertices, m.triangles, boundary)
 
 
 def test_mesh_arrays_immutable():
@@ -210,6 +200,8 @@ def test_mesh_arrays_immutable():
         m.vertices[0, 0] = 7.0
     with pytest.raises(ValueError):
         m.triangles[0, 0] = 3
+    with pytest.raises(ValueError):
+        m.boundary_edges[0, 0] = 3
 
 
 @pytest.mark.parametrize(
@@ -242,8 +234,18 @@ def test_read_rejects_bad_header():
     assert err.value.line == 1
 
 
+def test_read_refuses_a_version_1_file_by_its_header():
+    text = (
+        "biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+        "triangles 1\n0 1 2\nboundary 3\n0 1 0\n1 2 0\n2 0 0\n"
+    )
+    message = "^line 1: bad header 'biharm-mesh v1', expected 'biharm-mesh v2'$"
+    with pytest.raises(MeshFormatError, match=message):
+        read_mesh(io.StringIO(text))
+
+
 def test_read_rejects_bad_vertex_line():
-    text = "biharm-mesh v1\nvertices 1\n0.0 oops\n"
+    text = "biharm-mesh v2\nvertices 1\n0.0 oops\n"
     with pytest.raises(MeshFormatError) as err:
         read_mesh(io.StringIO(text))
     assert err.value.line == 3
@@ -255,7 +257,7 @@ def test_read_rejects_bad_vertex_line():
 )
 def test_read_rejects_a_bad_section_count(count, message):
     with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$") as err:
-        read_mesh(io.StringIO(f"biharm-mesh v1\nvertices {count}\n0.0 0.0\n"))
+        read_mesh(io.StringIO(f"biharm-mesh v2\nvertices {count}\n0.0 0.0\n"))
     assert err.value.line == 2
 
 
@@ -282,16 +284,12 @@ def test_read_reports_line_of_clockwise_triangle():
 
 
 @pytest.mark.parametrize(
-    "triangle, boundary, message",
-    [
-        ("0 1 9", "0 1 0", None),
-        ("0 1 99999999999999999999", "0 1 0", "^line 7: integer out of range"),
-        ("0 1 2", "0 99999999999999999999 0", "^line 9: integer out of range"),
-    ],
-    ids=["triangle", "triangle-beyond-int64", "boundary-beyond-int64"],
+    "triangle, message",
+    [("0 1 9", None), ("0 1 99999999999999999999", "^line 7: integer out of range")],
+    ids=["triangle", "triangle-beyond-int64"],
 )
-def test_read_rejects_index_out_of_range(triangle, boundary, message):
-    text = f"biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n{triangle}\nboundary 3\n{boundary}\n1 2 0\n2 0 0\n"
+def test_read_rejects_index_out_of_range(triangle, message):
+    text = f"biharm-mesh v2\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n{triangle}\n"
     with pytest.raises(MeshFormatError, match=message):
         read_mesh(io.StringIO(text))
 
@@ -300,13 +298,11 @@ def _f_string_mesh_text(mesh):
     """The mesh text written one f-string per line."""
     return "".join(
         [
-            "biharm-mesh v1\n",
+            "biharm-mesh v2\n",
             f"vertices {mesh.num_vertices}\n",
             *(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()),
             f"triangles {mesh.num_triangles}\n",
             *(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
-            f"boundary {mesh.num_boundary_edges}\n",
-            *(f"{a} {b} {m}\n" for a, b, m in mesh.boundary_edges.tolist()),
         ]
     )
 
@@ -314,8 +310,7 @@ def _f_string_mesh_text(mesh):
 def _edge_value_mesh():
     # one counterclockwise triangle whose coordinates are float edge cases
     vertices = [[-1e300, -0.0], [1e16, 5e-324], [float(np.nextafter(1.0, 2.0)), 1e-05]]
-    boundary = [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
-    return Mesh(np.array(vertices), [[0, 1, 2]], boundary)
+    return Mesh(np.array(vertices), [[0, 1, 2]])
 
 
 @pytest.mark.parametrize(
@@ -332,10 +327,7 @@ def test_write_matches_per_line_f_strings_and_reads_back_bit_exact(mesh):
         assert getattr(again, name).tobytes() == getattr(mesh, name).tobytes()
 
 
-_ONE_TRIANGLE = (
-    "biharm-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-    "triangles 1\n0 1 2\nboundary 3\n0 1 0\n1 2 0\n2 0 0\n"
-)
+_ONE_TRIANGLE = "biharm-mesh v2\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ntriangles 1\n0 1 2\n"
 
 
 @pytest.mark.parametrize(
@@ -345,16 +337,12 @@ _ONE_TRIANGLE = (
         (5, "0.0 ١.0", "vertex"),
         (7, "0_0 1 2", "triangle"),
         (7, "0 1 ٢", "triangle"),
-        (9, "0 1 0_0", "boundary edge"),
-        (9, "0 1 ٠", "boundary edge"),
     ],
     ids=[
         "vertex-underscore",
         "vertex-arabic-digit",
         "triangle-underscore",
         "triangle-arabic-digit",
-        "boundary-underscore",
-        "boundary-arabic-digit",
     ],
 )
 def test_read_rejects_underscores_and_non_ascii_digits(line, replacement, what):
@@ -371,12 +359,12 @@ def test_read_rejects_underscores_and_non_ascii_digits(line, replacement, what):
     "first, rows, what",
     [
         (3, ["0.0 0.0 1.0", "0.0", "0.0 1.0"], "vertex"),
-        (9, ["0 1", "0 1 2 0", "2 0 0"], "boundary edge"),
+        (7, ["0 1", "0 1 2 0", "2 0 1"], "triangle"),
     ],
-    ids=["vertices", "boundary"],
+    ids=["vertices", "triangles"],
 )
 def test_read_rejects_ragged_block_with_the_right_token_count(first, rows, what):
-    lines = _ONE_TRIANGLE.splitlines()
+    lines = _ONE_TRIANGLE.replace("triangles 1", "triangles 3").splitlines()
     lines[first - 1 : first + 2] = rows
     message = f"^line {first}: bad {what} line {re.escape(repr(rows[0]))}$"
     with pytest.raises(MeshFormatError, match=message):
@@ -384,19 +372,19 @@ def test_read_rejects_ragged_block_with_the_right_token_count(first, rows, what)
 
 
 @pytest.mark.parametrize(
-    "boundary, message",
+    "triangles, message",
     [
-        ("0 99999999999999999999 0\n1 2 x\n2 0 0", "^line 10: bad boundary edge line '1 2 x'$"),
+        ("0 99999999999999999999 2\n1 2 x\n2 0 1", "^line 8: bad triangle line '1 2 x'$"),
         (
-            "0 99999999999999999999 0\n1 2 -99999999999999999999\n2 0 0",
-            "^line 9: integer out of range",
+            "0 99999999999999999999 2\n1 2 -99999999999999999999\n2 0 1",
+            "^line 7: integer out of range",
         ),
-        ("0 99999999999999999999 0\n1 2 0", "^line 10: unexpected end of file$"),
+        ("0 99999999999999999999 2\n1 2 0", "^line 8: unexpected end of file$"),
     ],
     ids=["bad-line-after-overflow", "two-overflows", "end-of-file-after-overflow"],
 )
-def test_read_reports_int64_overflow_after_other_faults_of_its_section(boundary, message):
-    text = _ONE_TRIANGLE.split("boundary 3\n")[0] + "boundary 3\n" + boundary
+def test_read_reports_int64_overflow_after_other_faults_of_its_section(triangles, message):
+    text = _ONE_TRIANGLE.split("triangles 1\n")[0] + "triangles 3\n" + triangles
     with pytest.raises(MeshFormatError, match=message):
         read_mesh(io.StringIO(text))
 
@@ -423,10 +411,9 @@ def _numpy1_loadtxt(loadtxt):
     [
         (7, "0 1.5 2", "bad triangle line '0 1.5 2'"),
         (7, "0 1 1e0", "bad triangle line '0 1 1e0'"),
-        (9, "0 1 0.0", "bad boundary edge line '0 1 0.0'"),
         (7, "0 1 99999999999999999999", "integer out of range in '0 1 99999999999999999999'"),
     ],
-    ids=["triangle-fraction", "triangle-exponent", "boundary-float", "triangle-overflow"],
+    ids=["triangle-fraction", "triangle-exponent", "triangle-overflow"],
 )
 def test_read_rejects_float_tokens_in_integer_sections(
     monkeypatch, numpy1, line, replacement, message
@@ -453,7 +440,7 @@ def test_read_stops_at_the_first_bad_line(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", counted)
     rows = ["0.0 0.0", "0.0 x"] + ["0.0 0.0"] * 1000
-    text = "biharm-mesh v1\nvertices 1002\n" + "\n".join(rows)
+    text = "biharm-mesh v2\nvertices 1002\n" + "\n".join(rows)
     with pytest.raises(MeshFormatError, match="^line 4: bad vertex line '0.0 x'$"):
         read_mesh(io.StringIO(text))
     assert [len(block) for block in calls] == [1002, 1, 1]
@@ -461,7 +448,7 @@ def test_read_stops_at_the_first_bad_line(monkeypatch):
 
 @pytest.mark.parametrize("vertices", ["vertices 0\n", "vertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"])
 def test_empty_sections_reach_validation_without_warnings(vertices):
-    text = f"biharm-mesh v1\n{vertices}triangles 0\nboundary 0\n"
+    text = f"biharm-mesh v2\n{vertices}triangles 0\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MeshFormatError, match="^mesh has no triangles$"):
@@ -497,20 +484,18 @@ def test_read_reports_line_of_non_ascii_byte_in_a_stream(tmp_path, newline):
             read_mesh(stream)
 
 
-def _small_mesh(vertices, triangles, boundary):
-    return Mesh(np.array(vertices, dtype=float), triangles, boundary)
+def _small_mesh(vertices, triangles):
+    return Mesh(np.array(vertices, dtype=float), triangles)
 
 
 def test_validation_rejects_non_finite_vertex():
     with pytest.raises(MeshValidationError, match="non-finite vertex coordinate"):
-        _small_mesh(
-            [[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]], [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
-        )
+        _small_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]])
 
 
 def test_validation_rejects_empty_triangulation():
     with pytest.raises(MeshValidationError, match="mesh has no triangles"):
-        _small_mesh([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 3)), np.empty((0, 3)))
+        _small_mesh([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 3)))
 
 
 def test_validation_rejects_duplicated_directed_edge():
@@ -519,7 +504,6 @@ def test_validation_rejects_duplicated_directed_edge():
         _small_mesh(
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
             [[0, 1, 2], [1, 2, 0]],
-            [[0, 1, 0], [1, 2, 0], [2, 0, 0]],
         )
 
 
@@ -529,7 +513,6 @@ def test_validation_rejects_edge_shared_by_three_triangles():
         _small_mesh(
             [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]],
             [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
-            [[1, 2, 0], [2, 0, 0], [0, 3, 0], [3, 1, 0], [1, 4, 0], [4, 0, 0]],
         )
 
 
@@ -539,7 +522,6 @@ def test_validation_rejects_boundary_vertex_starting_two_edges():
         _small_mesh(
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
             [[0, 1, 2], [0, 3, 4]],
-            [[0, 1, 0], [1, 2, 0], [2, 0, 0], [0, 3, 0], [3, 4, 0], [4, 0, 0]],
         )
 
 
@@ -548,12 +530,11 @@ def test_validation_rejects_two_boundary_loops():
         _small_mesh(
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 2.0], [2.0, 3.0]],
             [[0, 1, 2], [3, 4, 5]],
-            [[0, 1, 0], [1, 2, 0], [2, 0, 0], [3, 4, 0], [4, 5, 0], [5, 3, 0]],
         )
 
 
 def _strip(turn=3.0 * np.pi, step=np.pi / 8, radii=(1.0, 1.5, 2.0)):
-    """Vertices, CCW triangles and boundary of a strip of quads between
+    """Vertices and CCW triangles of a strip of quads between
     rings of the given radii, winding from angle 0 to ``turn``; vertex
     ring * (steps + 1) + k sits at angle k * step on ring ``ring``."""
     steps = round(turn / step)
@@ -564,25 +545,21 @@ def _strip(turn=3.0 * np.pi, step=np.pi / 8, radii=(1.0, 1.5, 2.0)):
     for ring in range(len(radii) - 1):
         a, b = ring * n + k, ring * n + k + 1
         triangles += [np.stack([a, a + n, b + n], axis=1), np.stack([a, b + n, b], axis=1)]
-    # out along angle 0, the outer ring forward, in along the last angle, the inner ring back
-    rings = n * np.arange(len(radii))
-    loop = np.concatenate([rings, rings[-1] + np.arange(1, n), rings[-2::-1] + steps, k[:0:-1]])
-    boundary = np.column_stack([loop, np.roll(loop, -1), np.zeros_like(loop)])
-    return vertices, np.concatenate(triangles), boundary
+    return vertices, np.concatenate(triangles)
 
 
 def test_validation_rejects_vertex_in_no_triangle():
     # a strip winding 3 pi passes over itself; joining its middle-ring vertex at
     # 5 pi / 2 to the one at pi / 2, at the same point, leaves V - E + F = 0 on the
     # used vertices, and counting the unused one too gives the 1 of a disk
-    vertices, triangles, boundary = _strip()
-    strip = Mesh(vertices, triangles, boundary)
+    vertices, triangles = _strip()
+    strip = Mesh(vertices, triangles)
     assert (strip.num_vertices, strip.num_triangles) == (75, 96)
     middle = 25  # first vertex of the middle ring; 25 angles per ring
     assert np.allclose(vertices[middle + 20], vertices[middle + 4])
     joined = np.where(triangles == middle + 20, middle + 4, triangles)
     with pytest.raises(MeshValidationError, match="^vertex 45 is in no triangle$"):
-        Mesh(vertices, joined, boundary)
+        Mesh(vertices, joined)
     buf = io.StringIO()
     write_mesh(strip, buf)
     rows = buf.getvalue().splitlines()
@@ -606,12 +583,11 @@ OFF = 1e8 + 0.1
 def test_valid_triangle_far_from_the_origin_is_accepted_without_warnings(vertices, area):
     # the shoelace sum of the loop cancels catastrophically here, while the
     # triangle areas are formed from coordinate differences
-    edges = [[0, 1, 0], [1, 2, 0], [2, 0, 0]]
     rows = "\n".join(f"{x!r} {y!r}" for x, y in vertices)
     text = _ONE_TRIANGLE.replace("0.0 0.0\n1.0 0.0\n0.0 1.0", rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for mesh in (_small_mesh(vertices, [[0, 1, 2]], edges), read_mesh(io.StringIO(text))):
+        for mesh in (_small_mesh(vertices, [[0, 1, 2]]), read_mesh(io.StringIO(text))):
             assert mesh.area() == pytest.approx(area, rel=1e-4)
 
 
@@ -629,7 +605,7 @@ def test_read_rejects_trailing_content(trailer):
 
 def test_read_binary_stream_as_ascii():
     with pytest.raises(MeshFormatError, match="^line 1: unexpected end of file$"):
-        read_mesh(io.BytesIO(b"biharm-mesh v1\n"))
+        read_mesh(io.BytesIO(b"biharm-mesh v2\n"))
     text = _ONE_TRIANGLE.replace("vertices", "vértices")
     with pytest.raises(MeshFormatError, match="^line 2: non-ASCII byte 0xc3$"):
         read_mesh(io.BytesIO(text.encode("utf-8")))
@@ -647,14 +623,9 @@ def test_binary_stream_round_trip_is_bit_exact():
 
 
 def _submesh(mesh, keep):
-    """The mesh of the kept triangles: vertices renumbered, boundary rebuilt from
-    the directed edges seen once, all with marker 0."""
+    """The mesh of the kept triangles, its vertices renumbered."""
     used, tris = np.unique(mesh.triangles[keep], return_inverse=True)
-    tris = tris.reshape(-1, 3)
-    directed = [(a, b) for t in tris.tolist() for a, b in zip(t, t[1:] + t[:1])]
-    seen = Counter(frozenset(e) for e in directed)
-    boundary = [(a, b, 0) for a, b in directed if seen[frozenset((a, b))] == 1]
-    return Mesh(mesh.vertices[used], tris, boundary)
+    return Mesh(mesh.vertices[used], tris.reshape(-1, 3))
 
 
 def _l_shape(n):
@@ -667,7 +638,7 @@ def _l_shape(n):
 def _small_square(n):
     """[0.25,0.75]^2: inside the unit square, a quarter of its area."""
     mesh = unit_square_mesh(n)
-    return Mesh(0.25 + 0.5 * mesh.vertices, mesh.triangles, mesh.boundary_edges)
+    return Mesh(0.25 + 0.5 * mesh.vertices, mesh.triangles)
 
 
 def _read_back(mesh):
@@ -696,7 +667,7 @@ def test_perturbed_interior_vertices_keep_the_unit_square():
     rng = np.random.default_rng(7)
     vertices = mesh.vertices.copy()
     vertices[interior] += rng.uniform(-0.04, 0.04, size=(interior.sum(), 2))
-    moved = Mesh(vertices, mesh.triangles, mesh.boundary_edges)
+    moved = Mesh(vertices, mesh.triangles)
     assert not np.array_equal(moved.vertices, mesh.vertices)
     for m in (moved, _read_back(moved)):
         assert m.domain_tag is DomainTag.UNIT_SQUARE
@@ -726,7 +697,7 @@ def test_perturbed_interior_vertices_keep_the_unit_square():
     ],
 )
 def test_domain_tag_is_read_off_the_three_arrays(mesh, tag):
-    rebuilt = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges)
+    rebuilt = Mesh(mesh.vertices, mesh.triangles)
     for m in (mesh, rebuilt, _read_back(mesh)):
         assert m.domain_tag is tag
 
@@ -736,7 +707,7 @@ def test_clockwise_triangle_names_its_index_and_file_line():
     tris = mesh.triangles.copy()
     tris[5] = tris[5, ::-1]
     with pytest.raises(MeshValidationError, match="^triangle 5 is not counterclockwise") as err:
-        Mesh(mesh.vertices, tris, mesh.boundary_edges)
+        Mesh(mesh.vertices, tris)
     assert err.value.triangle == 5
     buf = io.StringIO()
     write_mesh(mesh, buf)

@@ -2,6 +2,7 @@
 
 import io
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_invariants_hold(mesh):
     counts = edge_oracle(mesh.triangles)
     assert set(counts.values()) <= {1, 2}
     once = {e for e, c in counts.items() if c == 1}
-    assert once == {(min(a, b), max(a, b)) for a, b, _ in mesh.boundary_edges.tolist()}
+    assert once == {(min(a, b), max(a, b)) for a, b in mesh.boundary_edges.tolist()}
     assert mesh.num_vertices - len(counts) + mesh.num_triangles == 1
     assert len(mesh.boundary_loop()) == mesh.num_boundary_edges
 
@@ -83,49 +84,42 @@ def test_refinement_keeps_area_markers_and_loop(mesh):
     fine = refine_uniform(mesh)
     assert abs(fine.area() - mesh.area()) <= 1e-12 * abs(mesh.area())
     assert np.array_equal(fine.vertices[: mesh.num_vertices], mesh.vertices)
-    # each boundary edge becomes two halves with its marker, in loop order
+    # each boundary edge becomes two halves, in loop order
     assert np.array_equal(fine.boundary_edges[::2, 0], mesh.boundary_edges[:, 0])
     assert np.array_equal(fine.boundary_edges[1::2, 1], mesh.boundary_edges[:, 1])
-    assert np.array_equal(fine.boundary_edges[::2, 2], mesh.boundary_edges[:, 2])
-    assert np.array_equal(fine.boundary_edges[1::2, 2], mesh.boundary_edges[:, 2])
     loop, fine_loop = mesh.boundary_loop(), fine.boundary_loop()
     assert np.array_equal(fine_loop[::2], loop)
     mids = 0.5 * (mesh.vertices[loop] + mesh.vertices[np.roll(loop, -1)])
     assert np.array_equal(fine.vertices[fine_loop[1::2]], mids)
 
 
-def three_pass_accepts(vertices, triangles, boundary):
-    """Accept or reject as validation did before it sorted one array of
-    directed-edge keys: counterclockwise triangles; three edge passes (no
-    repeated directed edge, the listed edges equal as undirected edges to the
-    ones seen once, each listed edge a directed triangle edge); one boundary
-    loop; and V - E + F = 1. The loop-area check of that validation, which only
-    rounding can fail, is left out."""
-    t, b, nv = triangles, boundary, len(vertices)
-    p = vertices[t]
+def three_pass_boundary(vertices, triangles):
+    """The boundary validation derives, or None where it rejects, in plain
+    Python: counterclockwise triangles; three edge passes (no repeated directed
+    edge, every vertex used, and the directed edges whose undirected edge is
+    seen once, no two of them from one vertex); their walk as one loop from
+    the smallest start; and V - E + F = 1."""
+    t, nv = triangles.tolist(), len(vertices)
+    p = vertices[triangles]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     if not (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0).all():
-        return False
-    heads = np.roll(t, -1, axis=1)
-    directed = np.sort(t * nv + heads, axis=None)
-    if (directed[1:] == directed[:-1]).any():
-        return False
-    undirected = np.minimum(t, heads) * nv + np.maximum(t, heads)
-    und_unique, counts = np.unique(undirected, return_counts=True)
-    lo, hi = np.sort(b[:, :2], axis=1).T
-    if not np.array_equal(np.unique(lo * nv + hi), und_unique[counts == 1]):
-        return False
-    listed = b[:, 0] * nv + b[:, 1]
-    found = directed[np.searchsorted(directed, listed).clip(max=len(directed) - 1)] == listed
-    if not found.all():
-        return False
-    succ = dict(zip(b[:, 0].tolist(), b[:, 1].tolist()))
-    if len(succ) != len(b):
-        return False
-    loop = [int(b[0, 0])]
+        return None
+    directed = [(a, b) for tri in t for a, b in zip(tri, tri[1:] + tri[:1])]
+    if len(set(directed)) != len(directed) or len({v for tri in t for v in tri}) != nv:
+        return None
+    seen = Counter(frozenset(e) for e in directed)
+    succ = {}
+    for a, b in directed:
+        if seen[frozenset((a, b))] == 1:
+            if a in succ:
+                return None
+            succ[a] = b
+    loop = [min(succ)]
     while (cur := succ[loop[-1]]) != loop[0]:
         loop.append(cur)
-    return len(loop) == len(b) and nv - len(und_unique) + len(t) == 1
+    if len(loop) != len(succ) or nv - len(seen) + len(t) != 1:
+        return None
+    return [[a, b] for a, b in zip(loop, loop[1:] + loop[:1])]
 
 
 SMALL_MESHES = [
@@ -139,47 +133,41 @@ SMALL_MESHES = [
 
 @st.composite
 def corrupted_meshes(draw):
-    """The arrays of a small valid mesh after zero to three edits: a boundary
-    edge reversed, dropped, duplicated or added, every boundary edge reversed
-    (a clockwise loop), or a triangle flipped or repeated."""
+    """The arrays of a small valid mesh after zero to three edits: its vertices
+    relabelled, or a triangle flipped, repeated, dropped or added."""
     mesh = draw(st.sampled_from(SMALL_MESHES))
-    t, b = mesh.triangles.tolist(), mesh.boundary_edges.tolist()
+    v, t = mesh.vertices, mesh.triangles.tolist()
     for _ in range(draw(st.integers(0, 3))):
-        edits = ["reverse", "drop", "duplicate", "add", "reverse-all", "flip", "repeat"]
-        edit = draw(st.sampled_from(edits))
-        if edit in ("reverse", "drop", "duplicate") and b:
-            k = draw(st.integers(0, len(b) - 1))
-            if edit == "reverse":
-                b[k] = [b[k][1], b[k][0], b[k][2]]
-            elif edit == "drop":
-                del b[k]
-            else:
-                b.insert(draw(st.integers(0, len(b))), b[k])
-        elif edit == "reverse-all":
-            b = [[q, p, m] for p, q, m in b]
+        edit = draw(st.sampled_from(["relabel", "flip", "repeat", "drop", "add"]))
+        if edit == "relabel":
+            perm = draw(st.permutations(range(len(v))))
+            v = v[np.argsort(perm)]  # old vertex i is new vertex perm[i]
+            t = [[perm[a] for a in tri] for tri in t]
         elif edit == "add":
-            vertex = st.integers(0, mesh.num_vertices - 1)
-            pair = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
-            b.insert(draw(st.integers(0, len(b))), pair + [0])
-        elif edit in ("flip", "repeat"):
+            tri = draw(st.lists(st.integers(0, len(v) - 1), min_size=3, max_size=3, unique=True))
+            t.insert(draw(st.integers(0, len(t))), tri)
+        elif t:
             k = draw(st.integers(0, len(t) - 1))
             if edit == "flip":
                 t[k] = t[k][::-1]
-            else:
+            elif edit == "repeat":
                 r = draw(st.integers(0, 2))  # the same triangle, from any of its corners
                 t.append(t[k][r:] + t[k][:r])
-    return mesh.vertices, np.array(t, dtype=np.int64), np.array(b, dtype=np.int64).reshape(-1, 3)
+            else:
+                del t[k]
+    return v, np.array(t, dtype=np.int64).reshape(-1, 3)
 
 
 @settings(max_examples=80, deadline=None)
 @given(corrupted_meshes())
 def test_validation_agrees_with_the_three_pass_oracle(arrays):
+    expected = three_pass_boundary(*arrays)
     try:
-        Mesh(*arrays)
-        accepted = True
+        mesh = Mesh(*arrays)
     except MeshValidationError:
-        accepted = False
-    assert accepted == three_pass_accepts(*arrays)
+        assert expected is None
+    else:
+        assert mesh.boundary_edges.tolist() == expected
 
 
 def _seed_text():

@@ -223,6 +223,18 @@ def test_cg_budget_is_checked_without_interior_dofs():
         solve_dirichlet(space, 1.0, 0.0, rel_tol=math.nan)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_lift_beyond_float_range_is_a_floating_point_error_before_cg(monkeypatch, degree):
+    # scipy's CSR kernel overflows K @ lift to inf without a floating-point error
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG ran")
+
+    monkeypatch.setattr(poisson, "cg_solve", no_cg)
+    space = build_space(unit_square_mesh(4), degree)
+    with pytest.raises(FloatingPointError, match="^lifted right-hand side beyond float range$"):
+        solve_dirichlet(space, 0.0, 1e308)
+
+
 @pytest.fixture
 def assembly_counts(monkeypatch):
     """Count the assembly calls made through ``biharm.poisson``."""
