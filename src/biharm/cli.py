@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import operator
 import sys
 from pathlib import Path
 
@@ -54,49 +55,6 @@ class ExpressionError(ValueError):
     """An expression failed to parse or used a disallowed construct."""
 
 
-_ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_ALLOWED_NAMES = ("x", "y", "pi")
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def _check_node(node: ast.AST) -> None:
-    if isinstance(node, ast.Expression):
-        _check_node(node.body)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        _check_node(node.left)
-        _check_node(node.right)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        _check_node(node.operand)
-    elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        pass
-    elif isinstance(node, ast.Name) and node.id in _ALLOWED_NAMES:
-        pass
-    elif isinstance(node, ast.Call):
-        if (
-            not isinstance(node.func, ast.Name)
-            or node.func.id not in _ALLOWED_CALLS
-            or len(node.args) != 1
-            or node.keywords
-        ):
-            raise ExpressionError(
-                f"only {', '.join(sorted(_ALLOWED_CALLS))} calls with one argument are allowed"
-            )
-        _check_node(node.args[0])
-    else:
-        raise ExpressionError(f"disallowed syntax: {ast.dump(node)[:60]}")
-
-
-class _Powers(ast.NodeTransformer):
-    """Turns each ``a ** b`` into ``_power(a, b)``."""
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.Pow):
-            return node
-        call = ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
-        return ast.copy_location(call, node)
-
-
 def _power(base, exponent):
     """``base ** exponent``; for two Python ints, a result beyond MAX_POWER_BITS
     raises ArithmeticError instead of being computed."""
@@ -106,29 +64,64 @@ def _power(base, exponent):
     return base**exponent
 
 
+_ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_ALLOWED_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
+_ALLOWED_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: _power,
+}
+_ALLOWED_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _closure(node: ast.AST):
+    """The function (x, y) -> value of an allowed expression node, built on its
+    operands' functions; any other node raises ExpressionError."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
+        op, left, right = _ALLOWED_BINOPS[type(node.op)], _closure(node.left), _closure(node.right)
+        return lambda x, y: op(left(x, y), right(x, y))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARYOPS:
+        op, operand = _ALLOWED_UNARYOPS[type(node.op)], _closure(node.operand)
+        return lambda x, y: op(operand(x, y))
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return lambda x, y, value=node.value: value
+    if isinstance(node, ast.Name) and node.id in _ALLOWED_NAMES:
+        return _ALLOWED_NAMES[node.id]
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in _ALLOWED_CALLS or len(node.args) != 1 or node.keywords:
+            raise ExpressionError(
+                f"only {', '.join(sorted(_ALLOWED_CALLS))} calls with one argument are allowed"
+            )
+        call, arg = _ALLOWED_CALLS[name], _closure(node.args[0])
+        return lambda x, y: call(arg(x, y))
+    raise ExpressionError(f"disallowed syntax: {ast.dump(node)[:60]}")
+
+
 def parse_expression(text: str):
-    """Compile an arithmetic expression in x, y, pi into a vectorized
-    callable. Supports + - * / ^ (or **), unary signs, numeric literals
-    and the functions sin, cos, exp."""
-    prepared = text.replace("^", "**")
+    """Translate an arithmetic expression in x, y, pi, once, into a vectorized
+    callable of nested numpy operations; the text is never eval'd. Supports
+    + - * / ^ (or **), unary signs, numeric literals and the functions sin,
+    cos, exp."""
+    too_deep = f"expression {text[:40]!r}... is nested too deeply"
     try:
-        tree = ast.parse(prepared, mode="eval")
-        _check_node(tree)
-        tree = ast.fix_missing_locations(_Powers().visit(tree))
-        code = compile(tree, "<expression>", "eval")
+        body = _closure(ast.parse(text.replace("^", "**"), mode="eval").body)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    except RecursionError:
-        raise ExpressionError(f"expression {text[:40]!r}... is nested too deeply") from None
-    env = {"pi": np.pi, "_power": _power, **_ALLOWED_CALLS}
+    except (RecursionError, MemoryError):  # the parser's own stack overflows as MemoryError
+        raise ExpressionError(too_deep) from None
 
     def func(x, y):
         # no numpy warning for 1/x at x = 0: the data evaluator rejects inf as DataError
         try:
             with np.errstate(all="ignore"):
-                return eval(code, {"__builtins__": {}}, {"x": x, "y": y, **env})
+                return body(x, y)
         except (ArithmeticError, TypeError) as exc:  # 1/0; sin of an int beyond int64
             raise ExpressionError(f"cannot evaluate expression {text!r}: {exc}") from None
+        except RecursionError:
+            raise ExpressionError(too_deep) from None
 
     return func
 

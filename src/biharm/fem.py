@@ -234,25 +234,21 @@ class FeSpace:
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
-    """Construct the Lagrange space of the given degree over the mesh."""
+    """Construct the Lagrange space of the given degree over the mesh. Degree 1
+    takes the mesh's read-only vertices and triangles as they are; degree 2, the
+    nodes of its edge numbering, which are the vertices of its refinement."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
 
-    nv = mesh.num_vertices
-    tris = mesh.triangles
     if degree == 1:
-        dof_coords = mesh.vertices.copy()
-        element_dofs = tris.copy()
-        bedge_dofs = mesh.boundary_edges
+        dof_coords, element_dofs, bedge_dofs = mesh.vertices, mesh.triangles, mesh.boundary_edges
     else:
-        edges, sides, boundary = _edge_numbering(mesh)
-        element_dofs = np.column_stack([tris, nv + sides])
-        midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-        dof_coords = np.vstack([mesh.vertices, midpoints])
-        bedge_dofs = np.column_stack([mesh.boundary_edges, nv + boundary])
+        _, dof_coords, sides, boundary = _edge_numbering(mesh)
+        element_dofs = np.column_stack([mesh.triangles, sides])
+        bedge_dofs = np.column_stack([mesh.boundary_edges, boundary])
 
     boundary_dofs, positions = np.unique(bedge_dofs, return_inverse=True)
-    space = FeSpace(
+    return FeSpace(
         mesh=mesh,
         degree=degree,
         dof_count=len(dof_coords),
@@ -261,7 +257,6 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
         boundary_dofs=boundary_dofs,
         boundary_edge_positions=positions.reshape(bedge_dofs.shape),
     )
-    return space
 
 
 @dataclass(frozen=True)
@@ -434,9 +429,15 @@ def assemble_mass(space: FeSpace) -> SparseMatrix:
     rule = default_volume_rule(space.degree)
     basis = _reference_basis(space.degree, rule.points[:, 1:])
     _, _, det, _ = triangle_geometry(space.mesh)
-    ref_local = np.einsum("lq,mq,q->lm", basis, basis, rule.weights)
-    local = det[:, None, None] * ref_local[None, :, :]
-    return _scatter(space.element_dof_map, local, space.dof_count)
+    return _mass(basis, rule.weights, det, space.element_dof_map, space.dof_count)
+
+
+def _mass(basis, weights, sizes, dof_map, n: int) -> SparseMatrix:
+    """The reference mass matrix of ``basis`` (n_local, nq) on a rule of the
+    given weights, scaled by each element's size (Jacobian determinant or edge
+    length) and summed into an n x n matrix at ``dof_map``."""
+    ref_local = np.einsum("lq,mq,q->lm", basis, basis, weights)
+    return _scatter(dof_map, sizes[:, None, None] * ref_local[None, :, :], n)
 
 
 def _scatter(dof_map: np.ndarray, local: np.ndarray, n: int) -> SparseMatrix:
@@ -494,10 +495,9 @@ def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:
     each dof inside the sorted ``space.boundary_dofs`` array."""
     rule = default_boundary_rule()
     tr = _segment_basis(space.degree, rule.points[:, 1])
-    ref_local = np.einsum("lq,mq,q->lm", tr, tr, rule.weights)
     _, _, lengths, _ = boundary_geometry(space.mesh)
-    local = lengths[:, None, None] * ref_local[None, :, :]
-    return _scatter(space.boundary_edge_positions, local, len(space.boundary_dofs))
+    n = len(space.boundary_dofs)
+    return _mass(tr, rule.weights, lengths, space.boundary_edge_positions, n)
 
 
 def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) -> float:

@@ -11,11 +11,12 @@ outward normal is the tangent rotated by -90 degrees). Green's identity then
 makes the area sum equal to the shoelace area of the loop: interior edges
 cancel in pairs.
 
-Construction, refinement and validation are array operations. Every edge
-is named by one integer key, lo * V + hi for its sorted endpoint indices;
-ascending keys list the edges in lexicographic (lo, hi) order, which is the
-order that numbers refinement midpoints and degree-2 dofs. Validation keys
-the edge from a to b as 2 * (lo * V + hi) + (a > b), a directed-edge key.
+Construction, refinement and validation are array operations. The edge from
+a to b is keyed 2 * (lo * V + hi) + (a > b) for its sorted endpoints lo, hi;
+without the direction bit the key names the undirected edge, and ascending
+keys list the edges in lexicographic (lo, hi) order. One edge numbering in
+that order places a node at each edge midpoint, after the vertices: the nodes
+are the vertices of the refined mesh and the dofs of a degree-2 space.
 """
 
 from __future__ import annotations
@@ -207,34 +208,31 @@ class Mesh:
         object.__setattr__(self, "boundary_edges", edges)
 
 
-def _edge_key(a, b, nv: int):
-    """Integer key a * nv + b of the edge from vertex a to vertex b.
-
-    With a <= b it names the undirected edge; ascending keys then list the
-    edges in lexicographic (a, b) order and divmod(key, nv) gives (a, b).
-    """
-    return a * nv + b
-
-
 def _directed_key(a, b, nv: int):
-    """Integer key 2 * (lo * nv + hi) + (a > b) of the edge from vertex a to vertex b."""
-    return 2 * _edge_key(np.minimum(a, b), np.maximum(a, b), nv) + (a > b)
+    """Integer key 2 * (lo * nv + hi) + (a > b) of the edge from vertex a to vertex b.
+    Without its direction bit, key >> 1 names the undirected edge: ascending such
+    keys list the edges in lexicographic (lo, hi) order, and divmod gives (lo, hi)."""
+    return 2 * (np.minimum(a, b) * nv + np.maximum(a, b)) + (a > b)
 
 
-def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Number the undirected edges in lexicographic (lo, hi) order.
+def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Number the undirected edges in lexicographic (lo, hi) order and place a
+    node at the midpoint of each.
 
-    Returns the (E, 2) sorted pairs, the (T, 3) numbers of each triangle's
-    sides v0v1, v1v2, v2v0, and the number of each boundary edge. Refinement
-    midpoints and degree-2 dofs are appended in this order.
+    Returns the (E, 2) sorted pairs; the (V + E, 2) nodes, the vertices and
+    then the midpoints in edge order; the (T, 3) node numbers of the midpoints
+    of each triangle's sides v0v1, v1v2, v2v0; and the node number of each
+    boundary edge's midpoint. These nodes are the vertices of the refined mesh
+    and the dofs of the degree-2 space.
     """
     nv = mesh.num_vertices
     t = mesh.triangles
-    # a directed-edge key without its direction bit is the undirected key
     undirected = _directed_key(t, np.roll(t, -1, axis=1), nv) >> 1
     keys, inverse = np.unique(undirected, return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, nv))
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     boundary = np.searchsorted(keys, _directed_key(*mesh.boundary_edges.T, nv) >> 1)
-    return np.column_stack(np.divmod(keys, nv)), inverse.reshape(t.shape), boundary
+    return edges, np.vstack([mesh.vertices, mids]), nv + inverse.reshape(t.shape), nv + boundary
 
 
 def unit_square_mesh(n: int) -> Mesh:
@@ -298,13 +296,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     split in two, so the loop keeps its start vertex and gains a midpoint
     after each of its vertices, and the total area is preserved.
     """
-    edges, sides, _ = _edge_numbering(mesh)
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-    base = mesh.num_vertices
-
+    _, vertices, sides, _ = _edge_numbering(mesh)
     v0, v1, v2 = mesh.triangles.T
-    m01, m12, m20 = (base + sides).T
+    m01, m12, m20 = sides.T
     tris = np.stack(
         [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
     ).reshape(-1, 3)

@@ -522,6 +522,26 @@ def test_deeply_nested_expression_is_an_input_error(capsys):
     assert "is nested too deeply" in err
 
 
+def test_expression_too_deep_to_evaluate_where_it_is_called_is_an_input_error():
+    func = parse_expression("-" * 200 + "x")
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def call_from(levels):  # calls func from ``levels`` frames further down the stack
+        return func(1.0, 2.0) if levels == 0 else call_from(levels - 1)
+
+    assert call_from(0) == 1.0  # an even number of minus signs
+    with pytest.raises(ExpressionError, match="is nested too deeply"):
+        call_from(sys.getrecursionlimit() - depth - 100)
+
+
+def test_expression_deeper_than_the_parser_stack_is_an_input_error(capsys):
+    argv = ["solve", "--f=" + "-" * 100_000 + "x", "--g", "0", "--h", "0", "--n", "4"]
+    err = _fails_on_one_line(argv, capsys)
+    assert "is nested too deeply" in err
+
+
 def test_overflow_inside_a_solve_is_a_numerical_failure(capsys):
     err = _fails_on_one_line(["overdet", "--p", "1e308", "--n", "2", "--levels", "1"], capsys, 2)
     assert err.startswith("numerical failure: overflow encountered")

@@ -49,6 +49,24 @@ def test_dof_counts_degree_two():
     assert space.element_dof_map.shape == (mesh.num_triangles, 6)
 
 
+@pytest.mark.parametrize("refinements", [0, 1])
+@pytest.mark.parametrize(
+    "build, size",
+    [(unit_square_mesh, 1), (unit_square_mesh, 3), (unit_square_mesh, 16),
+     (unit_disk_mesh, 1), (unit_disk_mesh, 4)],
+)
+def test_p2_nodes_are_the_vertices_of_the_refined_mesh(build, size, refinements):
+    mesh = build(size)
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    space, refined = build_space(mesh, 2), refine_uniform(mesh)
+    nodes = space.dof_coordinates
+    assert nodes.shape == refined.vertices.shape
+    assert nodes.tobytes() == refined.vertices.tobytes()
+    # triangle k splits into 4k..4k+3; the last has the midpoints of v0v1, v1v2, v2v0
+    assert np.array_equal(space.element_dof_map[:, 3:], refined.triangles[3::4])
+
+
 def test_build_space_rejects_unsupported_degree():
     mesh = unit_square_mesh(2)
     for degree in (0, 3):

@@ -1,6 +1,7 @@
 """Metamorphic invariants of the cascade on random meshes: a relabelled mesh, a
-quarter turn of the mesh and data, and a linear combination of data give the
-fields, compatibility residuals and flux total that the relation predicts.
+quarter turn, a reflection or a dilation of the mesh and data, and a linear
+combination of data give the fields, compatibility residuals and flux total
+that the relation predicts.
 
 Each relation is checked to TOL relative to the size of the compared values.
 CG stops each solve at a relative residual of REL_TOL, so two solves of the
@@ -146,3 +147,67 @@ def test_the_cascade_is_linear_in_the_data(degree, mesh, a, b):
     u, v, w = (sol.flux.functional for sol in solutions)
     scale = abs(a) * np.abs(u).sum() + abs(b) * np.abs(v).sum()
     _close(w.sum(), a * u.sum() + b * v.sum(), scale)
+
+
+def _pulled_back(problem, map_point, scales=(1.0, 1.0, 1.0)):
+    """The data of ``problem`` composed with ``map_point``, each datum times its scale."""
+    def moved(datum, scale):
+        return lambda u, v: scale * datum(*map_point(u, v))
+
+    f, g, h = (moved(d, c) for d, c in zip((problem.f, problem.g, problem.h), scales))
+    return NeumannProblem(f, g, h)
+
+
+def _reflected_residuals(residuals):
+    """Residuals of the reflected data: eta of the reflected domain pulls back to
+    eta(-x, y), and Re, Im of (-conj z)^k are (-1)^k Re z^k, (-1)^(k+1) Im z^k."""
+    reflected = residuals.copy()
+    for k in range(1, (len(residuals) - 1) // 2 + 1):
+        reflected[2 * k - 1] *= (-1) ** k
+        reflected[2 * k] *= (-1) ** (k + 1)
+    return reflected
+
+
+@degrees
+@PROPERTY_SETTINGS
+@given(meshes(max_refine=1))
+def test_a_reflection_of_mesh_and_data_reflects_the_solution(degree, mesh):
+    # (x, y) -> (-x, y) reverses each triangle, so two of its corners swap; that
+    # moves the quadrature points, and polynomial data keep every integral exact
+    x, y = mesh.vertices.T
+    mirrored = Mesh(np.column_stack([-x, y]), mesh.triangles[:, [0, 2, 1]])
+    base = _solve(mesh, degree, POLYNOMIAL)
+    reflected = _solve(mirrored, degree, _pulled_back(POLYNOMIAL, lambda u, v: (-u, v)))
+    # the dofs are numbered as before, each at the reflection of its old coordinate
+    xy = base.sigma_h.space.dof_coordinates
+    mirrored_xy = np.column_stack([-xy[:, 0], xy[:, 1]])
+    assert reflected.sigma_h.space.dof_coordinates.tobytes() == mirrored_xy.tobytes()
+    for name in ("sigma_h", "s_h"):
+        values = getattr(base, name).coeffs
+        _close(getattr(reflected, name).coeffs, values, np.abs(values).max())
+    residuals = base.diagnostics.compat_residuals
+    expected = _reflected_residuals(residuals)
+    _close(reflected.diagnostics.compat_residuals, expected, 1.0 + np.abs(residuals).max())
+    _close(reflected.flux.total(), base.flux.total(), np.abs(base.flux.functional).sum())
+
+
+@degrees
+@PROPERTY_SETTINGS
+@given(meshes(max_refine=1))
+def test_a_dilation_by_two_scales_the_solution(degree, mesh):
+    # u'(x) = u(x / 2) solves the problem on 2 * mesh with data f / 16, g / 4, h / 8;
+    # doubling is exact, so the quadrature points double and the data agree
+    dilated = Mesh(2.0 * mesh.vertices, mesh.triangles)
+    data = _pulled_back(SMOOTH, lambda u, v: (u / 2.0, v / 2.0), (1 / 16, 1 / 4, 1 / 8))
+    base = _solve(mesh, degree, SMOOTH)
+    scaled = _solve(dilated, degree, data)
+    sigma = base.sigma_h.coeffs
+    _close(scaled.sigma_h.coeffs, sigma / 4.0, np.abs(sigma).max() / 4.0)
+    s = base.s_h.coeffs
+    _close(scaled.s_h.coeffs, s, np.abs(s).max())
+    # eta of degree k on the dilated domain pulls back to 2^k eta
+    residuals = base.diagnostics.compat_residuals
+    degree_k = (np.arange(len(residuals)) + 1) // 2  # 0, then 1, 1, 2, 2, ...
+    expected = residuals * 2.0**degree_k / 4.0
+    _close(scaled.diagnostics.compat_residuals, expected, 1.0 + np.abs(expected).max())
+    _close(scaled.flux.total(), base.flux.total() / 4.0, np.abs(base.flux.functional).sum() / 4.0)
