@@ -356,16 +356,23 @@ def quad_points(mesh: Mesh, rule: QuadratureRule):
     """Physical coordinates of the rule's points on every triangle: a pair of
     C-contiguous (T, nq) arrays x, y."""
     origin, jac, _, _ = triangle_geometry(mesh)
-    r0, r1 = rule.points[:, 1], rule.points[:, 2]
+    r0, r1 = rule.points[:, 1, None], rule.points[:, 2, None]
+    # formed (nq, T) from contiguous 1-D columns, so each broadcast runs a
+    # T-long inner loop, then copied into the (T, nq) layout
     return tuple(
-        origin[:, a, None] + (jac[:, a, 0, None] * r0 + jac[:, a, 1, None] * r1) for a in (0, 1)
+        (origin[:, a].copy() + (jac[:, a, 0].copy() * r0 + jac[:, a, 1].copy() * r1)).T.copy()
+        for a in (0, 1)
     )
 
 
 def integrate(mesh: Mesh, rule: QuadratureRule, values: np.ndarray) -> float:
-    """Integrate per-point values (T, nq) over the mesh with the given rule."""
+    """Integrate per-point values (T, nq) over the mesh with the given rule.
+
+    Two passes, neither a BLAS call, so the bits do not depend on the BLAS
+    thread count: each triangle's rule sum over its points, then numpy's
+    pairwise sum over triangles of determinant times rule sum."""
     _, _, det, _ = triangle_geometry(mesh)
-    return float(np.einsum("tq,q,t->", values, rule.weights, det))
+    return float((det * np.einsum("tq,q->t", values, rule.weights)).sum())
 
 
 def field_values(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
@@ -485,9 +492,10 @@ def _boundary_maps(mesh: Mesh):
 
 def boundary_integrate(mesh: Mesh, values: np.ndarray) -> float:
     """Integrate per-point values (B, nq) over the boundary on the default
-    boundary rule."""
+    boundary rule, summed as ``integrate`` sums: each edge's rule sum, then
+    numpy's pairwise sum over edges of length times rule sum; no BLAS call."""
     _, _, lengths, _ = boundary_geometry(mesh)
-    return float(np.einsum("eq,q,e->", values, default_boundary_rule().weights, lengths))
+    return float((lengths * np.einsum("eq,q->e", values, default_boundary_rule().weights)).sum())
 
 
 def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:

@@ -17,22 +17,22 @@ STDOUT = {
         "case sine\n"
         "  n=  8  l2_sigma=4.1716e-01  l2_s=3.8191e-02  compat_max=2.90e-07  flux_mismatch=7.877\n"
         "  n= 16  l2_sigma=1.0615e-01  l2_s=9.8931e-03  compat_max=4.50e-09  flux_mismatch=2.734\n"
-        "  n= 32  l2_sigma=2.6657e-02  l2_s=2.4958e-03  compat_max=7.01e-11  flux_mismatch=0.956\n"
+        "  n= 32  l2_sigma=2.6657e-02  l2_s=2.4958e-03  compat_max=7.02e-11  flux_mismatch=0.956\n"
         "case bubble\n"
-        "  n=  8  l2_sigma=6.1370e-03  l2_s=3.0190e-04  compat_max=1.33e-15  flux_mismatch=0.086\n"
-        "  n= 16  l2_sigma=1.5852e-03  l2_s=8.0168e-05  compat_max=1.04e-14  flux_mismatch=0.028\n"
-        "  n= 32  l2_sigma=3.9971e-04  l2_s=2.0359e-05  compat_max=1.55e-15  flux_mismatch=0.010\n"
+        "  n=  8  l2_sigma=6.1370e-03  l2_s=3.0190e-04  compat_max=4.44e-16  flux_mismatch=0.086\n"
+        "  n= 16  l2_sigma=1.5852e-03  l2_s=8.0168e-05  compat_max=1.17e-15  flux_mismatch=0.028\n"
+        "  n= 32  l2_sigma=3.9971e-04  l2_s=2.0359e-05  compat_max=8.33e-16  flux_mismatch=0.010\n"
         "wrote cascade_sine.vtk\n"
     ),
     "compatibility_and_flux": (
         "compatibility residuals, consistent data (n=32):\n"
-        "  r[1    ] = -7.009e-11\n"
-        "  r[Re^1 ] = -3.506e-11\n"
-        "  r[Im^1 ] = -3.516e-11\n"
-        "  r[Re^2 ] =  1.563e-13\n"
-        "  r[Im^2 ] = -3.514e-11\n"
-        "  r[Re^3 ] =  1.740e-11\n"
-        "  r[Im^3 ] = -1.756e-11\n"
+        "  r[1    ] = -7.023e-11\n"
+        "  r[Re^1 ] = -3.510e-11\n"
+        "  r[Im^1 ] = -3.510e-11\n"
+        "  r[Re^2 ] =  7.105e-15\n"
+        "  r[Im^2 ] = -3.506e-11\n"
+        "  r[Re^3 ] =  1.754e-11\n"
+        "  r[Im^3 ] = -1.749e-11\n"
         "after h -> h + 1: r[1] = -4.000000   (minus the perimeter)\n"
         "flux mismatch under refinement:\n"
         "  n=  8  consistent=7.8771  perturbed=8.1270  total=157.9137\n"

@@ -379,6 +379,33 @@ def test_assembly_kernels_are_bit_identical_to_the_einsum_oracle(name, degree):
         assert x.flags.c_contiguous and y.flags.c_contiguous
 
 
+def broadcast_quad_points(mesh, rule):
+    """Reference quadrature points: each coordinate broadcast over (T, nq) at once."""
+    origin, jac, _, _ = fem.triangle_geometry(mesh)
+    r0, r1 = rule.points[:, 1], rule.points[:, 2]
+    return tuple(
+        origin[:, a, None] + (jac[:, a, 0, None] * r0 + jac[:, a, 1, None] * r1) for a in (0, 1)
+    )
+
+
+QUAD_POINT_MESHES = [*map(unit_square_mesh, (1, 7, 64)), unit_disk_mesh(4)]
+
+
+@pytest.mark.parametrize("refinements", [0, 1])
+@pytest.mark.parametrize("mesh_index", range(len(QUAD_POINT_MESHES)))
+def test_quad_points_are_bit_identical_to_the_broadcast_oracle(mesh_index, refinements):
+    mesh = QUAD_POINT_MESHES[mesh_index]
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    for order in range(1, fem.MAX_TRIANGLE_ORDER + 1):
+        rule = fem.triangle_quadrature(order)
+        points, expected = fem.quad_points(mesh, rule), broadcast_quad_points(mesh, rule)
+        for got, want in zip(points, expected):
+            assert got.shape == want.shape == (mesh.num_triangles, len(rule.weights))
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("datum", [10**400, lambda x, y: 10**400, lambda x, y: -(10**400) + 0 * x])
 def test_datum_beyond_float_range_is_a_data_error(datum):
     space = build_space(unit_square_mesh(2), 1)

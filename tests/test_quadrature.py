@@ -7,6 +7,7 @@ import pytest
 
 from biharm import fem
 from biharm.fem import segment_quadrature, triangle_quadrature
+from biharm.mesh import unit_square_mesh
 
 
 def reference_triangle_integral(a: int, b: int) -> float:
@@ -119,3 +120,29 @@ def test_triangle_rule_matches_the_scipy_conical_product_bit_for_bit(order):
     assert _bits(rule.points) == _bits(points)
     assert _bits(rule.weights) == _bits(weights)
 
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_integrate_is_exact_for_monomials_on_the_square(order, n):
+    mesh = unit_square_mesh(n)
+    rule = triangle_quadrature(order)
+    x, y = fem.quad_points(mesh, rule)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            exact = 1.0 / ((i + 1) * (j + 1))
+            assert fem.integrate(mesh, rule, x**i * y**j) == pytest.approx(exact, rel=1e-14)
+
+
+def square_boundary_integral(i: int, j: int) -> float:
+    # sides y = 0 and y = 1 give (0**j + 1) / (i + 1); sides x = 0 and x = 1, (0**i + 1) / (j + 1)
+    return (0**j + 1) / (i + 1) + (0**i + 1) / (j + 1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_boundary_integrate_is_exact_for_monomials_on_the_square(n):
+    mesh = unit_square_mesh(n)
+    x, y, _, _ = fem.boundary_geometry(mesh)
+    for i in range(fem.DEFAULT_BOUNDARY_ORDER + 1):
+        for j in range(fem.DEFAULT_BOUNDARY_ORDER + 1 - i):
+            exact = square_boundary_integral(i, j)
+            assert fem.boundary_integrate(mesh, x**i * y**j) == pytest.approx(exact, rel=1e-14)
