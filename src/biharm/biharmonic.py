@@ -56,6 +56,7 @@ from .fem import (
     quad_points,
     triangle_quadrature,
 )
+from .mesh import _owned
 from .poisson import BoundaryFlux, _solve_with_flux, solve_dirichlet
 from .polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
 from .sparse import _check_cg_budget
@@ -94,7 +95,7 @@ class NeumannProblem:
     h: Callable | float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeDiagnostics:
     """Solvability diagnostics attached to a cascade solution.
 
@@ -133,7 +134,7 @@ class CompatibilityError(RuntimeError):
     """Raised by strict solves when the data fail the compatibility test."""
 
     def __init__(self, residuals: np.ndarray, tol: float):
-        self.residuals = np.asarray(residuals)
+        self.residuals = _owned(residuals)
         self.tol = tol
         worst = float(np.abs(self.residuals).max())
         super().__init__(
@@ -275,7 +276,7 @@ def solve_neumann(
     sigma_h, flux = _solve_with_flux(space, problem.f, problem.g, rel_tol, max_iter)
     s_h = solve_dirichlet(space, sigma_h, 0.0, rel_tol=rel_tol, max_iter=max_iter)
     diagnostics = CascadeDiagnostics(
-        compat_residuals=residuals,
+        compat_residuals=_owned(residuals),
         flux_mismatch=flux.l2_mismatch(problem.h),
         cg_iterations=(sigma_h.solver_iterations, s_h.solver_iterations),
     )

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import errno
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -162,6 +164,19 @@ def _check_size(domain: str, n: int, refine: int) -> None:
         triangles, refine = 4 * triangles, refine - 1
     if triangles > MAX_TRIANGLES:
         raise ValueError(f"the mesh would exceed the limit of {MAX_TRIANGLES} triangles")
+
+
+def _check_out(path: str | None) -> None:
+    """Raise, before any work, the OSError that writing ``path`` would raise: it
+    is a directory, or its parent is not one."""
+    if not path:
+        return
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    if Path(path).is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _build_mesh(domain: str, n: int, refine: int) -> Mesh:
@@ -446,6 +461,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_out(getattr(args, "out", None))
         # an overflow numpy would warn about is a numerical failure, not a stray stderr line
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

@@ -12,22 +12,22 @@ Sign conventions: the stiffness matrix is the Dirichlet form
 ``(q, phi_i)`` inner products. Data callables receive numpy coordinate
 arrays and must broadcast (constants returned as scalars are fine).
 
-Triangle geometry and boundary geometry are built once per mesh and kept
-on the immutable mesh as read-only arrays; every datum, callable or
-constant, goes through one evaluator, ``_data_values``, which raises
-``DataError`` on a non-finite value before the value reaches any assembly
-or solve.
+Meshes, rules, spaces and fields hold read-only copies of their arrays
+(``mesh._owned``) and compare by identity; triangle and boundary geometry
+are built once per mesh and held on it the same way. Every datum, callable
+or constant, goes through one evaluator, ``_data_values``, which raises
+``DataError`` on a non-finite value before any assembly or solve.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .mesh import Mesh, _edge_numbering
+from .mesh import Mesh, _edge_numbering, _owned
 from .sparse import SparseMatrix, from_triplets
 
 __all__ = [
@@ -80,7 +80,7 @@ _GAUSS_LEGENDRE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Quadrature points in barycentric coordinates with reference weights.
 
@@ -92,12 +92,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        p.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", _owned(self.points, float))
+        object.__setattr__(self, "weights", _owned(self.weights, float))
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +199,7 @@ def _segment_basis(degree: int, t: np.ndarray) -> np.ndarray:
     return np.stack([(1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0), 4.0 * t * (1.0 - t)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeSpace:
     """Continuous Lagrange space of degree 1 or 2 on a triangle mesh.
 
@@ -223,28 +219,19 @@ class FeSpace:
     boundary_dofs: np.ndarray
     boundary_edge_positions: np.ndarray
 
-    def __post_init__(self):
-        for arr in (
-            self.dof_coordinates,
-            self.element_dof_map,
-            self.boundary_dofs,
-            self.boundary_edge_positions,
-        ):
-            np.asarray(arr).flags.writeable = False
-
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
-    """Construct the Lagrange space of the given degree over the mesh. Degree 1
-    takes the mesh's read-only vertices and triangles as they are; degree 2, the
-    nodes of its edge numbering, which are the vertices of its refinement."""
+    """Construct the Lagrange space of the given degree over the mesh, on read-only
+    arrays. Degree 1 takes the mesh's vertices and triangles as they are; degree 2,
+    the nodes of its edge numbering, which are the vertices of its refinement."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
 
     if degree == 1:
         dof_coords, element_dofs, bedge_dofs = mesh.vertices, mesh.triangles, mesh.boundary_edges
     else:
-        _, dof_coords, sides, boundary = _edge_numbering(mesh)
-        element_dofs = np.column_stack([mesh.triangles, sides])
+        _, nodes, sides, boundary = _edge_numbering(mesh)
+        dof_coords, element_dofs = _owned(nodes), _owned(np.column_stack([mesh.triangles, sides]))
         bedge_dofs = np.column_stack([mesh.boundary_edges, boundary])
 
     boundary_dofs, positions = np.unique(bedge_dofs, return_inverse=True)
@@ -254,30 +241,27 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
         dof_count=len(dof_coords),
         dof_coordinates=dof_coords,
         element_dof_map=element_dofs,
-        boundary_dofs=boundary_dofs,
-        boundary_edge_positions=positions.reshape(bedge_dofs.shape),
+        boundary_dofs=_owned(boundary_dofs),
+        boundary_edge_positions=_owned(positions.reshape(bedge_dofs.shape)),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Finite element function: a space plus its dof coefficient vector.
+    """Finite element function: a space plus a read-only copy of its dofs.
 
     ``solver_iterations`` is diagnostic metadata left by the producing
-    linear solve, when there was one; it does not affect equality.
+    linear solve, when there was one.
     """
 
     space: FeSpace
     coeffs: np.ndarray
-    solver_iterations: int | None = field(default=None, compare=False)
+    solver_iterations: int | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.space.dof_count,):
+        object.__setattr__(self, "coeffs", _owned(self.coeffs, float))
+        if self.coeffs.shape != (self.space.dof_count,):
             raise ValueError("coefficient vector length does not match space")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
 
     def vertex_values(self) -> np.ndarray:
         """Values at mesh vertices (the leading vertex dofs)."""
@@ -286,7 +270,7 @@ class ScalarField:
 
 def _built_once(owner, key: str, build):
     """``build(owner)``, built on first use and kept in the frozen owner's
-    ``__dict__``; the owner's arrays are read-only, so it cannot go stale."""
+    ``__dict__``; the owner's arrays are read-only copies, so it cannot go stale."""
     value = owner.__dict__.get(key)
     if value is None:
         value = build(owner)
@@ -335,21 +319,11 @@ def triangle_geometry(mesh: Mesh):
 
 def _affine_maps(mesh: Mesh):
     p = mesh.vertices[mesh.triangles]
-    a = p[:, 1, 0] - p[:, 0, 0]
-    b = p[:, 2, 0] - p[:, 0, 0]
-    c = p[:, 1, 1] - p[:, 0, 1]
-    d = p[:, 2, 1] - p[:, 0, 1]
+    jac = _owned(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], -1))  # columns: sides from p0
+    (a, b), (c, d) = jac[:, 0].T, jac[:, 1].T
     det = a * d - b * c
-    inv_jt = np.empty((len(p), 2, 2))
-    inv_jt[:, 0, 0] = d
-    inv_jt[:, 0, 1] = -c
-    inv_jt[:, 1, 0] = -b
-    inv_jt[:, 1, 1] = a
-    inv_jt /= det[:, None, None]
-    maps = (p[:, 0].copy(), np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], 1), det, inv_jt)
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
+    inv_jt = np.stack([np.stack([d, -c], -1), np.stack([-b, a], -1)], 1) / det[:, None, None]
+    return _owned(p[:, 0]), jac, _owned(det), _owned(inv_jt)
 
 
 def quad_points(mesh: Mesh, rule: QuadratureRule):
@@ -484,10 +458,7 @@ def _boundary_maps(mesh: Mesh):
     t = default_boundary_rule().points[:, 1]
     x = pa[:, 0, None] + t[None, :] * tangent[:, 0, None]
     y = pa[:, 1, None] + t[None, :] * tangent[:, 1, None]
-    maps = (x, y, lengths, normals)
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
+    return tuple(map(_owned, (x, y, lengths, normals)))
 
 
 def boundary_integrate(mesh: Mesh, values: np.ndarray) -> float:

@@ -1,7 +1,9 @@
 """Triangle meshes of the unit square and of a polygonal unit disk.
 
-A mesh is its vertex coordinates and counterclockwise triangles; both are
-immutable. Every constructor and the text-format reader validate the full
+A mesh is its vertex coordinates and counterclockwise triangles, held like
+every array of a frozen object: as a read-only copy taken once by
+``_owned``, so no caller's alias can change it, and such objects compare by
+identity. Every constructor and the text-format reader validate the full
 invariant set: positive triangle areas, every vertex in a triangle, interior
 edges shared by exactly two triangles and boundary edges by exactly one, a
 single closed boundary loop, and the Euler relation V - E + F = 1.
@@ -70,7 +72,15 @@ class MeshFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
+def _owned(array, dtype=None) -> np.ndarray:
+    """A read-only C-contiguous copy of ``array``: the one way an array enters a
+    frozen object, so the object's cached operators cannot go stale."""
+    owned = np.array(array, dtype=dtype, order="C")
+    owned.flags.writeable = False
+    return owned
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable triangulation; validation derives its oriented boundary.
 
@@ -89,16 +99,12 @@ class Mesh:
     boundary_edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        if v.ndim != 2 or v.shape[1] != 2:
+        object.__setattr__(self, "vertices", _owned(self.vertices, float))
+        object.__setattr__(self, "triangles", _owned(self.triangles, np.int64))
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshValidationError("vertices must be a (V, 2) array")
-        if t.ndim != 2 or t.shape[1] != 3:
+        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshValidationError("triangles must be a (T, 3) array")
-        for arr in (v, t):
-            arr.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
         self.validate()
 
     @property
@@ -204,8 +210,7 @@ class Mesh:
 
         starts = np.array(loop, dtype=np.int64)
         edges = np.column_stack([starts, np.roll(starts, -1)])
-        edges.flags.writeable = False
-        object.__setattr__(self, "boundary_edges", edges)
+        object.__setattr__(self, "boundary_edges", _owned(edges))
 
 
 def _directed_key(a, b, nv: int):

@@ -49,6 +49,7 @@ from .fem import (
     boundary_l2_error,
     boundary_mass_matrix,
 )
+from .mesh import _owned
 from .sparse import SparseMatrix, _check_cg_budget, cg_solve
 
 __all__ = [
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Operators:
     """Poisson operators of one space: stiffness K, mass M, boundary mass
     (indexed like ``boundary_dofs``), the interior dofs and the interior
@@ -82,17 +83,16 @@ def _operators(space: FeSpace) -> _Operators:
 def _assemble_operators(space: FeSpace) -> _Operators:
     k = assemble_stiffness(space)
     interior = np.setdiff1d(np.arange(space.dof_count), space.boundary_dofs, assume_unique=True)
-    interior.flags.writeable = False
     return _Operators(
         stiffness=k,
         mass=assemble_mass(space),
         boundary_mass=boundary_mass_matrix(space),
-        interior=interior,
+        interior=_owned(interior),
         a_ii=k.submatrix(interior, interior),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Load:
     """A source whose load (source, phi_i) is assembled already."""
 
@@ -153,9 +153,9 @@ def solve_dirichlet(
     return ScalarField(space, coeffs, solver_iterations=result.iterations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryFlux:
-    """Consistent normal-derivative data of a solved Dirichlet field.
+    """Consistent normal-derivative data of a solved Dirichlet field, read-only.
 
     ``functional`` holds the Green-identity pairings <dw/dn, phi_i>, one per
     entry of ``space.boundary_dofs``; ``projected`` holds the coefficients of
@@ -190,7 +190,7 @@ def normal_flux(w: ScalarField, source) -> BoundaryFlux:
     residual = ops.stiffness @ w.coeffs + _source_load(space, source)
     t = residual[space.boundary_dofs]
     projected = cg_solve(ops.boundary_mass, t, rel_tol=1e-12).x
-    return BoundaryFlux(space, t, projected)
+    return BoundaryFlux(space, _owned(t), _owned(projected))
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,6 @@ def _solve_with_flux(
 ) -> tuple[ScalarField, BoundaryFlux]:
     """The first stage: ``solve_dirichlet`` and the ``normal_flux`` of its
     solution, from one load of the source, assembled once."""
-    load = _Load(_source_load(space, source))
-    load.values.flags.writeable = False
+    load = _Load(_owned(_source_load(space, source)))
     w = solve_dirichlet(space, load, boundary_value, rel_tol=rel_tol, max_iter=max_iter)
     return w, normal_flux(w, load)

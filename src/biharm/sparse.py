@@ -51,14 +51,15 @@ class NotSPDError(RuntimeError):
     """The operator is not symmetric positive definite (p^T A p <= 0 observed)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Immutable CSR matrix.
 
     ``row_offsets``, ``column_indices`` and ``values`` expose the standard
     CSR triple: row i owns the slice ``row_offsets[i]:row_offsets[i+1]``
     of the other two arrays, with column indices strictly increasing
-    inside each row and no duplicate entries.
+    inside each row and no duplicate entries. They stay writeable: scipy
+    canonicalises CSR arrays in place.
     """
 
     csr: scipy.sparse.csr_matrix
@@ -136,7 +137,7 @@ def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return a.csr @ x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CGResult:
     """Solution vector plus the iteration count and final residual norm."""
 

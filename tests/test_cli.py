@@ -120,6 +120,30 @@ def test_solve_writes_vtk(tmp_path):
     assert lines.count("LOOKUP_TABLE default") == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mesh", "--n", "2"],
+        ["solve", "--case", "sine", "--n", "4"],
+        ["converge", "--case", "sine", "--levels", "2", "--n0", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("where", ["missing parent", "directory"])
+def test_unusable_out_fails_before_any_work(argv, where, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "x" if where == "missing parent" else tmp_path
+    with pytest.raises(OSError) as writing:  # the command reports the error a write raises
+        out.write_text("")
+    built = []
+    monkeypatch.setattr(cli, "unit_square_mesh", lambda n: built.append(n))
+    assert run([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {writing.value}\n"
+    assert captured.out == ""
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_vtk_validates_field_length(tmp_path):
     mesh = unit_square_mesh(2)
     with pytest.raises(ValueError):

@@ -1,0 +1,149 @@
+"""Frozen objects own their arrays: constructors take read-only copies, every
+array a result holds is read-only, and array-holding objects compare by
+identity."""
+
+import dataclasses
+import importlib
+
+import numpy as np
+import pytest
+
+from biharm.biharmonic import CompatibilityError, NeumannProblem, solve_neumann
+from biharm.fem import QuadratureRule, ScalarField, build_space, triangle_geometry
+from biharm.manufactured import case_sine
+from biharm.mesh import Mesh, unit_square_mesh
+from biharm.poisson import normal_flux, overdetermined_check, solve_dirichlet
+
+
+def _held_arrays(obj) -> list[np.ndarray]:
+    """Every ndarray reachable from ``obj`` through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _held_arrays(getattr(obj, f.name))]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _held_arrays(item)]
+    return []
+
+
+def _assert_read_only(arrays: list[np.ndarray]) -> None:
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_a_view_taken_before_mesh_construction_cannot_change_the_mesh():
+    base = unit_square_mesh(2)
+    v, t = np.array(base.vertices), np.array(base.triangles)
+    v_alias, t_alias = v[:], t[:]
+    mesh = Mesh(v, t)
+    geometry = triangle_geometry(mesh)
+    v_alias[4] = [5.0, 5.0]
+    t_alias[0] = t_alias[0, ::-1]
+    assert np.array_equal(mesh.vertices, base.vertices)
+    assert np.array_equal(mesh.triangles, base.triangles)
+    mesh.validate()
+    assert triangle_geometry(mesh) is geometry
+    assert np.array_equal(triangle_geometry(mesh)[2], 2 * mesh.signed_areas())
+    assert v.flags.writeable and t.flags.writeable  # the caller's arrays are not frozen
+
+
+def test_a_view_taken_before_rule_or_field_construction_cannot_change_it():
+    p = np.array([[1 / 3, 1 / 3, 1 / 3]])
+    w = np.array([0.5])
+    p_alias, w_alias = p[:], w[:]
+    rule = QuadratureRule(p, w)
+    assert p.flags.writeable and w.flags.writeable
+    p_alias[0] = 0.0
+    w_alias[0] = 7.0
+    assert np.array_equal(rule.points, [[1 / 3, 1 / 3, 1 / 3]])
+    assert np.array_equal(rule.weights, [0.5])
+
+    space = build_space(unit_square_mesh(2), 1)
+    c = np.arange(space.dof_count, dtype=float)
+    c_alias = c[:]
+    field = ScalarField(space, c)
+    assert c.flags.writeable
+    c_alias[:] = -1.0
+    assert np.array_equal(field.coeffs, np.arange(space.dof_count))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_every_array_a_result_holds_is_read_only(degree):
+    space = build_space(unit_square_mesh(4), degree)
+    case = case_sine()
+    solution = solve_neumann(space, NeumannProblem(case.f, case.g, case.h))
+    held = _held_arrays(solution)
+    assert len(held) >= 12  # fields, flux, residuals, and the space and mesh under them
+    _assert_read_only(held)
+
+    flux = normal_flux(solve_dirichlet(space, 1.0, 0.0), 1.0)
+    _assert_read_only([flux.functional, flux.projected])
+    result = overdetermined_check(space, 1.0)
+    _assert_read_only([result.u.coeffs, result.flux.functional, result.flux.projected])
+
+
+def test_compatibility_error_keeps_a_read_only_copy_of_the_residuals():
+    residuals = np.array([0.5, -2.0])
+    err = CompatibilityError(residuals, 1e-3)
+    residuals[:] = 0.0
+    assert np.array_equal(err.residuals, [0.5, -2.0])
+    _assert_read_only([err.residuals])
+
+    space = build_space(unit_square_mesh(4), 1)
+    case = case_sine()
+    with pytest.raises(CompatibilityError) as raised:
+        solve_neumann(space, NeumannProblem(case.f, case.g, 1.0), strict=True)
+    _assert_read_only([raised.value.residuals])
+
+
+def _two_meshes():
+    return unit_square_mesh(2), unit_square_mesh(2)
+
+
+def _two_spaces():
+    mesh = unit_square_mesh(2)
+    return build_space(mesh, 1), build_space(mesh, 1)
+
+
+def _two_fields():
+    space = build_space(unit_square_mesh(2), 1)
+    c = np.ones(space.dof_count)
+    return ScalarField(space, c, solver_iterations=1), ScalarField(space, c, solver_iterations=1)
+
+
+def _two_fluxes():
+    w = solve_dirichlet(build_space(unit_square_mesh(2), 1), 1.0, 0.0)
+    return normal_flux(w, 1.0), normal_flux(w, 1.0)
+
+
+@pytest.mark.parametrize("build", [_two_meshes, _two_spaces, _two_fields, _two_fluxes])
+def test_objects_holding_arrays_compare_by_identity(build):
+    a, b = build()
+    assert a is not b
+    assert a != b and not a == b  # equal data, distinct objects; neither raises
+    assert a == a
+    keyed = {a: "a", b: "b"}
+    assert keyed[a] == "a" and keyed[b] == "b"
+
+
+def _holds_an_array(cls) -> bool:
+    return any(
+        "np.ndarray" in str(f.type) or "csr_matrix" in str(f.type) for f in dataclasses.fields(cls)
+    )
+
+
+def test_every_dataclass_holding_an_array_compares_by_identity():
+    names = ("biharmonic", "fem", "manufactured", "mesh", "poisson", "polynomials", "sparse")
+    modules = [importlib.import_module(f"biharm.{name}") for name in names]
+    holders = {
+        cls.__name__: cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and cls.__module__ == module.__name__
+        and _holds_an_array(cls)
+    }
+    assert {"Mesh", "QuadratureRule", "FeSpace", "ScalarField", "BoundaryFlux"} <= holders.keys()
+    assert all(holders.values()), holders

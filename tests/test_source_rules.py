@@ -28,3 +28,33 @@ def test_library_never_evaluates_code():
         and node.func.id in {"eval", "exec", "compile", "__import__"}
     ]
     assert SOURCES and found == []
+
+
+def _freezes_an_array(node: ast.AST) -> bool:
+    """An assignment to ``<array>.flags.writeable`` or an ``<array>.setflags`` call."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Attribute)
+        and t.attr == "writeable"
+        and isinstance(t.value, ast.Attribute)
+        and t.value.attr == "flags"
+        for t in node.targets
+    )
+
+
+def test_only_mesh_owned_sets_an_array_writeable_flag():
+    # one copy-and-freeze rule: every array a frozen object keeps enters through mesh._owned
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # node id -> name of its innermost enclosing function; walks go outside in
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((id(node), function.name) for node in ast.walk(function))
+        found += [
+            f"{path.name}:{scope.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if _freezes_an_array(node)
+        ]
+    assert found == ["mesh.py:_owned"]
