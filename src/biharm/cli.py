@@ -167,14 +167,17 @@ def _check_size(domain: str, n: int, refine: int) -> None:
 
 
 def _check_out(path: str | None) -> None:
-    """Raise, before any work, the OSError that writing ``path`` would raise: it
-    is a directory, or its parent is not one."""
+    """Raise, before any work, the OSError that writing ``path`` would raise: a
+    stat of its parent fails, the parent is not a directory, or ``path`` is one."""
     if not path:
         return
     parent = Path(path).parent
+    try:
+        parent.stat()
+    except OSError as exc:  # missing, or below a regular file
+        raise OSError(exc.errno, exc.strerror, path) from None
     if not parent.is_dir():
-        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), path)
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     if Path(path).is_dir():
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 

@@ -12,17 +12,17 @@ Sign conventions: the stiffness matrix is the Dirichlet form
 ``(q, phi_i)`` inner products. Data callables receive numpy coordinate
 arrays and must broadcast (constants returned as scalars are fine).
 
-Meshes, rules, spaces and fields hold read-only copies of their arrays
-(``mesh._owned``) and compare by identity; triangle and boundary geometry
-are built once per mesh and held on it the same way. Every datum, callable
-or constant, goes through one evaluator, ``_data_values``, which raises
-``DataError`` on a non-finite value before any assembly or solve.
+Meshes, rules and fields hold read-only copies of their arrays
+(``mesh._owned``); a space derives its arrays from its mesh and degree, a P1
+space sharing the mesh's. All compare by identity. Triangle and boundary
+geometry are built once per mesh and held on it. Every datum goes through
+``_data_values``; a non-finite one raises ``DataError`` before any assembly.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -203,47 +203,47 @@ def _segment_basis(degree: int, t: np.ndarray) -> np.ndarray:
 class FeSpace:
     """Continuous Lagrange space of degree 1 or 2 on a triangle mesh.
 
-    dof numbering: vertex dofs keep vertex indices; degree-2 midpoint dofs
-    follow, ordered by the lexicographic enumeration of undirected mesh
-    edges. ``boundary_dofs`` sorts the dofs supported on boundary edges, and
-    row k of ``boundary_edge_positions`` holds the positions in
-    ``boundary_dofs`` of the dofs of boundary edge k in trace-basis order, so
-    ``boundary_dofs[boundary_edge_positions]`` is the boundary edge dof map.
+    Every field is derived from the mesh and the degree. dof numbering: vertex
+    dofs keep vertex indices; degree-2 midpoint dofs follow, ordered by the
+    lexicographic enumeration of undirected mesh edges. ``boundary_dofs`` sorts
+    the dofs supported on boundary edges, and row k of ``boundary_edge_positions``
+    holds the positions in ``boundary_dofs`` of the dofs of boundary edge k in
+    trace-basis order, so ``boundary_dofs[boundary_edge_positions]`` is the
+    boundary edge dof map. A P1 space shares its mesh's vertices and triangles;
+    the other arrays are read-only copies.
     """
 
     mesh: Mesh
     degree: int
-    dof_count: int
-    dof_coordinates: np.ndarray
-    element_dof_map: np.ndarray
-    boundary_dofs: np.ndarray
-    boundary_edge_positions: np.ndarray
+    dof_coordinates: np.ndarray = field(init=False)
+    element_dof_map: np.ndarray = field(init=False)
+    boundary_dofs: np.ndarray = field(init=False)
+    boundary_edge_positions: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.degree not in (1, 2):
+            raise ValueError("degree must be 1 or 2")
+        mesh = self.mesh
+        if self.degree == 1:
+            coords, dof_map, edge_dofs = mesh.vertices, mesh.triangles, mesh.boundary_edges
+        else:
+            _, nodes, sides, boundary = _edge_numbering(mesh)
+            coords, dof_map = _owned(nodes), _owned(np.column_stack([mesh.triangles, sides]))
+            edge_dofs = np.column_stack([mesh.boundary_edges, boundary])
+        boundary_dofs, inverse = np.unique(edge_dofs, return_inverse=True)
+        object.__setattr__(self, "dof_coordinates", coords)
+        object.__setattr__(self, "element_dof_map", dof_map)
+        object.__setattr__(self, "boundary_dofs", _owned(boundary_dofs))
+        object.__setattr__(self, "boundary_edge_positions", _owned(inverse.reshape(edge_dofs.shape)))
+
+    @property
+    def dof_count(self) -> int:
+        return len(self.dof_coordinates)
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
-    """Construct the Lagrange space of the given degree over the mesh, on read-only
-    arrays. Degree 1 takes the mesh's vertices and triangles as they are; degree 2,
-    the nodes of its edge numbering, which are the vertices of its refinement."""
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
-
-    if degree == 1:
-        dof_coords, element_dofs, bedge_dofs = mesh.vertices, mesh.triangles, mesh.boundary_edges
-    else:
-        _, nodes, sides, boundary = _edge_numbering(mesh)
-        dof_coords, element_dofs = _owned(nodes), _owned(np.column_stack([mesh.triangles, sides]))
-        bedge_dofs = np.column_stack([mesh.boundary_edges, boundary])
-
-    boundary_dofs, positions = np.unique(bedge_dofs, return_inverse=True)
-    return FeSpace(
-        mesh=mesh,
-        degree=degree,
-        dof_count=len(dof_coords),
-        dof_coordinates=dof_coords,
-        element_dof_map=element_dofs,
-        boundary_dofs=_owned(boundary_dofs),
-        boundary_edge_positions=_owned(positions.reshape(bedge_dofs.shape)),
-    )
+    """The Lagrange space of the given degree over the mesh: ``FeSpace(mesh, degree)``."""
+    return FeSpace(mesh, degree)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ assembles the load of p (or f) once for both residual reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,16 +155,21 @@ def solve_dirichlet(
 
 @dataclass(frozen=True, eq=False)
 class BoundaryFlux:
-    """Consistent normal-derivative data of a solved Dirichlet field, read-only.
+    """Read-only normal flux of a solved Dirichlet field, made from its functional.
 
     ``functional`` holds the Green-identity pairings <dw/dn, phi_i>, one per
-    entry of ``space.boundary_dofs``; ``projected`` holds the coefficients of
-    the L2(boundary) projection of that functional: a pointwise flux field.
+    entry of ``space.boundary_dofs``; ``projected``, solved for on construction,
+    the coefficients of its L2(boundary) projection: a pointwise flux field.
     """
 
     space: FeSpace
     functional: np.ndarray
-    projected: np.ndarray
+    projected: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "functional", _owned(self.functional, float))
+        projected = cg_solve(_operators(self.space).boundary_mass, self.functional, rel_tol=1e-12)
+        object.__setattr__(self, "projected", _owned(projected.x))
 
     def total(self) -> float:
         """Sum of the flux functional: the discrete outflow, which equals
@@ -181,16 +186,13 @@ def normal_flux(w: ScalarField, source) -> BoundaryFlux:
     """Recover the variational normal derivative of w, given the source it
     was solved with (a source field must live on w's space).
 
-    For every boundary dof the functional value is (K w + b)_i; interior
-    entries of the same residual vanish to solver tolerance when w came
-    out of ``solve_dirichlet``, so no information is lost by restricting.
+    The flux is made from its functional, (K w + b)_i at every boundary dof;
+    interior entries of the same residual vanish to solver tolerance when w
+    came out of ``solve_dirichlet``, so no information is lost by restricting.
     """
     space = w.space
-    ops = _operators(space)
-    residual = ops.stiffness @ w.coeffs + _source_load(space, source)
-    t = residual[space.boundary_dofs]
-    projected = cg_solve(ops.boundary_mass, t, rel_tol=1e-12).x
-    return BoundaryFlux(space, _owned(t), _owned(projected))
+    residual = _operators(space).stiffness @ w.coeffs + _source_load(space, source)
+    return BoundaryFlux(space, residual[space.boundary_dofs])
 
 
 @dataclass(frozen=True)

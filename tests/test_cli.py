@@ -129,9 +129,15 @@ def test_solve_writes_vtk(tmp_path):
     ],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("where", ["missing parent", "directory"])
+@pytest.mark.parametrize("where", ["missing parent", "directory", "under a file"])
 def test_unusable_out_fails_before_any_work(argv, where, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "missing" / "x" if where == "missing parent" else tmp_path
+    made = []
+    if where == "under a file":
+        made = [tmp_path / "F"]
+        made[0].write_text("")
+        out = made[0] / "a" / "b"
+    else:
+        out = tmp_path / "missing" / "x" if where == "missing parent" else tmp_path
     with pytest.raises(OSError) as writing:  # the command reports the error a write raises
         out.write_text("")
     built = []
@@ -141,7 +147,7 @@ def test_unusable_out_fails_before_any_work(argv, where, tmp_path, capsys, monke
     assert captured.err == f"error: {writing.value}\n"
     assert captured.out == ""
     assert built == []
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == made
 
 
 def test_write_vtk_validates_field_length(tmp_path):

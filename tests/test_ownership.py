@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 
 from biharm.biharmonic import CompatibilityError, NeumannProblem, solve_neumann
-from biharm.fem import QuadratureRule, ScalarField, build_space, triangle_geometry
+from biharm.fem import (
+    FeSpace,
+    QuadratureRule,
+    ScalarField,
+    boundary_mass_matrix,
+    build_space,
+    triangle_geometry,
+)
 from biharm.manufactured import case_sine
 from biharm.mesh import Mesh, unit_square_mesh
-from biharm.poisson import normal_flux, overdetermined_check, solve_dirichlet
+from biharm.poisson import BoundaryFlux, normal_flux, overdetermined_check, solve_dirichlet
+from biharm.sparse import cg_solve
 
 
 def _held_arrays(obj) -> list[np.ndarray]:
@@ -78,9 +86,54 @@ def test_every_array_a_result_holds_is_read_only(degree):
     _assert_read_only(held)
 
     flux = normal_flux(solve_dirichlet(space, 1.0, 0.0), 1.0)
-    _assert_read_only([flux.functional, flux.projected])
+    hand_made = BoundaryFlux(space, np.ones(len(space.boundary_dofs)))
+    _assert_read_only([flux.functional, flux.projected, hand_made.functional, hand_made.projected])
     result = overdetermined_check(space, 1.0)
     _assert_read_only([result.u.coeffs, result.flux.functional, result.flux.projected])
+
+
+SPACE_ARRAYS = ("dof_coordinates", "element_dof_map", "boundary_dofs", "boundary_edge_positions")
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_space_is_its_mesh_and_degree(degree):
+    mesh = unit_square_mesh(3)
+    space = build_space(mesh, degree)
+    assert isinstance(space, FeSpace)
+    assert space.dof_count == len(space.dof_coordinates)
+    _assert_read_only([getattr(space, name) for name in SPACE_ARRAYS])
+    if degree == 1:  # a P1 space shares its mesh's arrays
+        assert space.dof_coordinates is mesh.vertices
+        assert space.element_dof_map is mesh.triangles
+
+    for name in SPACE_ARRAYS:  # a derived field cannot be set apart from the mesh
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(space, **{name: np.array(getattr(space, name))})
+    with pytest.raises(ValueError, match="degree must be 1 or 2"):
+        dataclasses.replace(space, degree=3)
+
+    other = dataclasses.replace(space, degree=3 - degree)  # every field rebuilt
+    fresh = build_space(mesh, 3 - degree)
+    assert other.dof_count == fresh.dof_count
+    for name in SPACE_ARRAYS:
+        a, b = getattr(other, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_flux_is_its_functional():
+    space = build_space(unit_square_mesh(4), 2)
+    t = np.random.default_rng(3).standard_normal(len(space.boundary_dofs))
+    flux = BoundaryFlux(space, t)
+    expected = cg_solve(boundary_mass_matrix(space), t, rel_tol=1e-12).x
+    assert flux.projected.tobytes() == expected.tobytes()
+    t[:] = 0.0  # the caller's array stays writable and apart from the flux
+    assert flux.functional.tobytes() != t.tobytes()
+
+    solved = normal_flux(solve_dirichlet(space, 1.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="projected"):
+        dataclasses.replace(solved, projected=np.zeros_like(solved.projected))
+    rebuilt = dataclasses.replace(solved, functional=solved.functional)
+    assert rebuilt.projected.tobytes() == solved.projected.tobytes()
 
 
 def test_compatibility_error_keeps_a_read_only_copy_of_the_residuals():
