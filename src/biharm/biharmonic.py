@@ -40,6 +40,7 @@ and no test polynomial is evaluated at a quadrature point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,12 +49,13 @@ from .fem import (
     FeSpace,
     ScalarField,
     _data_values,
+    _element_sum,
     _raise_on_overflow,
     boundary_geometry,
-    boundary_integrate,
+    default_boundary_rule,
     field_values,
-    integrate,
     quad_points,
+    triangle_geometry,
     triangle_quadrature,
 )
 from .mesh import _owned
@@ -79,6 +81,8 @@ DEFAULT_STRICT_TOL = 1e-3
 # Data terms are smooth but not polynomial; a fixed high order keeps the
 # diagnostic quadrature error far below discretization error.
 DIAGNOSTIC_VOLUME_ORDER = 6
+
+_BLOCK = 2048  # elements per block of a moment table: a block's arrays fit in L2
 
 
 @dataclass(frozen=True)
@@ -155,24 +159,30 @@ def _strict_check(strict: bool, tol: float):
     return check
 
 
-def _moment_table(integral, vals, x, y, degree: int) -> np.ndarray:
-    """T[i, j] = integral(vals * x**i * y**j) for i + j <= degree (zero above).
-    Monomials are running products on the points, formed in place in two work
-    arrays, so no (points x monomials) array is ever held and no product goes
-    unread. T[0, 0] integrates ``vals`` itself: a broadcast view of a constant
-    sums in another order than its contiguous copy."""
-    size = max(degree + 1, 0)
+def _moment_table(sizes, weights, x, y, vals, degree: int) -> np.ndarray:
+    """T[i, j] = integral of vals * x**i * y**j for i + j <= degree (zero above) on
+    elements of the given sizes and rule weights, summed as ``fem.integrate`` sums.
+    Monomials are running products formed in place, ``_BLOCK`` elements at a time
+    so a block's arrays stay in cache; no product goes unread. T[0, 0] integrates
+    ``vals`` itself: a broadcast constant sums in another order than its copy."""
+    size, count = max(degree + 1, 0), len(x)
     table = np.zeros((size, size))
     column = np.array(vals, dtype=float)
-    term = np.empty_like(column)
+    work = np.empty_like(column[:_BLOCK])
+    sums = np.empty((size, count))
     for i in range(size):
-        np.copyto(term, column)
-        for j in range(size - i):
-            table[i, j] = integral(term if i + j else vals)
-            if j + 1 < size - i:
-                term *= y
-        if i + 1 < size:
-            column *= x
+        rows = size - i
+        for start in range(0, count, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            term = work[: min(count - start, _BLOCK)]
+            np.copyto(term, column[block])
+            for j in range(rows):
+                np.einsum("tq,q->t", term if i + j else vals[block], weights, out=sums[j, block])
+                if j + 1 < rows:
+                    term *= y[block]
+            if i + 1 < size:
+                column[block] *= x[block]
+        table[i, :rows] = _element_sum(sizes, sums[:rows])
     return table
 
 
@@ -194,17 +204,13 @@ def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
     terms of l(eta) uncombined; no test function is evaluated at a point. The data
     tables overflow as FloatingPointError."""
     vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    x, y = quad_points(space.mesh, vol_rule)
-    bx, by, _, normals = boundary_geometry(space.mesh)
+    (x, y), det = quad_points(space.mesh, vol_rule), triangle_geometry(space.mesh)[2]
+    bx, by, lengths, normals = boundary_geometry(space.mesh)
     f_vals = _data_values(problem.f, x, y)
     g_vals = _data_values(problem.g, bx, by)
     h_vals = _data_values(problem.h, bx, by)
-
-    def volume_moments(vals, up_to):
-        return _moment_table(lambda v: integrate(space.mesh, vol_rule, v), vals, x, y, up_to)
-
-    def boundary_moments(vals, up_to):
-        return _moment_table(lambda v: boundary_integrate(space.mesh, v), vals, bx, by, up_to)
+    volume_moments = partial(_moment_table, det, vol_rule.weights, x, y)
+    boundary_moments = partial(_moment_table, lengths, default_boundary_rule().weights, bx, by)
 
     with _raise_on_overflow():
         f_table = volume_moments(f_vals, degree)

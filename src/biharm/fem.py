@@ -15,7 +15,8 @@ arrays and must broadcast (constants returned as scalars are fine).
 Meshes, rules and fields hold read-only copies of their arrays
 (``mesh._owned``); a space derives its arrays from its mesh and degree, a P1
 space sharing the mesh's. All compare by identity. Triangle and boundary
-geometry are built once per mesh and held on it. Every datum goes through
+geometry are built once per mesh, from x and y coordinate columns gathered
+by index, never (..., 2) rows, and held on it. Every datum goes through
 ``_data_values``; a non-finite one raises ``DataError`` before any assembly.
 """
 
@@ -318,12 +319,12 @@ def triangle_geometry(mesh: Mesh):
 
 
 def _affine_maps(mesh: Mesh):
-    p = mesh.vertices[mesh.triangles]
-    jac = _owned(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], -1))  # columns: sides from p0
-    (a, b), (c, d) = jac[:, 0].T, jac[:, 1].T
+    (x0, x1, x2), (y0, y1, y2) = (mesh.vertices[:, k].take(mesh.triangles.T) for k in (0, 1))
+    a, b, c, d = x1 - x0, x2 - x0, y1 - y0, y2 - y0  # rows x, y; columns: sides from p0
+    jac = _owned(np.stack([a, b, c, d], -1).reshape(-1, 2, 2))
     det = a * d - b * c
     inv_jt = np.stack([np.stack([d, -c], -1), np.stack([-b, a], -1)], 1) / det[:, None, None]
-    return _owned(p[:, 0]), jac, _owned(det), _owned(inv_jt)
+    return _owned(np.column_stack([x0, y0])), jac, _owned(det), _owned(inv_jt)
 
 
 def quad_points(mesh: Mesh, rule: QuadratureRule):
@@ -346,7 +347,13 @@ def integrate(mesh: Mesh, rule: QuadratureRule, values: np.ndarray) -> float:
     thread count: each triangle's rule sum over its points, then numpy's
     pairwise sum over triangles of determinant times rule sum."""
     _, _, det, _ = triangle_geometry(mesh)
-    return float((det * np.einsum("tq,q->t", values, rule.weights)).sum())
+    return float(_element_sum(det, np.einsum("tq,q->t", values, rule.weights)))
+
+
+def _element_sum(sizes: np.ndarray, rule_sums: np.ndarray) -> np.ndarray:
+    """The second pass of every integral: numpy's pairwise sum along the last axis of
+    element size (determinant or edge length) times rule sum, scaled in place."""
+    return np.multiply(rule_sums, sizes, out=rule_sums).sum(axis=-1)
 
 
 def field_values(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
@@ -449,15 +456,13 @@ def boundary_geometry(mesh: Mesh):
 
 
 def _boundary_maps(mesh: Mesh):
-    edges = mesh.boundary_edges
-    pa = mesh.vertices[edges[:, 0]]
-    pb = mesh.vertices[edges[:, 1]]
-    tangent = pb - pa
-    lengths = np.linalg.norm(tangent, axis=1)
-    normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / lengths[:, None]
+    (xa, xb), (ya, yb) = (mesh.vertices[:, k].take(mesh.boundary_edges.T) for k in (0, 1))
+    tx, ty = xb - xa, yb - ya
+    lengths = np.sqrt(tx * tx + ty * ty)
+    normals = np.column_stack([ty / lengths, -tx / lengths])
     t = default_boundary_rule().points[:, 1]
-    x = pa[:, 0, None] + t[None, :] * tangent[:, 0, None]
-    y = pa[:, 1, None] + t[None, :] * tangent[:, 1, None]
+    x = xa[:, None] + t[None, :] * tx[:, None]
+    y = ya[:, None] + t[None, :] * ty[:, None]
     return tuple(map(_owned, (x, y, lengths, normals)))
 
 
@@ -466,7 +471,7 @@ def boundary_integrate(mesh: Mesh, values: np.ndarray) -> float:
     boundary rule, summed as ``integrate`` sums: each edge's rule sum, then
     numpy's pairwise sum over edges of length times rule sum; no BLAS call."""
     _, _, lengths, _ = boundary_geometry(mesh)
-    return float((lengths * np.einsum("eq,q->e", values, default_boundary_rule().weights)).sum())
+    return float(_element_sum(lengths, np.einsum("eq,q->e", values, default_boundary_rule().weights)))
 
 
 def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:

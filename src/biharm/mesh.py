@@ -13,7 +13,8 @@ outward normal is the tangent rotated by -90 degrees). Green's identity then
 makes the area sum equal to the shoelace area of the loop: interior edges
 cancel in pairs.
 
-Construction, refinement and validation are array operations. The edge from
+Construction, refinement and validation are array operations, which gather
+vertex coordinates as x and y columns, never as (..., 2) rows. The edge from
 a to b is keyed 2 * (lo * V + hi) + (a > b) for its sorted endpoints lo, hi;
 without the direction bit the key names the undirected edge, and ascending
 keys list the edges in lexicographic (lo, hi) order. One edge numbering in
@@ -130,10 +131,8 @@ class Mesh:
         return DomainTag.UNIT_DISK_POLYGON
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        (x0, x1, x2), (y0, y1, y2) = (self.vertices[:, k].take(self.triangles.T) for k in (0, 1))
+        return 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
 
     def area(self) -> float:
         return float(self.signed_areas().sum())
@@ -234,10 +233,11 @@ def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     t = mesh.triangles
     undirected = _directed_key(t, np.roll(t, -1, axis=1), nv) >> 1
     keys, inverse = np.unique(undirected, return_inverse=True)
-    edges = np.column_stack(np.divmod(keys, nv))
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    lo, hi = np.divmod(keys, nv)
+    mids = np.column_stack([0.5 * (c.take(lo) + c.take(hi)) for c in mesh.vertices.T])
     boundary = np.searchsorted(keys, _directed_key(*mesh.boundary_edges.T, nv) >> 1)
-    return edges, np.vstack([mesh.vertices, mids]), nv + inverse.reshape(t.shape), nv + boundary
+    nodes = np.vstack([mesh.vertices, mids])
+    return np.column_stack([lo, hi]), nodes, nv + inverse.reshape(t.shape), nv + boundary
 
 
 def unit_square_mesh(n: int) -> Mesh:

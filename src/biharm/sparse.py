@@ -199,7 +199,7 @@ def cg_solve(
     # huge data neither underflow nor overflow and results scale back bit for bit.
     e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
     r = np.ldexp(b, -e)
-    b_norm = float(np.linalg.norm(r))
+    b_norm = math.sqrt(r @ r)
     if not math.isfinite(b_norm):
         raise NonConvergenceError(0, b_norm)
     x = np.zeros(n)
@@ -213,7 +213,6 @@ def cg_solve(
     z = r / diag
     p = z.copy()
     ap = np.empty(n)
-    step = np.empty(n)
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
         ap.fill(0.0)
@@ -224,9 +223,9 @@ def cg_solve(
         if pap <= 0.0:
             raise NotSPDError(f"nonpositive curvature p^T A p = {math.ldexp(pap, 2 * e):.6e}")
         alpha = rz / pap
-        x += np.multiply(p, alpha, out=step)
-        r -= np.multiply(ap, alpha, out=step)
-        res = float(np.linalg.norm(r))
+        x += np.multiply(p, alpha, out=z)  # z is dead until it is formed from the new r
+        r -= np.multiply(ap, alpha, out=z)
+        res = math.sqrt(r @ r)
         if not math.isfinite(res):
             raise NonConvergenceError(k, res)
         if res <= rel_tol * b_norm:
@@ -236,4 +235,4 @@ def cg_solve(
         p *= rz_new / rz
         p += z
         rz = rz_new
-    raise NonConvergenceError(max_iter, math.ldexp(float(np.linalg.norm(r)), e))
+    raise NonConvergenceError(max_iter, math.ldexp(math.sqrt(r @ r), e))

@@ -27,6 +27,7 @@ from biharm.fem import (
     integrate,
     quad_points,
     segment_quadrature,
+    triangle_geometry,
     triangle_quadrature,
 )
 from biharm.manufactured import case_sine, cases, l2_error
@@ -538,17 +539,27 @@ def out_of_place_moment_table(integral, vals, x, y, degree):
     return table
 
 
-@pytest.mark.parametrize("name", ["square", "disk"])
-def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name):
-    mesh = unit_square_mesh(7) if name == "square" else refine_uniform(unit_disk_mesh(6))
+# no element or boundary edge count a multiple of 7; the small disk adds a --kmax 64 table
+MOMENT_MESHES = {
+    "square": (unit_square_mesh(8), range(-1, 7)),
+    "disk": (refine_uniform(unit_disk_mesh(6)), range(-1, 7)),
+    "small": (unit_disk_mesh(2), [*range(-1, 7), 64]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_MESHES))
+def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name, monkeypatch):
+    mesh, degrees = MOMENT_MESHES[name]
     rule = triangle_quadrature(6)
     x, y = quad_points(mesh, rule)
-    bx, by, _, normals = boundary_geometry(mesh)
+    bx, by, lengths, normals = boundary_geometry(mesh)
+    _, _, det, _ = triangle_geometry(mesh)
     sets = [
-        (lambda v: integrate(mesh, rule, v), x, y),
-        (lambda v: boundary_integrate(mesh, v), bx, by),
+        (lambda v: integrate(mesh, rule, v), det, rule.weights, x, y),
+        (lambda v: boundary_integrate(mesh, v), lengths, segment_quadrature(5).weights, bx, by),
     ]
-    for integral, px, py in sets:
+    for integral, sizes, weights, px, py in sets:
+        assert len(px) % 7  # blocks of 7 end in a partial one
         constant = _data_values(-1.75, px, py)  # a read-only broadcast view
         assert not constant.flags.writeable
         datas = [constant, np.exp(px) * np.cos(2.0 * py) - px * py, np.sin(px + py) + 0.5]
@@ -556,11 +567,14 @@ def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name):
             datas.append(_data_values(lambda a, b: a * b, px, py) * normals[:, 1:2])
         for vals in datas:
             before = np.array(vals)
-            for degree in range(-1, 7):
-                table = biharmonic._moment_table(integral, vals, px, py, degree)
+            for degree in degrees:
                 expected = out_of_place_moment_table(integral, vals, px, py, degree)
-                assert table.shape == expected.shape == (max(degree + 1, 0),) * 2
-                assert np.array_equal(table, expected)
+                # one element per block, a partial last block, the default, one block for all
+                for block in (1, 7, biharmonic._BLOCK, 10**6):
+                    monkeypatch.setattr(biharmonic, "_BLOCK", block)
+                    table = biharmonic._moment_table(sizes, weights, px, py, vals, degree)
+                    assert table.shape == expected.shape == (max(degree + 1, 0),) * 2
+                    assert np.array_equal(table, expected)
             assert np.array_equal(vals, before)
 
 

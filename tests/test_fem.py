@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from test_mesh_properties import meshes
 
 import biharm
 from biharm import fem
@@ -404,6 +406,52 @@ def test_quad_points_are_bit_identical_to_the_broadcast_oracle(mesh_index, refin
             assert got.shape == want.shape == (mesh.num_triangles, len(rule.weights))
             assert got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous
+
+
+def row_gather_geometry(mesh):
+    """Reference geometry: every coordinate pair gathered as a (..., 2) row, as first written.
+    Signed areas, the four triangle_geometry arrays, the refined mesh's vertices and the
+    four boundary_geometry arrays."""
+    p = mesh.vertices[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], -1)
+    (a, b), (c, d) = jac[:, 0].T, jac[:, 1].T
+    det = a * d - b * c
+    inv_jt = np.stack([np.stack([d, -c], -1), np.stack([-b, a], -1)], 1) / det[:, None, None]
+    edges = mesh.undirected_edges()
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    pa = mesh.vertices[mesh.boundary_edges[:, 0]]
+    pb = mesh.vertices[mesh.boundary_edges[:, 1]]
+    tangent = pb - pa
+    lengths = np.linalg.norm(tangent, axis=1)
+    normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / lengths[:, None]
+    t = fem.default_boundary_rule().points[:, 1]
+    x = pa[:, 0, None] + t[None, :] * tangent[:, 0, None]
+    y = pa[:, 1, None] + t[None, :] * tangent[:, 1, None]
+    return areas, p[:, 0], jac, det, inv_jt, np.vstack([mesh.vertices, mids]), x, y, lengths, normals
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes())
+@example(unit_square_mesh(1))
+@example(unit_square_mesh(7))
+@example(unit_disk_mesh(1))
+@example(unit_disk_mesh(6))
+@example(refine_uniform(unit_disk_mesh(32)))
+def test_geometry_from_coordinate_columns_is_bit_identical_to_the_row_gather_oracle(mesh):
+    got = (
+        mesh.signed_areas(),
+        *fem.triangle_geometry(mesh),
+        refine_uniform(mesh).vertices,
+        *fem.boundary_geometry(mesh),
+    )
+    expected = row_gather_geometry(mesh)
+    assert len(got) == len(expected) == 10
+    for value, want in zip(got, expected):
+        assert value.shape == want.shape and value.tobytes() == want.tobytes()
+    assert build_space(mesh, 2).dof_coordinates.tobytes() == expected[5].tobytes()
 
 
 @pytest.mark.parametrize("datum", [10**400, lambda x, y: 10**400, lambda x, y: -(10**400) + 0 * x])
