@@ -73,10 +73,24 @@ class MeshFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _owned(array, dtype=None) -> np.ndarray:
+def _owned(array, dtype=None, error: type[ValueError] = ValueError) -> np.ndarray:
     """A read-only C-contiguous copy of ``array``: the one way an array enters a
-    frozen object, so the object's cached operators cannot go stale."""
-    owned = np.array(array, dtype=dtype, order="C")
+    frozen object, so the object's cached operators cannot go stale. A cast to
+    ``dtype`` keeps every value, NaN as NaN, or raises ``error``: it never
+    drops an imaginary part, truncates an index or parses a string."""
+    try:
+        source = np.asarray(array)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a lossy cast warns; the check below refuses it
+            owned = np.array(source, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"not an array of {np.dtype(dtype)}: {exc}") from None
+    if owned.dtype != source.dtype:
+        nan = (owned != owned) & (source != source) & (source.imag == 0)  # NaN stays NaN
+        changed = (owned != source) & ~nan
+        if changed.any():
+            value = source.flat[np.argmax(changed)]
+            raise error(f"a cast from {source.dtype} to {owned.dtype} would change the value {value}")
     owned.flags.writeable = False
     return owned
 
@@ -100,8 +114,8 @@ class Mesh:
     boundary_edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _owned(self.vertices, float))
-        object.__setattr__(self, "triangles", _owned(self.triangles, np.int64))
+        object.__setattr__(self, "vertices", _owned(self.vertices, float, MeshValidationError))
+        object.__setattr__(self, "triangles", _owned(self.triangles, np.int64, MeshValidationError))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshValidationError("vertices must be a (V, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:

@@ -1,16 +1,15 @@
-"""Sparse matrices and a preconditioned conjugate gradient solver.
+"""Sparse operators and a preconditioned conjugate gradient solver.
 
-Storage is compressed sparse row, backed by ``scipy.sparse``; the wrapper
-pins down construction semantics (duplicate triplets are summed, sums that
-come to zero are not stored, column indices sorted within each row) and
-exposes the raw CSR arrays. The CG solver is written out longhand because
-its failure behavior is part of the contract: it reports iteration counts,
-raises a typed error carrying the residual when the iteration budget runs
-out or a value turns non-finite, and detects loss of positive definiteness
-through the p^T A p curvature term. It allocates nothing per iteration: the
-matvec runs scipy's CSR kernel into a reused buffer and the updates run in
-place, with the same floating-point operations as ``csr @ p`` and fresh
-temporaries.
+Operators are ``scipy.sparse.csr_array`` objects in canonical form, built by
+``from_triplets``: duplicate triplets are summed, sums that come to zero are
+not stored, and column indices are sorted within each row. The CG solver is
+written out longhand because its failure behavior is part of the contract: it
+reports iteration counts, raises a typed error carrying the residual when the
+iteration budget runs out or a value turns non-finite, and detects loss of
+positive definiteness through the p^T A p curvature term. It allocates nothing
+per iteration: the matvec runs scipy's CSR kernel into a reused buffer and the
+updates run in place, with the same floating-point operations as ``a @ p`` and
+fresh temporaries.
 """
 
 from __future__ import annotations
@@ -51,55 +50,27 @@ class NotSPDError(RuntimeError):
     """The operator is not symmetric positive definite (p^T A p <= 0 observed)."""
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """Immutable CSR matrix.
+class SparseMatrix(scipy.sparse.csr_array):
+    """A ``scipy.sparse.csr_array`` in canonical form: column indices strictly
+    increasing inside each row, no duplicates and no stored zeros. It compares
+    as scipy arrays do: ``==`` is elementwise, and it does not hash.
 
-    ``row_offsets``, ``column_indices`` and ``values`` expose the standard
-    CSR triple: row i owns the slice ``row_offsets[i]:row_offsets[i+1]``
-    of the other two arrays, with column indices strictly increasing
-    inside each row and no duplicate entries. They stay writeable: scipy
-    canonicalises CSR arrays in place.
+    Its two members are read by name by ``perfbench/tracing.py``, which
+    records ``column_indices`` and times ``submatrix``; they go once the
+    benchmark reads ``indices`` and indexing instead (ROADMAP item 1).
     """
-
-    csr: scipy.sparse.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.csr.indptr
 
     @property
     def column_indices(self) -> np.ndarray:
-        return self.csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.csr.data
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self, x)
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
+        return self.indices
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
         """Subblock with the given row and column index sets, in their order."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        sub = self.csr[rows][:, cols].tocsr()
+        sub = self[rows][:, cols]
         sub.sort_indices()
-        return SparseMatrix(sub)
+        return sub
 
 
 def from_triplets(
@@ -123,18 +94,17 @@ def from_triplets(
         raise ValueError("row index out of range")
     if cols.size and (cols.min() < 0 or cols.max() >= nc):
         raise ValueError("column index out of range")
-    coo = scipy.sparse.coo_matrix((entries, (rows, cols)), shape=shape)
-    csr = coo.tocsr()  # sums duplicates
-    csr.eliminate_zeros()
-    csr.sort_indices()
-    return SparseMatrix(csr)
+    # coo_matrix, not coo_array: it stores int32 indices wherever they fit
+    a = SparseMatrix(scipy.sparse.coo_matrix((entries, (rows, cols)), shape=shape))
+    a.eliminate_zeros()  # the conversion summed duplicates and sorted each row
+    return a
 
 
 def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (a.shape[1],):
         raise ValueError(f"vector length {x.shape} does not match matrix shape {a.shape}")
-    return a.csr @ x
+    return a @ x
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +177,9 @@ def cg_solve(
         return CGResult(x, 0, 0.0)
 
     # One set of work vectors for the whole solve. Each matvec is the CSR
-    # kernel that ``csr @ p`` runs, into a buffer zeroed the way it zeroes its
+    # kernel that ``a @ p`` runs, into a buffer zeroed the way it zeroes its
     # fresh output, so every iterate is bit for bit the allocating loop's.
-    indptr, indices, data = a.csr.indptr, a.csr.indices, a.csr.data
+    indptr, indices, data = a.indptr, a.indices, a.data
     z = r / diag
     p = z.copy()
     ap = np.empty(n)

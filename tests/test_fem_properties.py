@@ -34,7 +34,7 @@ degrees = pytest.mark.parametrize("degree", [1, 2])
 @given(meshes(max_refine=1))
 def test_stiffness_is_symmetric_with_constants_in_its_kernel(degree, mesh):
     k = assemble_stiffness(build_space(mesh, degree))
-    assert abs(k.csr - k.csr.T).max() == 0.0
+    assert abs(k - k.T).max() == 0.0
     assert np.abs(matvec(k, np.ones(k.shape[0]))).max() < 1e-11
 
 
@@ -43,7 +43,7 @@ def test_stiffness_is_symmetric_with_constants_in_its_kernel(degree, mesh):
 @given(meshes(max_refine=1))
 def test_mass_entries_sum_to_area(degree, mesh):
     m = assemble_mass(build_space(mesh, degree))
-    assert abs(m.values.sum() - mesh.area()) <= 1e-12 * mesh.area()
+    assert abs(m.data.sum() - mesh.area()) <= 1e-12 * mesh.area()
 
 
 @degrees

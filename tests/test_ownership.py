@@ -4,6 +4,7 @@ identity."""
 
 import dataclasses
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from biharm.fem import (
     triangle_geometry,
 )
 from biharm.manufactured import case_sine
-from biharm.mesh import Mesh, unit_square_mesh
+from biharm.mesh import Mesh, MeshValidationError, unit_square_mesh
 from biharm.poisson import BoundaryFlux, normal_flux, overdetermined_check, solve_dirichlet
 from biharm.sparse import cg_solve
 
@@ -150,6 +151,60 @@ def test_compatibility_error_keeps_a_read_only_copy_of_the_residuals():
     _assert_read_only([raised.value.residuals])
 
 
+# A constructor casts what it is given to its dtype only when no value changes.
+
+
+def test_a_mesh_refuses_complex_vertices():
+    base = unit_square_mesh(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning either
+        with pytest.raises(MeshValidationError, match="complex128 to float64"):
+            Mesh(base.vertices + 0.5j, base.triangles)
+        exact = Mesh(base.vertices + 0j, base.triangles.astype(float))
+    assert exact.vertices.tobytes() == base.vertices.tobytes()
+    assert exact.triangles.tobytes() == base.triangles.tobytes()
+
+
+def test_a_mesh_refuses_triangle_indices_with_a_fraction():
+    base = unit_square_mesh(2)
+    with pytest.raises(MeshValidationError, match="would change the value 0.7"):
+        Mesh(base.vertices, base.triangles + 0.7)
+    with pytest.raises(MeshValidationError, match="would change the value nan"):
+        Mesh(base.vertices, np.where(base.triangles == 1, np.nan, base.triangles))
+
+
+def test_a_mesh_refuses_ragged_vertices():
+    base = unit_square_mesh(1)
+    with pytest.raises(MeshValidationError, match="not an array of float64"):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [1.0], [0.0, 1.0]], base.triangles)
+
+
+def test_a_field_refuses_coefficients_given_as_strings():
+    space = build_space(unit_square_mesh(2), 1)
+    with pytest.raises(ValueError, match="<U1 to float64"):
+        ScalarField(space, ["1"] * space.dof_count)
+    with pytest.raises(ValueError, match="not an array of float64"):
+        ScalarField(space, ["one"] * space.dof_count)
+    nan = ScalarField(space, np.full(space.dof_count, np.nan, dtype=np.float32))
+    assert np.isnan(nan.coeffs).all()  # a NaN cast is still NaN
+
+
+def test_a_quadrature_rule_refuses_complex_points_and_weights():
+    points, weights = np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([0.5])
+    with pytest.raises(ValueError, match="complex128 to float64"):
+        QuadratureRule(points + 1e-3j, weights)
+    with pytest.raises(ValueError, match="complex128 to float64"):
+        QuadratureRule(points, weights - 1e-3j)
+
+
+def test_a_flux_refuses_a_complex_functional():
+    space = build_space(unit_square_mesh(2), 1)
+    functional = np.ones(len(space.boundary_dofs), dtype=complex)
+    functional[-1] = complex(np.nan, 2.0)  # a NaN keeps its imaginary part
+    with pytest.raises(ValueError, match=r"would change the value \(nan\+2j\)"):
+        BoundaryFlux(space, functional)
+
+
 def _two_meshes():
     return unit_square_mesh(2), unit_square_mesh(2)
 
@@ -181,9 +236,7 @@ def test_objects_holding_arrays_compare_by_identity(build):
 
 
 def _holds_an_array(cls) -> bool:
-    return any(
-        "np.ndarray" in str(f.type) or "csr_matrix" in str(f.type) for f in dataclasses.fields(cls)
-    )
+    return any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls))
 
 
 def test_every_dataclass_holding_an_array_compares_by_identity():

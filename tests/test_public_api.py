@@ -52,7 +52,6 @@ SETTABLE = {
     "QuadratureRule": ("points", "weights"),
     "FeSpace": ("mesh", "degree"),
     "ScalarField": ("space", "coeffs", "solver_iterations"),
-    "SparseMatrix": ("csr",),
     "CGResult": ("x", "iterations", "residual"),
     "BoundaryFlux": ("space", "functional"),
     "OverdeterminedResult": ("u", "flux"),

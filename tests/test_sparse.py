@@ -1,5 +1,6 @@
 """CSR construction and the conjugate gradient solver."""
 
+import dataclasses
 import math
 import re
 
@@ -37,23 +38,38 @@ def test_duplicate_triplets_are_summed():
     assert np.array_equal(a.toarray(), expected)
 
 
+def assert_canonical(a):
+    """A canonical SparseMatrix: a scipy CSR array whose rows hold strictly
+    increasing column indices and no stored zeros, so it needs no sorting or
+    summing before the CG kernel reads its arrays."""
+    assert isinstance(a, SparseMatrix)
+    assert isinstance(a, scipy.sparse.csr_array)
+    assert np.array_equal(a.indptr[[0, -1]], [0, a.nnz])
+    assert np.all(np.diff(a.indptr) >= 0)
+    for i in range(a.shape[0]):
+        ci = a.indices[a.indptr[i] : a.indptr[i + 1]]
+        assert np.all(np.diff(ci) > 0)  # sorted, no duplicates
+    assert np.all(a.data != 0.0)
+    assert a.has_canonical_format
+
+
 def test_csr_invariants_random():
-    rng = np.random.default_rng(42)
+    rng, picker = np.random.default_rng(42), np.random.default_rng(43)
     for _ in range(20):
         n = int(rng.integers(2, 12))
         k = int(rng.integers(1, 40))
         rows = rng.integers(0, n, size=k)
         cols = rng.integers(0, n, size=k)
         vals = rng.standard_normal(k)
+        vals[::5] = 0.0  # explicit zeros are not stored either
         a = from_triplets(rows, cols, vals, shape=(n, n))
-        assert np.array_equal(a.row_offsets[[0, -1]], [0, a.nnz])
-        assert np.all(np.diff(a.row_offsets) >= 0)
-        for i in range(n):
-            sl = slice(a.row_offsets[i], a.row_offsets[i + 1])
-            ci = a.column_indices[sl]
-            assert np.all(np.diff(ci) > 0)  # sorted, no duplicates
+        assert_canonical(a)
         dense = dense_from_triplets(rows, cols, vals, (n, n))
         assert np.allclose(a.toarray(), dense, atol=1e-15)
+        picked = picker.permutation(n)[: int(picker.integers(1, n + 1))]
+        sub = a.submatrix(picked, picked[::-1])
+        assert_canonical(sub)
+        assert np.array_equal(sub.toarray(), a.toarray()[np.ix_(picked, picked[::-1])])
 
 
 def test_matvec_matches_dense():
@@ -103,9 +119,7 @@ def test_cg_matches_dense_factorization():
     # regularized Laplacian on a coarse mesh: SPD, under 200 dofs
     space = build_space(unit_square_mesh(8), 1)
     assert space.dof_count <= 200
-    a = SparseMatrix(
-        (assemble_stiffness(space).csr + assemble_mass(space).csr).tocsr()
-    )
+    a = assemble_stiffness(space) + assemble_mass(space)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(space.dof_count)
     res = cg_solve(a, b, rel_tol=1e-12)
@@ -117,9 +131,7 @@ def test_cg_matches_dense_factorization():
 
 def test_cg_nonconvergence_carries_state():
     space = build_space(unit_square_mesh(8), 1)
-    a = SparseMatrix(
-        (assemble_stiffness(space).csr + assemble_mass(space).csr).tocsr()
-    )
+    a = assemble_stiffness(space) + assemble_mass(space)
     b = np.ones(space.dof_count)
     with pytest.raises(NonConvergenceError) as err:
         cg_solve(a, b, rel_tol=1e-14, max_iter=2)
@@ -204,9 +216,7 @@ def test_values_not_writeable_through_wrapper():
 def test_cg_is_exact_under_power_of_two_scaling_of_the_data(scale):
     # p^T A p of the unscaled iteration would underflow (tiny) or overflow (huge)
     space = build_space(unit_square_mesh(8), 1)
-    a = SparseMatrix(
-        (assemble_stiffness(space).csr + assemble_mass(space).csr).tocsr()
-    )
+    a = assemble_stiffness(space) + assemble_mass(space)
     b = np.random.default_rng(5).standard_normal(space.dof_count)
     ref = cg_solve(a, b)
     res = cg_solve(a, b * scale)
@@ -217,7 +227,7 @@ def test_cg_is_exact_under_power_of_two_scaling_of_the_data(scale):
 
 def allocating_cg(a, b, rel_tol=1e-10, max_iter=None):
     """The conjugate gradient loop as it was written before it reused its
-    vectors: a fresh ``csr @ p`` and fresh temporaries every iteration. The
+    vectors: a fresh ``a @ p`` and fresh temporaries every iteration. The
     reference for the in-place loop, which must agree with it bit for bit."""
     n = a.shape[0]
     max_iter = 10 * n if max_iter is None else max_iter
@@ -236,7 +246,7 @@ def allocating_cg(a, b, rel_tol=1e-10, max_iter=None):
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
-        ap = a.csr @ p
+        ap = a @ p
         pap = float(p @ ap)
         if not math.isfinite(pap):
             raise NonConvergenceError(k, pap)
@@ -272,6 +282,22 @@ def _cg_operators():
 
 
 CG_OPERATORS = dict(_cg_operators())
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(CG_MESHES))
+def test_every_operator_is_a_canonical_sparse_matrix_with_int32_indices(name, degree):
+    # the benchmark tracer reads column_indices of every CG operand, and int32
+    # indices keep the CSR arrays as small as from_triplets has always built them
+    ops = _operators(build_space(CG_MESHES[name], degree))
+    fields = {f.name: f.type for f in dataclasses.fields(ops)}
+    assert fields.pop("interior") == "np.ndarray"
+    assert set(fields.values()) == {"SparseMatrix"}
+    for field in fields:
+        a = getattr(ops, field)
+        assert_canonical(a)
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+        assert a.column_indices is a.indices
 
 
 @pytest.mark.parametrize("name", sorted(CG_OPERATORS))
@@ -329,20 +355,19 @@ def test_a_second_solve_leaves_the_first_result_unchanged():
 def test_the_csr_kernel_is_what_scipy_matmul_runs(index_dtype):
     # cg_solve calls scipy's private CSR matvec kernel; a scipy upgrade that
     # changes it or its arguments fails here before any solve goes wrong
-    csr = CG_OPERATORS["disk-P2-A_ii"].csr.copy()
-    csr.indices = csr.indices.astype(index_dtype)
-    csr.indptr = csr.indptr.astype(index_dtype)
-    n = csr.shape[0]
+    a = CG_OPERATORS["disk-P2-A_ii"].copy()
+    a.indices = a.indices.astype(index_dtype)
+    a.indptr = a.indptr.astype(index_dtype)
+    n = a.shape[0]
     x = np.random.default_rng(14).standard_normal(n)
     x[::5] = -0.0
     out = np.full(n, np.nan)  # a reused buffer, zeroed the way cg_solve zeroes it
     out.fill(0.0)
-    csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, out)
-    expected = csr @ x
-    assert csr.indices.dtype == index_dtype
+    csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+    expected = a @ x
+    assert a.indices.dtype == index_dtype
     assert out.tobytes() == expected.tobytes()
 
-    a = SparseMatrix(csr)
     b = np.random.default_rng(15).standard_normal(n)
     x_ref, iterations, residual = allocating_cg(a, b)
     res = cg_solve(a, b)
@@ -353,7 +378,7 @@ def test_duplicates_that_cancel_to_zero_are_not_stored():
     a = from_triplets([0, 0, 1, 1], [1, 1, 0, 1], [2.5, -2.5, 1.0, 0.0], shape=(2, 2))
     assert a.nnz == 1
     assert np.array_equal(a.column_indices, [0])
-    assert np.array_equal(a.row_offsets, [0, 0, 1])
+    assert np.array_equal(a.indptr, [0, 0, 1])
     assert np.array_equal(a.toarray(), [[0.0, 0.0], [1.0, 0.0]])
 
 
