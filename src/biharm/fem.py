@@ -1,11 +1,11 @@
 """Lagrange finite element spaces on triangle meshes.
 
-Degree 1 and 2 spaces, Gauss quadrature on triangles and boundary
-segments, and vectorized assembly of stiffness, mass and volume-load
-forms and of the boundary trace mass. Triangle rules come from a conical
-product of Gauss-Jacobi and Gauss-Legendre points, which keeps every
-weight positive and is exact to machine precision for all supported
-polynomial orders.
+Degree 1 and 2 spaces, Gauss quadrature, and vectorized assembly of
+stiffness, mass and volume-load forms and of the boundary trace mass.
+Triangle rules of order 1-6 are conical products of tabulated Gauss-Jacobi
+and Gauss-Legendre factors, with every weight positive; the boundary has
+one rule, 3-point Gauss-Legendre, exact to degree 5. Basis tables read a
+rule's stored barycentric coordinates.
 
 Sign conventions: the stiffness matrix is the Dirichlet form
 ``A[i, j] = (grad phi_j, grad phi_i)``; load vectors are plain
@@ -35,7 +35,6 @@ __all__ = [
     "DataError",
     "QuadratureRule",
     "triangle_quadrature",
-    "segment_quadrature",
     "FeSpace",
     "build_space",
     "ScalarField",
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 MAX_TRIANGLE_ORDER = 6
-MAX_SEGMENT_ORDER = 11
 
 # The 1-D Gauss rules on [-1, 1] that the conical product reaches, n = 1..4
 # points (n = (order + 2) // 2 and order <= MAX_TRIANGLE_ORDER), as (nodes,
@@ -127,21 +125,17 @@ def triangle_quadrature(order: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def segment_quadrature(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the unit segment, exact for degree <= order.
+def default_boundary_rule() -> QuadratureRule:
+    """The one boundary rule: 3-point Gauss-Legendre on the unit segment, exact
+    for degree <= 5, with points (1 - t, t).
 
     The points come from ``np.polynomial.legendre.leggauss``, whose bits the
     boundary terms have always used; they differ from the triangle rules'
-    Legendre factor, SciPy's, in the last bit from n = 3 points on.
+    Legendre factor, SciPy's, in the last bit.
     """
-    if not 1 <= order <= MAX_SEGMENT_ORDER:
-        raise ValueError(f"segment quadrature order must be in 1..{MAX_SEGMENT_ORDER}")
-    n = (order + 2) // 2
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = np.polynomial.legendre.leggauss(3)
     t = (t + 1.0) / 2.0
-    w = w / 2.0
-    bary = np.column_stack([1.0 - t, t])
-    return QuadratureRule(bary, w)
+    return QuadratureRule(np.column_stack([1.0 - t, t]), w / 2.0)
 
 
 def _raise_on_overflow() -> np.errstate:
@@ -151,10 +145,9 @@ def _raise_on_overflow() -> np.errstate:
     return np.errstate(over="raise", invalid="raise")
 
 
-def _reference_basis(degree: int, pts: np.ndarray) -> np.ndarray:
-    """Basis values at reference points, shape (n_local, nq)."""
-    x, y = pts[:, 0], pts[:, 1]
-    l0, l1, l2 = 1.0 - x - y, x, y
+def _reference_basis(degree: int, rule: QuadratureRule) -> np.ndarray:
+    """Basis values at a triangle rule's points, shape (n_local, nq)."""
+    l0, l1, l2 = rule.points.T
     if degree == 1:
         return np.stack([l0, l1, l2])
     return np.stack(
@@ -169,17 +162,16 @@ def _reference_basis(degree: int, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _reference_gradients(degree: int, pts: np.ndarray) -> np.ndarray:
-    """Basis gradients at reference points, shape (n_local, nq, 2)."""
-    nq = pts.shape[0]
-    x, y = pts[:, 0], pts[:, 1]
-    l0, l1, l2 = 1.0 - x - y, x, y
+def _reference_gradients(degree: int, rule: QuadratureRule) -> np.ndarray:
+    """Basis gradients at a triangle rule's points, shape (n_local, nq, 2); P1
+    gradients are constant, so at degree 1 the shape is (3, 1, 2)."""
+    l0, l1, l2 = rule.points.T
     d0 = np.array([-1.0, -1.0])
     d1 = np.array([1.0, 0.0])
     d2 = np.array([0.0, 1.0])
     if degree == 1:
-        return np.broadcast_to(np.stack([d0, d1, d2])[:, None, :], (3, nq, 2)).copy()
-    out = np.empty((6, nq, 2))
+        return np.stack([d0, d1, d2])[:, None, :]
+    out = np.empty((6, len(l0), 2))
     out[0] = (4 * l0 - 1)[:, None] * d0
     out[1] = (4 * l1 - 1)[:, None] * d1
     out[2] = (4 * l2 - 1)[:, None] * d2
@@ -189,15 +181,16 @@ def _reference_gradients(degree: int, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_basis(degree: int, t: np.ndarray) -> np.ndarray:
-    """Trace basis on a boundary edge at parameters t, shape (n_local, nq).
+def _segment_basis(degree: int, rule: QuadratureRule) -> np.ndarray:
+    """Trace basis on a boundary edge at a segment rule's points, shape (n_local, nq).
 
     Local order matches ``FeSpace.boundary_edge_positions``: start vertex,
     end vertex, then the midpoint dof for degree 2.
     """
+    s, t = rule.points.T
     if degree == 1:
-        return np.stack([1.0 - t, t])
-    return np.stack([(1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0), 4.0 * t * (1.0 - t)])
+        return np.stack([s, t])
+    return np.stack([s * (1.0 - 2.0 * t), t * (2.0 * t - 1.0), 4.0 * t * s])
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +215,8 @@ class FeSpace:
     boundary_edge_positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.degree not in (1, 2):
+        degree = self.degree  # an integer: 2.0 and True compare equal to 2 and 1
+        if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree not in (1, 2):
             raise ValueError("degree must be 1 or 2")
         mesh = self.mesh
         if self.degree == 1:
@@ -359,7 +353,7 @@ def _element_sum(sizes: np.ndarray, rule_sums: np.ndarray) -> np.ndarray:
 def field_values(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
     """Field values at the rule's points on every triangle, shape (T, nq)."""
     space = fe_field.space
-    basis = _reference_basis(space.degree, rule.points[:, 1:])
+    basis = _reference_basis(space.degree, rule)
     return np.einsum("tl,lq->tq", fe_field.coeffs[space.element_dof_map], basis)
 
 
@@ -376,25 +370,16 @@ def _physical_gradients(degree: int, rule: QuadratureRule, inv_jt: np.ndarray) -
     the inverse-transposed Jacobian times each reference gradient, as two broadcast
     products summed in the order an einsum over the shared axis sums them. P1
     gradients are constant on a triangle: they are formed at one point and copied."""
-    gref = _reference_gradients(degree, rule.points[:, 1:])
-    shape = (len(inv_jt), *gref.shape)
-    if degree == 1:
-        gref = gref[:, :1]
+    gref = _reference_gradients(degree, rule)
     inv = inv_jt[:, None, None]
     grads = inv[..., 0] * gref[None, :, :, None, 0] + inv[..., 1] * gref[None, :, :, None, 1]
+    shape = (len(inv_jt), len(gref), len(rule.weights), 2)
     return np.broadcast_to(grads, shape).copy() if degree == 1 else grads
 
 
 def default_volume_rule(degree: int) -> QuadratureRule:
     """Volume rule used for loads and error norms: order 2*degree + 2."""
     return triangle_quadrature(2 * degree + 2)
-
-
-DEFAULT_BOUNDARY_ORDER = 5
-
-
-def default_boundary_rule() -> QuadratureRule:
-    return segment_quadrature(DEFAULT_BOUNDARY_ORDER)
 
 
 def assemble_stiffness(space: FeSpace) -> SparseMatrix:
@@ -415,7 +400,7 @@ def assemble_stiffness(space: FeSpace) -> SparseMatrix:
 def assemble_mass(space: FeSpace) -> SparseMatrix:
     """Assemble M[i, j] = integral of phi_j phi_i."""
     rule = default_volume_rule(space.degree)
-    basis = _reference_basis(space.degree, rule.points[:, 1:])
+    basis = _reference_basis(space.degree, rule)
     _, _, det, _ = triangle_geometry(space.mesh)
     return _mass(basis, rule.weights, det, space.element_dof_map, space.dof_count)
 
@@ -439,7 +424,7 @@ def _scatter(dof_map: np.ndarray, local: np.ndarray, n: int) -> SparseMatrix:
 def assemble_load(space: FeSpace, q) -> np.ndarray:
     """Assemble the load vector b[i] = integral of q phi_i for callable q."""
     rule = default_volume_rule(space.degree)
-    basis = _reference_basis(space.degree, rule.points[:, 1:])
+    basis = _reference_basis(space.degree, rule)
     _, _, det, _ = triangle_geometry(space.mesh)
     x, y = quad_points(space.mesh, rule)
     vals = _data_values(q, x, y)
@@ -478,7 +463,7 @@ def boundary_mass_matrix(space: FeSpace) -> SparseMatrix:
     """Mass matrix of the boundary trace space, indexed by the position of
     each dof inside the sorted ``space.boundary_dofs`` array."""
     rule = default_boundary_rule()
-    tr = _segment_basis(space.degree, rule.points[:, 1])
+    tr = _segment_basis(space.degree, rule)
     _, _, lengths, _ = boundary_geometry(space.mesh)
     n = len(space.boundary_dofs)
     return _mass(tr, rule.weights, lengths, space.boundary_edge_positions, n)
@@ -496,7 +481,7 @@ def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) ->
         raise ValueError("coefficient vector length does not match the boundary dofs")
     x, y, _, _ = boundary_geometry(space.mesh)
     target = None if func is None else _data_values(func, x, y)
-    tr = _segment_basis(space.degree, default_boundary_rule().points[:, 1])
+    tr = _segment_basis(space.degree, default_boundary_rule())
     with _raise_on_overflow():
         vals = np.einsum("el,lq->eq", coeffs[space.boundary_edge_positions], tr)
         if target is not None:

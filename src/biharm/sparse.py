@@ -15,6 +15,7 @@ fresh temporaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +118,15 @@ class CGResult:
 
 
 def _check_cg_budget(rel_tol: float, max_iter: int | None) -> None:
-    """ValueError unless rel_tol is finite and > 0 and max_iter is None or >= 0.
-    Solvers that may return before any CG runs call it too, so a bad budget
-    is an input error whatever the size of the system."""
+    """ValueError unless rel_tol is finite and > 0 and max_iter is None or an
+    integer >= 0 (not a bool). Solvers that may return before any CG runs call
+    it too, so a bad budget is an input error whatever the size of the system."""
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
-    if max_iter is not None and max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
+    if max_iter is None:
+        return
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
 
 
 def cg_solve(
@@ -138,7 +141,7 @@ def cg_solve(
     Parameters
     ----------
     rel_tol : stop when ||r||_2 <= rel_tol * ||b||_2; finite and positive
-    max_iter : iteration budget, default 10 * n; at least 0
+    max_iter : iteration budget, default 10 * n; an integer of at least 0
 
     Raises
     ------
@@ -150,7 +153,8 @@ def cg_solve(
         when a search direction has nonpositive curvature p^T A p, or the
         diagonal preconditioner meets a nonpositive diagonal entry.
     ValueError
-        on mismatched shapes, a rel_tol not finite and > 0, or max_iter < 0.
+        on mismatched shapes, a rel_tol not finite and > 0, or a max_iter
+        that is not an integer >= 0.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:

@@ -23,10 +23,10 @@ from biharm.fem import (
     boundary_geometry,
     boundary_integrate,
     build_space,
+    default_boundary_rule,
     field_values,
     integrate,
     quad_points,
-    segment_quadrature,
     triangle_geometry,
     triangle_quadrature,
 )
@@ -179,6 +179,18 @@ def test_strict_tolerance_must_be_a_nonnegative_number(tol):
     bad = NeumannProblem(prob.f, prob.g, lambda x, y: prob.h(x, y) + 1.0)
     with pytest.raises(ValueError, match="strict tolerance"):
         solve_neumann(space, bad, strict=True, strict_tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [1.5, 100.0, True])
+def test_a_budget_that_is_not_an_integer_is_refused_before_any_residual(max_iter, monkeypatch):
+    def no_residuals(*args, **kwargs):
+        raise AssertionError("compatibility residuals computed")
+
+    monkeypatch.setattr(biharmonic, "compatibility_residual", no_residuals)
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(4), 1)
+    with pytest.raises(ValueError, match="^max_iter must be an integer"):
+        solve_neumann(space, prob, max_iter=max_iter)
 
 
 def test_weak_form_residual_decreases():
@@ -452,7 +464,7 @@ def pointwise_functional(mesh, problem, eta) -> float:
     rule = triangle_quadrature(6)
     x, y = quad_points(mesh, rule)
     volume = integrate(mesh, rule, problem.f(x, y) * eta(x, y))
-    b_rule = segment_quadrature(5)
+    b_rule = default_boundary_rule()
     bx, by, lengths, normals = boundary_geometry(mesh)
     ex, ey = eta.grad()
     dn_eta = ex(bx, by) * normals[:, 0:1] + ey(bx, by) * normals[:, 1:2]
@@ -556,7 +568,7 @@ def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name, monkeypa
     _, _, det, _ = triangle_geometry(mesh)
     sets = [
         (lambda v: integrate(mesh, rule, v), det, rule.weights, x, y),
-        (lambda v: boundary_integrate(mesh, v), lengths, segment_quadrature(5).weights, bx, by),
+        (lambda v: boundary_integrate(mesh, v), lengths, default_boundary_rule().weights, bx, by),
     ]
     for integral, sizes, weights, px, py in sets:
         assert len(px) % 7  # blocks of 7 end in a partial one

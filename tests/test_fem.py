@@ -337,7 +337,8 @@ def stacked_quad_points(mesh, rule):
 
 def einsum_gradient_map(space, rule):
     """Reference physical basis gradients: the einsum over the Jacobian's shared axis."""
-    gref = fem._reference_gradients(space.degree, rule.points[:, 1:])
+    gref = fem._reference_gradients(space.degree, rule)  # P1: (3, 1, 2), one point
+    gref = np.broadcast_to(gref, (len(gref), len(rule.weights), 2))
     _, _, _, inv_jt = fem.triangle_geometry(space.mesh)
     return np.einsum("tab,lqb->tlqa", inv_jt, gref)
 
@@ -485,7 +486,7 @@ def test_datum_that_is_not_a_real_number_is_a_data_error(datum, shown):
 def add_at_load(space, q):
     """Reference load vector: the local vectors summed by np.add.at."""
     rule = fem.default_volume_rule(space.degree)
-    basis = fem._reference_basis(space.degree, rule.points[:, 1:])
+    basis = fem._reference_basis(space.degree, rule)
     _, _, det, _ = fem.triangle_geometry(space.mesh)
     vals = fem._data_values(q, *fem.quad_points(space.mesh, rule))
     local = np.einsum("lq,tq,q->tl", basis, vals, rule.weights) * det[:, None]

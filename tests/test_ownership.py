@@ -121,6 +121,22 @@ def test_a_space_is_its_mesh_and_degree(degree):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("degree", [2.0, 1.0, True, np.True_, 1.5, "2", None])
+def test_a_degree_that_is_not_an_integer_is_refused(degree):
+    # 2.0 and True compare equal to 2 and 1: such a space once built, and its
+    # first solve failed with a bare TypeError
+    with pytest.raises(ValueError, match="^degree must be 1 or 2$"):
+        FeSpace(unit_square_mesh(2), degree)
+
+
+def test_a_numpy_integer_degree_is_a_degree():
+    mesh = unit_square_mesh(3)
+    space, plain = FeSpace(mesh, np.int64(2)), FeSpace(mesh, 2)
+    assert space.dof_count == plain.dof_count
+    solved, expected = (solve_dirichlet(s, 1.0, 0.0).coeffs for s in (space, plain))
+    assert solved.tobytes() == expected.tobytes()
+
+
 def test_a_flux_is_its_functional():
     space = build_space(unit_square_mesh(4), 2)
     t = np.random.default_rng(3).standard_normal(len(space.boundary_dofs))

@@ -223,6 +223,14 @@ def test_cg_budget_is_checked_without_interior_dofs():
         solve_dirichlet(space, 1.0, 0.0, rel_tol=math.nan)
 
 
+@pytest.mark.parametrize("max_iter", [1.5, 100.0, True])
+def test_a_budget_that_is_not_an_integer_is_refused_before_assembly(max_iter):
+    space = build_space(unit_square_mesh(4), 1)
+    with pytest.raises(ValueError, match="^max_iter must be an integer"):
+        solve_dirichlet(space, 1.0, 0.0, max_iter=max_iter)
+    assert "_poisson_operators" not in space.__dict__
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_lift_beyond_float_range_is_a_floating_point_error_before_cg(monkeypatch, degree):
     # scipy's CSR kernel overflows K @ lift to inf without a floating-point error

@@ -1,12 +1,13 @@
 """Quadrature rules: exactness against closed-form monomial integrals."""
 
-from math import factorial
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from biharm import fem
-from biharm.fem import segment_quadrature, triangle_quadrature
+from biharm.fem import default_boundary_rule, triangle_quadrature
 from biharm.mesh import unit_square_mesh
 
 
@@ -50,28 +51,55 @@ def test_triangle_order_bounds():
         triangle_quadrature(7)
 
 
-@pytest.mark.parametrize("order", range(1, 12))
-def test_segment_exactness(order):
-    rule = segment_quadrature(order)
+BOUNDARY_EXACT_DEGREE = 5
+
+
+def gauss_3_on_the_unit_segment(k: int) -> Fraction:
+    """The exact value of the 3-point Gauss rule on [0, 1] applied to t^k.
+
+    Its nodes are 1/2 and 1/2 +- s with s^2 = 3/20, and its weights 5/18, 4/9
+    and 5/18; the odd powers of s cancel, so the value is rational."""
+    half, s2 = Fraction(1, 2), Fraction(3, 20)
+    pair = 2 * sum(comb(k, j) * half ** (k - j) * s2 ** (j // 2) for j in range(0, k + 1, 2))
+    return Fraction(5, 18) * pair + Fraction(4, 9) * half**k
+
+
+@pytest.mark.parametrize("degree", range(1, 12))
+def test_segment_exactness(degree):
+    # the boundary rule on t^k is the Gauss value, which is the integral up to degree 5
+    rule = default_boundary_rule()
     t = rule.points[:, 1]
-    for k in range(order + 1):
-        approx = float(np.sum(rule.weights * t**k))
-        assert abs(approx - 1.0 / (k + 1)) < 1e-14
+    gauss = gauss_3_on_the_unit_segment(degree)
+    assert abs(float(np.sum(rule.weights * t**degree)) - float(gauss)) < 1e-15
+    assert (gauss == Fraction(1, degree + 1)) == (degree <= BOUNDARY_EXACT_DEGREE)
 
 
 def test_segment_default_order_five():
-    rule = segment_quadrature(5)
+    rule = default_boundary_rule()
     t = rule.points[:, 1]
     assert abs(float(np.sum(rule.weights * t**5)) - 1.0 / 6.0) < 1e-15
     assert (rule.weights > 0).all()
     assert abs(rule.weights.sum() - 1.0) < 1e-15
+    assert rule is default_boundary_rule()
 
 
 def test_segment_order_bounds():
-    with pytest.raises(ValueError):
-        segment_quadrature(0)
-    with pytest.raises(ValueError):
-        segment_quadrature(12)
+    # exact to degree 5 and no further: t^6 falls short by the Gauss remainder 1/2800
+    rule = default_boundary_rule()
+    t, w = rule.points[:, 1], rule.weights
+    for k in range(BOUNDARY_EXACT_DEGREE + 1):
+        assert abs(float(np.sum(w * t**k)) - 1.0 / (k + 1)) < 1e-15
+    error = float(np.sum(w * t**6)) - 1.0 / 7.0
+    assert error == pytest.approx(-1.0 / 2800.0, rel=1e-12)
+
+
+def test_boundary_rule_is_leggauss_3_on_the_unit_segment_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    t = (nodes + 1.0) / 2.0
+    rule = default_boundary_rule()
+    assert rule.points.tobytes() == np.column_stack([1.0 - t, t]).tobytes()
+    assert rule.weights.tobytes() == (weights / 2.0).tobytes()
+    assert rule.points.shape == (3, 2) and not rule.points.flags.writeable
 
 
 def test_rule_arrays_immutable():
@@ -142,7 +170,7 @@ def square_boundary_integral(i: int, j: int) -> float:
 def test_boundary_integrate_is_exact_for_monomials_on_the_square(n):
     mesh = unit_square_mesh(n)
     x, y, _, _ = fem.boundary_geometry(mesh)
-    for i in range(fem.DEFAULT_BOUNDARY_ORDER + 1):
-        for j in range(fem.DEFAULT_BOUNDARY_ORDER + 1 - i):
+    for i in range(BOUNDARY_EXACT_DEGREE + 1):
+        for j in range(BOUNDARY_EXACT_DEGREE + 1 - i):
             exact = square_boundary_integral(i, j)
             assert fem.boundary_integrate(mesh, x**i * y**j) == pytest.approx(exact, rel=1e-14)

@@ -204,6 +204,16 @@ def test_cg_rejects_a_negative_budget_and_takes_zero():
     assert cg_solve(a, np.zeros(2), max_iter=0).iterations == 0
 
 
+@pytest.mark.parametrize("max_iter", [True, False, 2.0, 1.5, math.nan, "3"])
+def test_cg_refuses_a_budget_that_is_not_an_integer(max_iter):
+    # a bool is an int to Python: True once ran one iteration and then reported
+    # "did not converge in True iterations"; a float failed inside range()
+    a = from_triplets([0, 1], [0, 1], [2.0, 3.0], shape=(2, 2))
+    with pytest.raises(ValueError, match="^max_iter must be an integer of at least 0, got "):
+        cg_solve(a, np.ones(2), max_iter=max_iter)
+    assert cg_solve(a, np.ones(2), max_iter=np.int64(1)).iterations == 1
+
+
 def test_values_not_writeable_through_wrapper():
     a = from_triplets([0, 1], [1, 0], [1.0, 2.0], shape=(2, 2))
     before = a.toarray()
