@@ -270,9 +270,10 @@ def solve_neumann(
 
     With ``strict=True`` the solve raises CompatibilityError before any
     linear system is touched if the largest compatibility residual
-    exceeds ``strict_tol``. A NaN or negative ``strict_tol``, and a
-    ``rel_tol`` or ``max_iter`` that CG rejects, are a ValueError before
-    any residual is computed.
+    exceeds ``strict_tol``. A NaN or negative ``strict_tol``, a
+    ``harmonic_degree`` that ``harmonic_basis`` rejects, and a ``rel_tol``
+    or ``max_iter`` that CG rejects, are a ValueError before any residual
+    is computed.
     """
     check = _strict_check(strict, strict_tol)
     _check_cg_budget(rel_tol, max_iter)

@@ -2,6 +2,8 @@
 
 Degree 1 and 2 spaces, Gauss quadrature, and vectorized assembly of
 stiffness, mass and volume-load forms and of the boundary trace mass.
+Stiffness assembly runs one pass over the rule's points and never builds
+the (T, n_local, nq, 2) gradient array; triplets are int32.
 Triangle rules of order 1-6 are conical products of tabulated Gauss-Jacobi
 and Gauss-Legendre factors, with every weight positive; the boundary has
 one rule, 3-point Gauss-Legendre, exact to degree 5. Basis tables read a
@@ -385,16 +387,41 @@ def default_volume_rule(degree: int) -> QuadratureRule:
 def assemble_stiffness(space: FeSpace) -> SparseMatrix:
     """Assemble A[i, j] = integral of grad phi_j . grad phi_i.
 
-    The result is exactly symmetric: local blocks are symmetrized before
-    the triplets are summed.
+    One pass over the rule's points: at each, every triangle's gradients g
+    are formed into reused (2, n_local, T) buffers and ``(g_l * g_m) * w``
+    is added into an accumulator, x component then y, the order in which an
+    einsum over the points sums it. Only the pairs l <= m are formed and
+    each local block mirrors them, so the result is exactly symmetric.
     """
     rule = default_volume_rule(space.degree)
     _, _, det, inv_jt = triangle_geometry(space.mesh)
-    gphys = _physical_gradients(space.degree, rule, inv_jt)
-    local = np.einsum("tlqa,tmqa,q->tlm", gphys, gphys, rule.weights)
-    local *= det[:, None, None]
-    local = 0.5 * (local + local.transpose(0, 2, 1))
+    local = _local_stiffness(_reference_gradients(space.degree, rule), rule.weights, det, inv_jt)
     return _scatter(space.element_dof_map, local, space.dof_count)
+
+
+def _local_stiffness(gref, weights, det, inv_jt) -> np.ndarray:
+    """Local stiffness blocks (T, n_local, n_local). The loop over points
+    allocates nothing: every step writes into a buffer made before it."""
+    n_local, n_tri = len(gref), len(det)
+    jt = [[inv_jt[:, a, b].copy() for b in (0, 1)] for a in (0, 1)]  # contiguous columns
+    g, term = np.empty((2, n_local, n_tri)), np.empty((n_local, n_tri))
+    first, second = np.triu_indices(n_local)  # the pairs l <= m, row by row
+    starts = np.searchsorted(first, np.arange(n_local + 1))
+    products, acc = np.empty((len(first), n_tri)), np.zeros((len(first), n_tri))
+    for q, w in enumerate(weights):
+        if q < gref.shape[1]:  # P1 gradients are constant: formed at the first point only
+            for a in (0, 1):
+                np.multiply(jt[a][0], gref[:, q, 0, None], out=g[a])
+                g[a] += np.multiply(jt[a][1], gref[:, q, 1, None], out=term)
+        for ga in g:
+            for l in range(n_local):
+                np.multiply(ga[l], ga[l:], out=products[starts[l] : starts[l + 1]])
+            products *= w
+            acc += products
+    acc *= det
+    local = np.empty((n_tri, n_local, n_local))
+    local[:, first, second] = local[:, second, first] = acc.T
+    return local
 
 
 def assemble_mass(space: FeSpace) -> SparseMatrix:
@@ -416,6 +443,8 @@ def _mass(basis, weights, sizes, dof_map, n: int) -> SparseMatrix:
 def _scatter(dof_map: np.ndarray, local: np.ndarray, n: int) -> SparseMatrix:
     """Sum each local matrix ``local[k]`` into an n x n matrix at ``dof_map[k]``."""
     n_local = dof_map.shape[1]
+    if n < 2**31:  # int32 triplets, the index type the matrix stores
+        dof_map = dof_map.astype(np.int32)
     rows = np.repeat(dof_map, n_local, axis=1).ravel()
     cols = np.tile(dof_map, (1, n_local)).ravel()
     return from_triplets(rows, cols, local.ravel(), shape=(n, n))

@@ -19,6 +19,7 @@ No floating point enters any of the algebra here; evaluation of a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -211,10 +212,11 @@ def harmonic_basis(kmax: int) -> list[HarmonicPolynomial]:
 
     Returns ``2*kmax + 1`` polynomials, ordered by degree with the real
     part preceding the imaginary part at each degree. With ``kmax >= 1``
-    the first three entries are 1, x, y.
+    the first three entries are 1, x, y. ``kmax`` is an integer of at
+    least 0, not a bool.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral) or kmax < 0:
+        raise ValueError(f"kmax must be an integer of at least 0, got {kmax!r}")
     basis: list[HarmonicPolynomial] = [HarmonicPolynomial({(0, 0): 1})]
     for k in range(1, kmax + 1):
         # (x + iy)^k term by term: i^j is (-1)^(j // 2), times i for odd j

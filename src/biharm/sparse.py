@@ -84,9 +84,14 @@ def from_triplets(
 
     Triplets hitting the same position are summed, and a position whose sum
     is zero is not stored. Indices outside ``shape`` raise ValueError.
+    int32 indices are taken as they are where the matrix stores int32 anyway
+    (shape and triplet count below 2**31); other indices are read as int64.
     """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    fits = max(shape) < 2**31 and rows.size < 2**31
+    index = np.int32 if fits and rows.dtype == cols.dtype == np.int32 else np.int64
+    rows = rows.astype(index, copy=False).ravel()
+    cols = cols.astype(index, copy=False).ravel()
     entries = np.asarray(entries, dtype=float).ravel()
     if not (rows.shape == cols.shape == entries.shape):
         raise ValueError("rows, cols and entries must have matching lengths")
@@ -95,7 +100,8 @@ def from_triplets(
         raise ValueError("row index out of range")
     if cols.size and (cols.min() < 0 or cols.max() >= nc):
         raise ValueError("column index out of range")
-    # coo_matrix, not coo_array: it stores int32 indices wherever they fit
+    # coo_matrix, not coo_array: it stores int32 indices wherever they fit,
+    # copying int64 input down and taking int32 input as it is
     a = SparseMatrix(scipy.sparse.coo_matrix((entries, (rows, cols)), shape=shape))
     a.eliminate_zeros()  # the conversion summed duplicates and sorted each row
     return a
@@ -118,10 +124,12 @@ class CGResult:
 
 
 def _check_cg_budget(rel_tol: float, max_iter: int | None) -> None:
-    """ValueError unless rel_tol is finite and > 0 and max_iter is None or an
-    integer >= 0 (not a bool). Solvers that may return before any CG runs call
-    it too, so a bad budget is an input error whatever the size of the system."""
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+    """ValueError unless rel_tol is a real number (not a bool), finite and > 0,
+    and max_iter is None or an integer >= 0 (not a bool). Solvers that may
+    return before any CG runs call it too, so a bad budget is an input error
+    whatever the size of the system."""
+    real = not isinstance(rel_tol, bool) and isinstance(rel_tol, numbers.Real)
+    if not (real and math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     if max_iter is None:
         return
@@ -153,8 +161,8 @@ def cg_solve(
         when a search direction has nonpositive curvature p^T A p, or the
         diagonal preconditioner meets a nonpositive diagonal entry.
     ValueError
-        on mismatched shapes, a rel_tol not finite and > 0, or a max_iter
-        that is not an integer >= 0.
+        on mismatched shapes, a rel_tol that is not a real number, finite
+        and > 0, or a max_iter that is not an integer >= 0.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:

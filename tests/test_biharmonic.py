@@ -193,6 +193,20 @@ def test_a_budget_that_is_not_an_integer_is_refused_before_any_residual(max_iter
         solve_neumann(space, prob, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("harmonic_degree", [True, 2.0])
+def test_a_harmonic_degree_that_is_not_an_integer_is_refused_before_any_residual(
+    harmonic_degree, monkeypatch
+):
+    def no_residuals(*args, **kwargs):
+        raise AssertionError("compatibility residuals computed")
+
+    monkeypatch.setattr(biharmonic, "compatibility_residual", no_residuals)
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(4), 1)
+    with pytest.raises(ValueError, match="^kmax must be an integer"):
+        solve_neumann(space, prob, harmonic_degree=harmonic_degree)
+
+
 def test_weak_form_residual_decreases():
     _, prob = sine_problem()
     r = clamped_bubble()

@@ -1,6 +1,7 @@
 """Finite element spaces and assembled forms."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -380,6 +381,33 @@ def test_assembly_kernels_are_bit_identical_to_the_einsum_oracle(name, degree):
         ex, ey = stacked_quad_points(mesh, rule)
         assert np.array_equal(x, ex) and np.array_equal(y, ey)
         assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(meshes())
+def test_stiffness_is_bit_identical_to_the_einsum_oracle_on_any_mesh(degree, mesh):
+    space = build_space(mesh, degree)
+    k, expected = assemble_stiffness(space), einsum_stiffness(space)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(k, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stiffness_assembly_peaks_at_a_few_copies_of_the_local_blocks(degree):
+    # the local blocks are T * L**2 doubles; the point loop peaks near 4 (P1) and
+    # 3.6 (P2) such copies, where the (T, L, nq, 2) gradients and the einsum over
+    # them peaked near 12 and 11
+    space = build_space(unit_square_mesh(32), degree)
+    assemble_stiffness(space)  # geometry and rule are built once per mesh, outside the bound
+    n_tri, n_local = space.element_dof_map.shape
+    tracemalloc.start()
+    try:
+        assemble_stiffness(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n_tri * n_local**2 * np.dtype(float).itemsize
 
 
 def broadcast_quad_points(mesh, rule):

@@ -129,8 +129,12 @@ def test_harmonic_basis_laplacians_vanish():
 
 def test_harmonic_basis_edge_cases():
     assert len(harmonic_basis(0)) == 1
-    with pytest.raises(ValueError):
-        harmonic_basis(-1)
+    assert len(harmonic_basis(np.int64(2))) == 5
+    # a bool is an int to Python: True once gave the 3 polynomials of kmax 1,
+    # and a float failed inside range() with a bare TypeError
+    for kmax in (-1, True, False, 2.0, 1.5, "2", None):
+        with pytest.raises(ValueError, match="^kmax must be an integer of at least 0, got "):
+            harmonic_basis(kmax)
 
 
 def test_harmonic_polynomial_rejects_nonharmonic():

@@ -87,10 +87,43 @@ def test_matvec_matches_dense():
 def test_from_triplets_rejects_bad_input():
     with pytest.raises(ValueError):
         from_triplets([0, 1], [0], [1.0, 2.0], shape=(2, 2))
-    with pytest.raises(ValueError):
-        from_triplets([0, 2], [0, 0], [1.0, 1.0], shape=(2, 2))
-    with pytest.raises(ValueError):
-        from_triplets([0, 1], [0, -1], [1.0, 1.0], shape=(2, 2))
+    for index in (list, np.int32):  # int32 input is taken as it is, and checked alike
+        with pytest.raises(ValueError, match="row index out of range"):
+            from_triplets(index([0, 2]), index([0, 0]), [1.0, 1.0], shape=(2, 2))
+        with pytest.raises(ValueError, match="column index out of range"):
+            from_triplets(index([0, 1]), index([0, -1]), [1.0, 1.0], shape=(2, 2))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_assembly_triplets_are_int32_and_build_the_bytes_of_int64_triplets(degree, monkeypatch):
+    # int32 triplets are taken as they are; int64 ones are copied down to int32
+    # by the conversion; the two then sort and sum alike
+    triplets = []
+
+    def recording(rows, cols, entries, shape):
+        triplets.append((rows, cols, entries, shape))
+        return from_triplets(rows, cols, entries, shape)
+
+    monkeypatch.setattr(fem, "from_triplets", recording)
+    space = build_space(refine_uniform(unit_disk_mesh(4)), degree)
+    for assemble in (assemble_stiffness, assemble_mass):
+        a = assemble(space)
+        rows, cols, entries, shape = triplets[-1]
+        assert rows.dtype == cols.dtype == np.int32
+        wide = from_triplets(rows.astype(np.int64), cols.astype(np.int64), entries, shape)
+        assert a.indices.dtype == wide.indices.dtype == np.int32
+        for name in ("data", "indices", "indptr"):
+            assert getattr(a, name).tobytes() == getattr(wide, name).tobytes()
+
+
+def test_int32_triplets_give_int64_indices_where_the_shape_needs_them():
+    # 2**31 columns need int64 indices, so int32 input is read as int64; a
+    # triplet count of 2**31 would too, but is too large to build in a test
+    last = 2**31 - 1
+    for index in (np.int32, np.int64):
+        a = from_triplets(index([0, 1]), index([0, last]), [1.0, 2.0], shape=(2, 2**31))
+        assert a.indices.dtype == a.indptr.dtype == np.int64
+        assert a.indices.tolist() == [0, last]
 
 
 def test_submatrix_picks_block():
@@ -183,14 +216,16 @@ def test_cg_detects_indefinite_despite_positive_diagonal():
         cg_solve(a, np.array([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1.0, True, "1e-10", None, 1j])
 def test_cg_rejects_a_tolerance_it_cannot_meet(rel_tol):
     # without the check, a NaN tolerance iterates until p underflows and
-    # then reports a false NotSPDError
+    # then reports a false NotSPDError; True ran with a tolerance of 1.0, and
+    # a string failed in math.isfinite with a bare TypeError
     space = build_space(unit_square_mesh(8), 1)
     a = assemble_stiffness(space).submatrix(np.arange(1, 10), np.arange(1, 10))
-    with pytest.raises(ValueError, match="rel_tol"):
+    with pytest.raises(ValueError, match="^rel_tol must be finite and positive, got "):
         cg_solve(a, np.ones(9), rel_tol=rel_tol)
+    assert cg_solve(a, np.ones(9), rel_tol=np.float64(1e-10)).residual <= 1e-10 * 3.0  # ||b|| = 3
 
 
 def test_cg_rejects_a_negative_budget_and_takes_zero():
