@@ -39,6 +39,7 @@ and no test polynomial is evaluated at a quadrature point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -51,10 +52,10 @@ from .fem import (
     _data_values,
     _element_sum,
     _raise_on_overflow,
+    _volume_points,
     boundary_geometry,
     default_boundary_rule,
     field_values,
-    quad_points,
     triangle_geometry,
     triangle_quadrature,
 )
@@ -148,8 +149,10 @@ class CompatibilityError(RuntimeError):
 
 def _strict_check(strict: bool, tol: float):
     """The strict test of the residuals: raises CompatibilityError when strict and the
-    largest exceeds ``tol``. A NaN or negative ``tol`` raises ValueError at once."""
-    if not tol >= 0.0:
+    largest exceeds ``tol``. A ``tol`` that is not a real number, a bool, NaN or
+    negative raises ValueError at once."""
+    real = not isinstance(tol, bool) and isinstance(tol, numbers.Real)
+    if not (real and tol >= 0.0):
         raise ValueError(f"strict tolerance must be a number >= 0, got {tol!r}")
 
     def check(residuals: np.ndarray) -> None:
@@ -204,7 +207,7 @@ def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
     terms of l(eta) uncombined; no test function is evaluated at a point. The data
     tables overflow as FloatingPointError."""
     vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    (x, y), det = quad_points(space.mesh, vol_rule), triangle_geometry(space.mesh)[2]
+    (x, y), det = _volume_points(space, vol_rule), triangle_geometry(space.mesh)[2]
     bx, by, lengths, normals = boundary_geometry(space.mesh)
     f_vals = _data_values(problem.f, x, y)
     g_vals = _data_values(problem.g, bx, by)
@@ -270,10 +273,10 @@ def solve_neumann(
 
     With ``strict=True`` the solve raises CompatibilityError before any
     linear system is touched if the largest compatibility residual
-    exceeds ``strict_tol``. A NaN or negative ``strict_tol``, a
-    ``harmonic_degree`` that ``harmonic_basis`` rejects, and a ``rel_tol``
-    or ``max_iter`` that CG rejects, are a ValueError before any residual
-    is computed.
+    exceeds ``strict_tol``. A ``strict_tol`` that is not a real number >= 0
+    (a bool or NaN included), a ``harmonic_degree`` that ``harmonic_basis``
+    rejects, and a ``rel_tol`` or ``max_iter`` that CG rejects, are a
+    ValueError before any residual is computed.
     """
     check = _strict_check(strict, strict_tol)
     _check_cg_budget(rel_tol, max_iter)

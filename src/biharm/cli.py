@@ -261,15 +261,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _level_errors(space, problem: NeumannProblem, case, rel_tol: float):
+    """The cascade on one level of the study: the L2 errors of sigma_h and s_h and
+    the diagnostics. Only these leave: the solution, which keeps the space with its
+    operators and held points alive, is not kept through the next level's solve."""
+    solution = solve_neumann(space, problem, rel_tol=rel_tol)
+    err_sigma = l2_error(solution.sigma_h, case.sigma_exact)
+    return err_sigma, l2_error(solution.s_h, case.u_exact), solution.diagnostics
+
+
 def _cmd_converge(args) -> int:
     case = cases()[args.case]
     problem = NeumannProblem(case.f, case.g, case.h)
     rows = []
     prev = None
     for level, (n, space) in enumerate(_ladder(args.n0, args.levels, args.degree)):
-        solution = solve_neumann(space, problem, rel_tol=args.rel_tol)
-        err_sigma = l2_error(solution.sigma_h, case.sigma_exact)
-        err_s = l2_error(solution.s_h, case.u_exact)
+        err_sigma, err_s, diagnostics = _level_errors(space, problem, case, args.rel_tol)
         if prev is None:
             rate_sigma = rate_s = ""
         else:
@@ -285,8 +292,8 @@ def _cmd_converge(args) -> int:
                 FLOAT_FMT.format(err_s),
                 rate_sigma,
                 rate_s,
-                FLOAT_FMT.format(solution.diagnostics.flux_mismatch),
-                FLOAT_FMT.format(solution.diagnostics.compat_max),
+                FLOAT_FMT.format(diagnostics.flux_mismatch),
+                FLOAT_FMT.format(diagnostics.compat_max),
             ]
         )
     header = "level,h,dofs,l2_sigma,l2_s,rate_sigma,rate_s,flux_mismatch,compat_max"

@@ -2,8 +2,8 @@
 
 Degree 1 and 2 spaces, Gauss quadrature, and vectorized assembly of
 stiffness, mass and volume-load forms and of the boundary trace mass.
-Stiffness assembly runs one pass over the rule's points and never builds
-the (T, n_local, nq, 2) gradient array; triplets are int32.
+Stiffness assembly and field gradients run one pass over the rule's points
+and never build the (T, n_local, nq, 2) gradient array; triplets are int32.
 Triangle rules of order 1-6 are conical products of tabulated Gauss-Jacobi
 and Gauss-Legendre factors, with every weight positive; the boundary has
 one rule, 3-point Gauss-Legendre, exact to degree 5. Basis tables read a
@@ -12,19 +12,24 @@ rule's stored barycentric coordinates.
 Sign conventions: the stiffness matrix is the Dirichlet form
 ``A[i, j] = (grad phi_j, grad phi_i)``; load vectors are plain
 ``(q, phi_i)`` inner products. Data callables receive numpy coordinate
-arrays and must broadcast (constants returned as scalars are fine).
+arrays and must broadcast (constants returned as scalars are fine). The
+arrays are read-only: a callable that writes into them raises ValueError.
 
 Meshes, rules and fields hold read-only copies of their arrays
 (``mesh._owned``); a space derives its arrays from its mesh and degree, a P1
 space sharing the mesh's. All compare by identity. Triangle and boundary
 geometry are built once per mesh, from x and y coordinate columns gathered
-by index, never (..., 2) rows, and held on it. Every datum goes through
-``_data_values``; a non-finite one raises ``DataError`` before any assembly.
+by index, never (..., 2) rows, and held on it. A space holds the points of
+its default volume rule, built once, which the load, the L2 errors and, at
+P2, the compatibility table read; other rules' points are built per call.
+Every datum goes through ``_data_values``; a non-finite one raises
+``DataError`` before any assembly.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -97,21 +102,28 @@ class QuadratureRule:
         object.__setattr__(self, "weights", _owned(self.weights, float))
 
 
-@lru_cache(maxsize=None)
 def triangle_quadrature(order: int) -> QuadratureRule:
     """Rule integrating all bivariate polynomials of total degree <= order
-    exactly over the reference triangle (0,0), (1,0), (0,1).
+    exactly over the reference triangle (0,0), (1,0), (0,1). There is one rule
+    object per order, for ``4`` and ``np.int64(4)`` alike; a bool or a
+    non-integral order raises ValueError."""
+    integral = not isinstance(order, bool) and isinstance(order, numbers.Integral)
+    if not (integral and 1 <= order <= MAX_TRIANGLE_ORDER):
+        limits = f"1..{MAX_TRIANGLE_ORDER}"
+        raise ValueError(f"triangle quadrature order must be an integer in {limits}, got {order!r}")
+    return _conical_product(operator.index(order))
 
-    Built as the conical product of an n-point Gauss-Jacobi rule (weight
-    1 - x) with an n-point Gauss-Legendre rule, n = ceil((order + 1) / 2),
-    both read from the tables above. The Legendre factor is SciPy's, not
+
+@lru_cache(maxsize=None)
+def _conical_product(order: int) -> QuadratureRule:
+    """The conical product of an n-point Gauss-Jacobi rule (weight 1 - x) with
+    an n-point Gauss-Legendre rule, n = ceil((order + 1) / 2), both read from
+    the tables above. The Legendre factor is SciPy's, not
     ``np.polynomial.legendre.leggauss``: the two libraries solve for the
     roots and normalise the weights by different recipes, and differ in the
     last bit (weights at n = 3, nodes and weights at n = 4), which would move
     every volume integral.
     """
-    if not 1 <= order <= MAX_TRIANGLE_ORDER:
-        raise ValueError(f"triangle quadrature order must be in 1..{MAX_TRIANGLE_ORDER}")
     n = (order + 2) // 2
     xj, wj = map(np.array, _GAUSS_JACOBI_1_0[n])
     xl, wl = map(np.array, _GAUSS_LEGENDRE[n])
@@ -336,6 +348,16 @@ def quad_points(mesh: Mesh, rule: QuadratureRule):
     )
 
 
+def _volume_points(space: FeSpace, rule: QuadratureRule):
+    """``quad_points(space.mesh, rule)``. The points of the space's default
+    volume rule are built once per space and held read-only (``mesh._owned``),
+    so the load, the L2 errors and, at P2, the compatibility table read one
+    set; any other rule's points are built per call."""
+    if rule is not default_volume_rule(space.degree):
+        return quad_points(space.mesh, rule)
+    return _built_once(space, "_volume_points", lambda s: tuple(map(_owned, quad_points(s.mesh, rule))))
+
+
 def integrate(mesh: Mesh, rule: QuadratureRule, values: np.ndarray) -> float:
     """Integrate per-point values (T, nq) over the mesh with the given rule.
 
@@ -360,23 +382,38 @@ def field_values(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
 
 
 def field_gradients(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
-    """Field gradients at the rule's points on every triangle, shape (T, nq, 2)."""
+    """Field gradients at the rule's points on every triangle, shape (T, nq, 2).
+    At each point the basis gradients come from ``_point_gradients`` and each
+    component sums coefficient times gradient over the local basis, from zero,
+    in basis order: the sum an einsum over the basis axis forms."""
     space = fe_field.space
+    gref = _reference_gradients(space.degree, rule)
     _, _, _, inv_jt = triangle_geometry(space.mesh)
-    gphys = _physical_gradients(space.degree, rule, inv_jt)
-    return np.einsum("tl,tlqa->tqa", fe_field.coeffs[space.element_dof_map], gphys)
+    coeffs = fe_field.coeffs[space.element_dof_map.T]  # (n_local, T)
+    sums, term = np.zeros((gref.shape[1], 2, len(inv_jt))), np.empty(len(inv_jt))
+    for q, g in enumerate(_point_gradients(gref, inv_jt, gref.shape[1])):
+        for a in (0, 1):
+            for c, gl in zip(coeffs, g[a]):
+                sums[q, a] += np.multiply(c, gl, out=term)
+    # a P1 field has one gradient per triangle, broadcast over the points
+    return np.broadcast_to(sums.transpose(2, 0, 1), (len(inv_jt), len(rule.weights), 2)).copy()
 
 
-def _physical_gradients(degree: int, rule: QuadratureRule, inv_jt: np.ndarray) -> np.ndarray:
-    """Basis gradients at the rule's points on every triangle, shape (T, n_local, nq, 2):
-    the inverse-transposed Jacobian times each reference gradient, as two broadcast
-    products summed in the order an einsum over the shared axis sums them. P1
-    gradients are constant on a triangle: they are formed at one point and copied."""
-    gref = _reference_gradients(degree, rule)
-    inv = inv_jt[:, None, None]
-    grads = inv[..., 0] * gref[None, :, :, None, 0] + inv[..., 1] * gref[None, :, :, None, 1]
-    shape = (len(inv_jt), len(gref), len(rule.weights), 2)
-    return np.broadcast_to(grads, shape).copy() if degree == 1 else grads
+def _point_gradients(gref, inv_jt, n_points: int):
+    """For each of ``n_points`` rule points, every triangle's basis gradients
+    g (2, n_local, T): the inverse-transposed Jacobian times the reference
+    gradients ``gref`` (n_local, nq, 2). Each is formed into one reused buffer,
+    so a step must read it before the next. P1 gradients are constant: they are
+    formed at the first point only."""
+    n_local, n_tri = len(gref), len(inv_jt)
+    jt = [[inv_jt[:, a, b].copy() for b in (0, 1)] for a in (0, 1)]  # contiguous columns
+    g, term = np.empty((2, n_local, n_tri)), np.empty((n_local, n_tri))
+    for q in range(n_points):
+        if q < gref.shape[1]:
+            for a in (0, 1):
+                np.multiply(jt[a][0], gref[:, q, 0, None], out=g[a])
+                g[a] += np.multiply(jt[a][1], gref[:, q, 1, None], out=term)
+        yield g
 
 
 def default_volume_rule(degree: int) -> QuadratureRule:
@@ -403,16 +440,10 @@ def _local_stiffness(gref, weights, det, inv_jt) -> np.ndarray:
     """Local stiffness blocks (T, n_local, n_local). The loop over points
     allocates nothing: every step writes into a buffer made before it."""
     n_local, n_tri = len(gref), len(det)
-    jt = [[inv_jt[:, a, b].copy() for b in (0, 1)] for a in (0, 1)]  # contiguous columns
-    g, term = np.empty((2, n_local, n_tri)), np.empty((n_local, n_tri))
     first, second = np.triu_indices(n_local)  # the pairs l <= m, row by row
     starts = np.searchsorted(first, np.arange(n_local + 1))
     products, acc = np.empty((len(first), n_tri)), np.zeros((len(first), n_tri))
-    for q, w in enumerate(weights):
-        if q < gref.shape[1]:  # P1 gradients are constant: formed at the first point only
-            for a in (0, 1):
-                np.multiply(jt[a][0], gref[:, q, 0, None], out=g[a])
-                g[a] += np.multiply(jt[a][1], gref[:, q, 1, None], out=term)
+    for g, w in zip(_point_gradients(gref, inv_jt, len(weights)), weights):
         for ga in g:
             for l in range(n_local):
                 np.multiply(ga[l], ga[l:], out=products[starts[l] : starts[l + 1]])
@@ -455,8 +486,7 @@ def assemble_load(space: FeSpace, q) -> np.ndarray:
     rule = default_volume_rule(space.degree)
     basis = _reference_basis(space.degree, rule)
     _, _, det, _ = triangle_geometry(space.mesh)
-    x, y = quad_points(space.mesh, rule)
-    vals = _data_values(q, x, y)
+    vals = _data_values(q, *_volume_points(space, rule))
     local = np.einsum("lq,tq,q->tl", basis, vals, rule.weights) * det[:, None]
     return np.bincount(space.element_dof_map.ravel(), local.ravel(), space.dof_count)
 

@@ -24,11 +24,11 @@ from .fem import (
     ScalarField,
     _data_values,
     _raise_on_overflow,
+    _volume_points,
     default_volume_rule,
     field_gradients,
     field_values,
     integrate,
-    quad_points,
 )
 from .polynomials import Polynomial2D
 
@@ -157,11 +157,11 @@ def cases() -> dict[str, ManufacturedCase]:
 
 
 def _l2_pass(fe_field: ScalarField, exact):
-    """One pass on the default volume rule: the rule, its points and the L2
-    distance between the field and a callable (or constant)."""
+    """One pass on the default volume rule: the rule, the space's held points
+    of it and the L2 distance between the field and a callable (or constant)."""
     space = fe_field.space
     rule = default_volume_rule(space.degree)
-    x, y = quad_points(space.mesh, rule)
+    x, y = _volume_points(space, rule)
     exact_vals = _data_values(exact, x, y)
     with _raise_on_overflow():
         vals = field_values(fe_field, rule)

@@ -29,6 +29,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress
+from numbers import Integral
 from pathlib import Path
 from typing import IO, TextIO
 
@@ -254,15 +255,21 @@ def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return np.column_stack([lo, hi]), nodes, nv + inverse.reshape(t.shape), nv + boundary
 
 
+def _check_mesh_size(value, name: str) -> None:
+    """ValueError unless a mesh builder's size is an integer of at least 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def unit_square_mesh(n: int) -> Mesh:
     """Structured triangulation of [0,1]^2 with n cells per side.
 
     Each grid cell is split along its bottom-left to top-right diagonal,
     giving (n+1)^2 vertices and 2 n^2 triangles. The boundary loop runs
-    counterclockwise from the corner (0, 0), vertex 0.
+    counterclockwise from the corner (0, 0), vertex 0. ``n`` is an integer
+    of at least 1, not a bool.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_mesh_size(n, "n")
     g = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(g, g)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -282,10 +289,9 @@ def unit_disk_mesh(rings: int) -> Mesh:
     a fan of triangles. ``rings=1`` gives the regular hexagon (7 vertices,
     6 triangles). The boundary loop is the outer ring, counterclockwise from
     its vertex at angle 0. The mesh covers the inscribed polygon, not the
-    exact disk.
+    exact disk. ``rings`` is an integer of at least 1, not a bool.
     """
-    if rings < 1:
-        raise ValueError("rings must be at least 1")
+    _check_mesh_size(rings, "rings")
     verts = [np.zeros((1, 2))]
     tris = []
     inner, n_in = 0, 1  # the center acts as ring 0

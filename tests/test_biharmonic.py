@@ -181,6 +181,34 @@ def test_strict_tolerance_must_be_a_nonnegative_number(tol):
         solve_neumann(space, bad, strict=True, strict_tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["1", True, None, 1e-6 + 0j])
+@pytest.mark.parametrize("strict", [True, False])
+def test_strict_tolerance_that_is_not_a_real_number_is_refused_before_any_residual(
+    tol, strict, monkeypatch
+):
+    # "1" raised a bare TypeError from the comparison, and True was a tolerance of 1.0
+    def no_residuals(*args, **kwargs):
+        raise AssertionError("compatibility residuals computed")
+
+    monkeypatch.setattr(biharmonic, "compatibility_residual", no_residuals)
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(4), 1)
+    with pytest.raises(ValueError, match="strict tolerance must be a number >= 0"):
+        solve_neumann(space, prob, strict=strict, strict_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0, np.float64(1e-6), math.inf])
+def test_strict_tolerance_takes_any_real_number_of_at_least_zero(tol):
+    _, prob = sine_problem()
+    space = build_space(unit_square_mesh(4), 1)
+    bad = NeumannProblem(prob.f, prob.g, lambda x, y: prob.h(x, y) + 1.0)
+    if tol == math.inf:
+        assert solve_neumann(space, bad, strict=True, strict_tol=tol).diagnostics.compat_max > 1.0
+    else:
+        with pytest.raises(CompatibilityError):
+            solve_neumann(space, bad, strict=True, strict_tol=tol)
+
+
 @pytest.mark.parametrize("max_iter", [1.5, 100.0, True])
 def test_a_budget_that_is_not_an_integer_is_refused_before_any_residual(max_iter, monkeypatch):
     def no_residuals(*args, **kwargs):

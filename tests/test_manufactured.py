@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from biharm import manufactured
+from biharm import fem
 from biharm.fem import build_space, interpolate
 from biharm.manufactured import case_bubble, case_sine, cases, h1_error, l2_error
 from biharm.mesh import unit_square_mesh
@@ -169,18 +169,21 @@ def test_error_norm_of_zero_field_is_function_norm():
 
 
 def test_h1_error_takes_one_pass_over_the_points(monkeypatch):
+    # the default rule's points are built once per space: by h1_error's L2 pass,
+    # then read again, not rebuilt, by an l2_error on the same space
     rules = []
 
-    def counted(mesh, rule, _quad_points=manufactured.quad_points):
+    def counted(mesh, rule, _quad_points=fem.quad_points):
         rules.append(rule)
         return _quad_points(mesh, rule)
 
-    monkeypatch.setattr(manufactured, "quad_points", counted)
+    monkeypatch.setattr(fem, "quad_points", counted)
     case = case_sine()
     space = build_space(unit_square_mesh(4), 1)
     err = h1_error(interpolate(space, case.u_exact), case.u_exact, case.grad_u)
-    assert len(rules) == 1
+    assert rules == [fem.default_volume_rule(1)]
     assert err > l2_error(interpolate(space, case.u_exact), case.u_exact)
+    assert len(rules) == 1
 
 
 def test_l2_error_beyond_float_range_raises_floating_point_error():

@@ -88,6 +88,21 @@ def test_disk_rejects_zero_rings():
         unit_disk_mesh(0)
 
 
+@pytest.mark.parametrize("builder", [unit_square_mesh, unit_disk_mesh])
+@pytest.mark.parametrize("size", [True, 2.0, np.float64(2.0), "2", None])
+def test_builders_refuse_a_size_that_is_not_an_integer(builder, size):
+    # True once built the n = 1 mesh; 2.0 raised a bare TypeError
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        builder(size)
+
+
+@pytest.mark.parametrize("builder", [unit_square_mesh, unit_disk_mesh])
+def test_builders_take_a_numpy_integer_size(builder):
+    a, b = builder(np.int64(3)), builder(3)
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.triangles.tobytes() == b.triangles.tobytes()
+
+
 def test_refine_counts_and_area():
     m = unit_square_mesh(3)
     r = refine_uniform(m)

@@ -51,6 +51,21 @@ def test_triangle_order_bounds():
         triangle_quadrature(7)
 
 
+@pytest.mark.parametrize("order", [True, 2.0, np.float64(4.0), "4", None])
+def test_triangle_order_that_is_not_an_integer_is_refused(order):
+    # True once gave the order-1 rule; 2.0 raised a bare TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        triangle_quadrature(order)
+
+
+def test_one_triangle_rule_object_per_order():
+    for order in range(1, fem.MAX_TRIANGLE_ORDER + 1):
+        assert triangle_quadrature(np.int64(order)) is triangle_quadrature(order)
+        assert triangle_quadrature(np.int32(order)) is triangle_quadrature(order)
+    assert fem.default_volume_rule(np.int64(1)) is triangle_quadrature(4)
+    assert fem.default_volume_rule(np.int64(2)) is triangle_quadrature(6)
+
+
 BOUNDARY_EXACT_DEGREE = 5
 
 

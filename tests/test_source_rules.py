@@ -43,8 +43,8 @@ def _freezes_an_array(node: ast.AST) -> bool:
     )
 
 
-def test_only_mesh_owned_sets_an_array_writeable_flag():
-    # one copy-and-freeze rule: every array a frozen object keeps enters through mesh._owned
+def _where(matches) -> list[str]:
+    """``file:function`` of every node of the library source that ``matches``."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -53,8 +53,23 @@ def test_only_mesh_owned_sets_an_array_writeable_flag():
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope.update((id(node), function.name) for node in ast.walk(function))
         found += [
-            f"{path.name}:{scope.get(id(node), '<module>')}"
-            for node in ast.walk(tree)
-            if _freezes_an_array(node)
+            f"{path.name}:{scope.get(id(node), '<module>')}" for node in ast.walk(tree) if matches(node)
         ]
-    assert found == ["mesh.py:_owned"]
+    return found
+
+
+def test_only_mesh_owned_sets_an_array_writeable_flag():
+    # one copy-and-freeze rule: every array a frozen object keeps enters through mesh._owned
+    assert _where(_freezes_an_array) == ["mesh.py:_owned"]
+
+
+def _builds_quadrature_points(node: ast.AST) -> bool:
+    """A call of ``quad_points`` or ``<module>.quad_points``."""
+    if not isinstance(node, ast.Call):
+        return False
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) == "quad_points"
+
+
+def test_only_fem_volume_points_builds_quadrature_points():
+    # the default rule's points are held per space, so no caller may build them around it
+    assert _where(_builds_quadrature_points) == ["fem.py:_volume_points"] * 2
