@@ -189,6 +189,14 @@ def _moment_table(sizes, weights, x, y, vals, degree: int) -> np.ndarray:
     return table
 
 
+def _test_polynomial(eta, name: str) -> Polynomial2D:
+    """``eta`` if it is a Polynomial2D, else ValueError naming ``name``: a data
+    callable such as a lambda has no exact coefficients to pair with a table."""
+    if not isinstance(eta, Polynomial2D):
+        raise ValueError(f"{name} must be a Polynomial2D, got {eta!r}")
+    return eta
+
+
 def _pair(table: np.ndarray, poly: Polynomial2D) -> float:
     """The integral a moment table holds, taken against poly: sum of c_ij T[i, j],
     a float also for the zero polynomial. A coefficient beyond float range
@@ -241,8 +249,10 @@ def compatibility_residual(
     residuals vanish; the values returned here differ from zero only by
     quadrature error. A constant perturbation of h shifts r(1) by minus
     the boundary length. A residual beyond float range raises
-    FloatingPointError.
+    FloatingPointError; a test function that is not a Polynomial2D raises
+    ValueError before any datum is evaluated.
     """
+    basis = [_test_polynomial(eta, f"basis[{k}]") for k, eta in enumerate(basis)]
     degree = max((eta.degree for eta in basis), default=0)
     _, terms = _data_functional(space, problem, degree)
     with _raise_on_overflow():
@@ -306,10 +316,11 @@ def weak_form_residual(solution: CascadeSolution, r: Polynomial2D) -> float:
     how far sigma_h is from satisfying the fourth-order equation in weak form.
     Where lap r is harmonic the sigma term drops out and the defect is the
     absolute compatibility residual of lap r, bit for bit. A value beyond
-    float range raises FloatingPointError.
+    float range raises FloatingPointError; an r that is not a Polynomial2D
+    raises ValueError before any datum is evaluated.
     """
     space = solution.sigma_h.space
-    omega = r.laplacian()
+    omega = _test_polynomial(r, "r").laplacian()
     bilap = omega.laplacian()
 
     volume_moments, terms = _data_functional(space, solution.problem, omega.degree)

@@ -29,13 +29,12 @@ Every datum goes through ``_data_values``; a non-finite one raises
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .mesh import Mesh, _edge_numbering, _owned
+from .mesh import Mesh, _edge_numbering, _integer, _owned
 from .sparse import SparseMatrix, from_triplets
 
 __all__ = [
@@ -104,14 +103,10 @@ class QuadratureRule:
 
 def triangle_quadrature(order: int) -> QuadratureRule:
     """Rule integrating all bivariate polynomials of total degree <= order
-    exactly over the reference triangle (0,0), (1,0), (0,1). There is one rule
-    object per order, for ``4`` and ``np.int64(4)`` alike; a bool or a
-    non-integral order raises ValueError."""
-    integral = not isinstance(order, bool) and isinstance(order, numbers.Integral)
-    if not (integral and 1 <= order <= MAX_TRIANGLE_ORDER):
-        limits = f"1..{MAX_TRIANGLE_ORDER}"
-        raise ValueError(f"triangle quadrature order must be an integer in {limits}, got {order!r}")
-    return _conical_product(operator.index(order))
+    exactly over the reference triangle (0,0), (1,0), (0,1), for an order in
+    1..MAX_TRIANGLE_ORDER. There is one rule object per order, for ``4`` and
+    ``np.int64(4)`` alike."""
+    return _conical_product(_integer(order, "triangle quadrature order", 1, MAX_TRIANGLE_ORDER))
 
 
 @lru_cache(maxsize=None)
@@ -229,9 +224,7 @@ class FeSpace:
     boundary_edge_positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        degree = self.degree  # an integer: 2.0 and True compare equal to 2 and 1
-        if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree not in (1, 2):
-            raise ValueError("degree must be 1 or 2")
+        object.__setattr__(self, "degree", _integer(self.degree, "degree", 1, 2))
         mesh = self.mesh
         if self.degree == 1:
             coords, dof_map, edge_dofs = mesh.vertices, mesh.triangles, mesh.boundary_edges

@@ -25,6 +25,7 @@ are the vertices of the refined mesh and the dofs of a degree-2 space.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -94,6 +95,16 @@ def _owned(array, dtype=None, error: type[ValueError] = ValueError) -> np.ndarra
             raise error(f"a cast from {source.dtype} to {owned.dtype} would change the value {value}")
     owned.flags.writeable = False
     return owned
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int by the one rule for integer arguments: an Integral, not
+    a bool, in low..high (no upper limit when high is None), else ValueError."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        if low <= (index := operator.index(value)) and (high is None or index <= high):
+            return index
+    limits = f"of at least {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{name} must be an integer {limits}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,21 +266,14 @@ def _edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return np.column_stack([lo, hi]), nodes, nv + inverse.reshape(t.shape), nv + boundary
 
 
-def _check_mesh_size(value, name: str) -> None:
-    """ValueError unless a mesh builder's size is an integer of at least 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-
-
 def unit_square_mesh(n: int) -> Mesh:
     """Structured triangulation of [0,1]^2 with n cells per side.
 
     Each grid cell is split along its bottom-left to top-right diagonal,
     giving (n+1)^2 vertices and 2 n^2 triangles. The boundary loop runs
-    counterclockwise from the corner (0, 0), vertex 0. ``n`` is an integer
-    of at least 1, not a bool.
+    counterclockwise from the corner (0, 0), vertex 0; n is at least 1.
     """
-    _check_mesh_size(n, "n")
+    n = _integer(n, "n", 1)
     g = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(g, g)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -289,9 +293,9 @@ def unit_disk_mesh(rings: int) -> Mesh:
     a fan of triangles. ``rings=1`` gives the regular hexagon (7 vertices,
     6 triangles). The boundary loop is the outer ring, counterclockwise from
     its vertex at angle 0. The mesh covers the inscribed polygon, not the
-    exact disk. ``rings`` is an integer of at least 1, not a bool.
+    exact disk; ``rings`` is at least 1.
     """
-    _check_mesh_size(rings, "rings")
+    rings = _integer(rings, "rings", 1)
     verts = [np.zeros((1, 2))]
     tris = []
     inner, n_in = 0, 1  # the center acts as ring 0

@@ -19,12 +19,13 @@ No floating point enters any of the algebra here; evaluation of a
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .mesh import _integer
 
 __all__ = [
     "Polynomial2D",
@@ -40,6 +41,20 @@ __all__ = [
 RationalLike = int | Fraction
 _Terms = Mapping[tuple[int, int], RationalLike] | Iterable[tuple[tuple[int, int], RationalLike]]
 _EVAL_BLOCK = 1 << 14  # points per block of Polynomial2D evaluation; its powers stay cached
+
+
+def _rational(value, name: str) -> Fraction:
+    """``value`` as an exact Fraction: a rational, or a real float of any numpy
+    precision taken exactly. Anything else, NaN and the infinities included, raises
+    ValueError naming ``name``."""
+    if type(value) is Fraction:
+        return value
+    try:
+        if isinstance(value, np.floating):  # Fraction takes np.float64, a float, but no other
+            return Fraction(*value.as_integer_ratio())
+        return Fraction(value)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a finite real or rational number, got {value!r}") from None
 
 
 class Polynomial2D:
@@ -60,9 +75,8 @@ class Polynomial2D:
     def __init__(self, coeffs: _Terms | None = None):
         table: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in coeffs.items() if hasattr(coeffs, "items") else coeffs or ():
-            if i < 0 or j < 0:
-                raise ValueError(f"negative monomial exponent ({i}, {j})")
-            c, key = Fraction(c), (int(i), int(j))
+            key = _integer(i, "exponent", 0), _integer(j, "exponent", 0)
+            c = _rational(c, "coefficient")
             table[key] = table[key] + c if key in table else c
         self._coeffs = {key: c for key, c in table.items() if c}
 
@@ -115,16 +129,14 @@ class Polynomial2D:
                 for (i1, j1), c1 in self._coeffs.items()
                 for (i2, j2), c2 in other._coeffs.items()
             )
-        c = Fraction(other)
+        c = _rational(other, "factor")
         return Polynomial2D({k: v * c for k, v in self._coeffs.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial2D:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         result = Polynomial2D.constant(1)
-        for _ in range(n):
+        for _ in range(_integer(n, "power", 0)):
             result = result * self
         return result
 
@@ -157,15 +169,15 @@ class Polynomial2D:
 
     def subs_x(self, value: RationalLike) -> Polynomial2D:
         """Substitute an exact rational value for x, leaving a polynomial in y."""
-        v = Fraction(value)
+        v = _rational(value, "x")
         return Polynomial2D(((0, j), c * v**i) for (i, j), c in self._coeffs.items())
 
     def subs_y(self, value: RationalLike) -> Polynomial2D:
-        v = Fraction(value)
+        v = _rational(value, "y")
         return Polynomial2D(((i, 0), c * v**j) for (i, j), c in self._coeffs.items())
 
     def eval_exact(self, x: RationalLike, y: RationalLike) -> Fraction:
-        xv, yv = Fraction(x), Fraction(y)
+        xv, yv = _rational(x, "x"), _rational(y, "y")
         return sum((c * xv**i * yv**j for (i, j), c in self._coeffs.items()), Fraction(0))
 
     def __call__(self, x, y):
@@ -212,13 +224,10 @@ def harmonic_basis(kmax: int) -> list[HarmonicPolynomial]:
 
     Returns ``2*kmax + 1`` polynomials, ordered by degree with the real
     part preceding the imaginary part at each degree. With ``kmax >= 1``
-    the first three entries are 1, x, y. ``kmax`` is an integer of at
-    least 0, not a bool.
+    the first three entries are 1, x, y; ``kmax`` is at least 0.
     """
-    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral) or kmax < 0:
-        raise ValueError(f"kmax must be an integer of at least 0, got {kmax!r}")
     basis: list[HarmonicPolynomial] = [HarmonicPolynomial({(0, 0): 1})]
-    for k in range(1, kmax + 1):
+    for k in range(1, _integer(kmax, "kmax", 0) + 1):
         # (x + iy)^k term by term: i^j is (-1)^(j // 2), times i for odd j
         terms = [((k - j, j), math.comb(k, j) * (-1) ** (j // 2)) for j in range(k + 1)]
         basis.append(HarmonicPolynomial(terms[::2]))

@@ -22,6 +22,8 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec
 
+from .mesh import _integer
+
 __all__ = [
     "SparseMatrix",
     "from_triplets",
@@ -123,18 +125,15 @@ class CGResult:
     residual: float
 
 
-def _check_cg_budget(rel_tol: float, max_iter: int | None) -> None:
+def _check_cg_budget(rel_tol: float, max_iter: int | None) -> int | None:
     """ValueError unless rel_tol is a real number (not a bool), finite and > 0,
-    and max_iter is None or an integer >= 0 (not a bool). Solvers that may
-    return before any CG runs call it too, so a bad budget is an input error
-    whatever the size of the system."""
+    and max_iter is None or an integer of at least 0; returns max_iter as an
+    int or None. Solvers that may return before any CG runs call it too, so a
+    bad budget is an input error whatever the size of the system."""
     real = not isinstance(rel_tol, bool) and isinstance(rel_tol, numbers.Real)
     if not (real and math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
-    if max_iter is None:
-        return
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
+    return None if max_iter is None else _integer(max_iter, "max_iter", 0)
 
 
 def cg_solve(
@@ -170,7 +169,7 @@ def cg_solve(
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side length does not match matrix")
-    _check_cg_budget(rel_tol, max_iter)
+    max_iter = _check_cg_budget(rel_tol, max_iter)
     max_iter = 10 * n if max_iter is None else max_iter
 
     diag = a.diagonal()

@@ -235,6 +235,26 @@ def test_a_harmonic_degree_that_is_not_an_integer_is_refused_before_any_residual
         solve_neumann(space, prob, harmonic_degree=harmonic_degree)
 
 
+@pytest.mark.parametrize("eta", [lambda x, y: x, 3, None], ids=["lambda", "3", "None"])
+def test_a_test_function_that_is_not_a_polynomial_is_refused_before_any_datum(eta):
+    # each once raised a bare AttributeError; a lambda is a data callable, not a test function
+    evaluated = []
+
+    def f(x, y):
+        evaluated.append(x.shape)
+        return np.zeros_like(x)
+
+    space = build_space(unit_square_mesh(2), 1)
+    problem = NeumannProblem(f, 0.0, 0.0)
+    solution = solve_neumann(space, problem)
+    evaluated.clear()
+    with pytest.raises(ValueError, match=r"^basis\[1\] must be a Polynomial2D, got "):
+        compatibility_residual(space, problem, [Polynomial2D.constant(1), eta])
+    with pytest.raises(ValueError, match="^r must be a Polynomial2D, got "):
+        weak_form_residual(solution, eta)
+    assert evaluated == []
+
+
 def test_weak_form_residual_decreases():
     _, prob = sine_problem()
     r = clamped_bubble()

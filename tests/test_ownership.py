@@ -110,7 +110,7 @@ def test_a_space_is_its_mesh_and_degree(degree):
     for name in SPACE_ARRAYS:  # a derived field cannot be set apart from the mesh
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(space, **{name: np.array(getattr(space, name))})
-    with pytest.raises(ValueError, match="degree must be 1 or 2"):
+    with pytest.raises(ValueError, match=r"^degree must be an integer in 1\.\.2, got 3$"):
         dataclasses.replace(space, degree=3)
 
     other = dataclasses.replace(space, degree=3 - degree)  # every field rebuilt
@@ -125,7 +125,7 @@ def test_a_space_is_its_mesh_and_degree(degree):
 def test_a_degree_that_is_not_an_integer_is_refused(degree):
     # 2.0 and True compare equal to 2 and 1: such a space once built, and its
     # first solve failed with a bare TypeError
-    with pytest.raises(ValueError, match="^degree must be 1 or 2$"):
+    with pytest.raises(ValueError, match=r"^degree must be an integer in 1\.\.2, got "):
         FeSpace(unit_square_mesh(2), degree)
 
 

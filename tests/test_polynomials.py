@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: harmonic bases, symbol remainders, symbol checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,45 @@ def test_polynomial_rejects_bad_exponents():
         Polynomial2D({(-1, 0): 1})
     with pytest.raises(ValueError):
         X ** (-2)
+
+
+def test_a_number_enters_a_polynomial_exactly():
+    # np.float32 once raised a bare TypeError while np.float64 was taken exactly
+    tenth, third = np.float32(0.1), np.longdouble(1) / 3
+    assert Fraction(*tenth.as_integer_ratio()) != Fraction(1, 10)
+    for number, value in [
+        (tenth, Fraction(*tenth.as_integer_ratio())),
+        (third, Fraction(*third.as_integer_ratio())),
+        (np.float16(0.5), Fraction(1, 2)),
+        (np.float64(0.25), Fraction(1, 4)),
+        (np.int32(3), Fraction(3)),
+    ]:
+        assert Polynomial2D({(0, 0): number}).coeffs == {(0, 0): value}
+        assert (X * number).coeffs == {(1, 0): value}
+        assert (X * Y).subs_x(number) == value * Y and (X * Y).subs_y(number) == value * X
+        assert (X * Y).eval_exact(number, 2) == 2 * value == (X * Y).eval_exact(2, number)
+
+
+@pytest.mark.parametrize(
+    "number",
+    [math.inf, -math.inf, math.nan, np.float32("inf"), np.float32("nan"), "abc", "1/0"],
+    ids=repr,
+)
+def test_a_value_that_is_not_a_finite_number_is_refused_by_name(number):
+    # an infinity once raised a bare OverflowError, NaN a ValueError, "1/0" a ZeroDivisionError
+    refusal = "^{} must be a finite real or rational number, got "
+    calls = {
+        "coefficient": lambda: Polynomial2D.constant(number),
+        "factor": lambda: X * number,
+        "x": lambda: X.subs_x(number),
+        "y": lambda: Y.subs_y(number),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=refusal.format(name)):
+            call()
+    for x, y, name in [(number, 1, "x"), (1, number, "y")]:
+        with pytest.raises(ValueError, match=refusal.format(name)):
+            X.eval_exact(x, y)
 
 
 def test_harmonic_basis_explicit_low_degrees():

@@ -73,3 +73,15 @@ def _builds_quadrature_points(node: ast.AST) -> bool:
 def test_only_fem_volume_points_builds_quadrature_points():
     # the default rule's points are held per space, so no caller may build them around it
     assert _where(_builds_quadrature_points) == ["fem.py:_volume_points"] * 2
+
+
+def _reads_integral(node: ast.AST) -> bool:
+    """A read of ``Integral`` or ``<module>.Integral``."""
+    return getattr(node, "id", getattr(node, "attr", None)) == "Integral"
+
+
+def test_only_mesh_integer_reads_integral():
+    # one integer-argument rule: every size, degree, order, budget and exponent
+    # goes through mesh._integer
+    inside_functions = [where for where in _where(_reads_integral) if not where.endswith(":<module>")]
+    assert inside_functions == ["mesh.py:_integer"]
