@@ -31,6 +31,7 @@ from .fem import _data_values, boundary_geometry, build_space
 from .manufactured import cases, l2_error
 from .mesh import (
     Mesh,
+    _write_text,
     refine_uniform,
     unit_disk_mesh,
     unit_square_mesh,
@@ -129,7 +130,8 @@ def parse_expression(text: str):
 
 
 def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
-    """Write a legacy ASCII VTK unstructured grid with vertex scalar fields."""
+    """Write a legacy ASCII VTK unstructured grid with vertex scalar fields, in
+    place as write_mesh does; a name that is not ASCII raises before the open."""
     lines = [
         "# vtk DataFile Version 2.0",
         "biharm output",
@@ -153,7 +155,7 @@ def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
         lines.extend(FLOAT_FMT.format(v) for v in values)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _check_size(domain: str, n: int, refine: int) -> None:
@@ -299,7 +301,7 @@ def _cmd_converge(args) -> int:
     header = "level,h,dofs,l2_sigma,l2_s,rate_sigma,rate_s,flux_mismatch,compat_max"
     text = header + "\n" + "\n".join(",".join(row) for row in rows) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import enum
 import operator
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress
@@ -105,6 +107,21 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
             return index
     limits = f"of at least {low}" if high is None else f"in {low}..{high}"
     raise ValueError(f"{name} must be an integer {limits}, got {value!r}")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as ASCII to ``path`` in place, the one way biharm writes a file:
+    encoded first, so an encoding error leaves the old file whole; opened without
+    O_TRUNC, whose truncate of a file with data can stall for tens of ms; then a
+    regular file is cut to the bytes written. A rewrite keeps inode, mode and links."""
+    data, written = memoryview(text.encode("ascii")), 0
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as file:
+        try:
+            while written < len(data):
+                written += os.write(file.fileno(), data[written:])
+        finally:  # a failed write leaves its prefix, as O_TRUNC would, and no old tail
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                file.truncate(written)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +352,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
 
 def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
-    """Write the plain-text mesh format; coordinates as repr, which round-trips float64."""
+    """Write the plain-text mesh format; coordinates as repr, which round-trips float64.
+    A path is rewritten in place, keeping its inode, mode and links, which skips
+    the stall of a truncate on open."""
     text = f"{FORMAT_MAGIC}\n"
     for name, rows, row in (
         ("vertices", mesh.vertices, "%r %r\n"),
@@ -345,7 +364,7 @@ def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        Path(destination).write_text(text, encoding="ascii")
+        _write_text(destination, text)
 
 
 def read_mesh(source: str | Path | IO) -> Mesh:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -143,8 +144,11 @@ class Polynomial2D:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial2D):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial2D.constant(other)
+        if isinstance(other, Real):  # exactly, as _rational reads it; NaN and inf equal nothing
+            try:
+                return self == Polynomial2D.constant(other)
+            except ValueError:
+                return False
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 from biharm import cli, poisson
 from biharm.cli import ExpressionError, parse_expression, run, write_vtk
-from biharm.mesh import read_mesh, unit_square_mesh
+from biharm.mesh import read_mesh, unit_square_mesh, write_mesh
 
 SINE_F = "4*pi^4*sin(pi*x)*sin(pi*y)"
 SINE_H = "2*pi^3*(sin(pi*x)+sin(pi*y))"  # agrees with the flux on all four sides
@@ -154,6 +154,69 @@ def test_write_vtk_validates_field_length(tmp_path):
     mesh = unit_square_mesh(2)
     with pytest.raises(ValueError):
         write_vtk(tmp_path / "bad.vtk", mesh, {"u": np.zeros(3)})
+
+
+def test_write_vtk_encoding_error_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "sol.vtk"
+    mesh = unit_square_mesh(2)
+    write_vtk(path, mesh, {"s": np.zeros(9)})
+    old = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_vtk(path, mesh, {"\u03c3": np.ones(9)})
+    assert path.read_bytes() == old
+
+
+CONVERGE = ["converge", "--case", "sine", "--levels", "2", "--n0", "4"]
+
+
+def test_converge_rewrite_equals_stdout(tmp_path, capsys):
+    assert run(CONVERGE) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "c.csv"
+    out.write_text("stale\n" * 1000)  # longer than the table: no tail may survive
+    for _ in range(2):
+        assert run([*CONVERGE, "--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii") == expected
+
+
+def test_no_writer_opens_with_truncate(tmp_path, monkeypatch):
+    flags = {}
+    real_open = os.open
+
+    def recording_open(path, flag, *rest, **kwargs):
+        flags[os.fspath(path)] = flag
+        return real_open(path, flag, *rest, **kwargs)
+
+    mesh = unit_square_mesh(2)
+    paths = [tmp_path / name for name in ("m.mesh", "s.vtk", "c.csv")]
+    for path in paths:
+        path.write_text("old\n" * 1000)
+    monkeypatch.setattr(os, "open", recording_open)
+    write_mesh(mesh, paths[0])
+    write_vtk(paths[1], mesh, {"u": np.zeros(9)})
+    assert run([*CONVERGE, "--out", str(paths[2])]) == 0
+    monkeypatch.undo()
+    assert {path: flags[str(path)] & os.O_TRUNC for path in paths} == dict.fromkeys(paths, 0)
+    assert all(os.path.getsize(path) < 4000 for path in paths)
+
+
+def _run_module(args):
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "biharm.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_converge_out_to_a_pipe_and_to_dev_null(capsys):
+    assert run(CONVERGE) == 0
+    expected = capsys.readouterr().out
+    done = _run_module([*CONVERGE, "--out", "/dev/stdout"])  # stdout is a pipe
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    assert run([*CONVERGE, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_solve_rejects_mixed_data_sources(capsys):
@@ -434,12 +497,7 @@ def test_module_entry_point_matches_run(capsys):
     args = ["compat", "--case", "sine", "--n", "4", "--kmax", "2"]
     code = run(args)
     expected = capsys.readouterr().out
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "biharm.cli", *args], capture_output=True, text=True, env=env
-    )
+    done = _run_module(args)
     assert (done.returncode, done.stdout, done.stderr) == (code, expected, "")
     assert code == 0 and expected.startswith("r[1] = ")
 

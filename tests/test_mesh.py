@@ -1,7 +1,9 @@
 """Mesh generation, invariants, refinement, and text-format round trips."""
 
+import errno
 import io
 import math
+import os
 import re
 import warnings
 
@@ -236,6 +238,55 @@ def test_roundtrip_bit_identical(mesh, tmp_path):
     buf = io.StringIO()
     write_mesh(again, buf)
     assert buf.getvalue() == path.read_text(encoding="ascii")
+
+
+def _text(mesh) -> str:
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    return buf.getvalue()
+
+
+def test_rewrite_keeps_the_file_and_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.mesh"
+    write_mesh(unit_square_mesh(8), path)
+    os.chmod(path, 0o640)
+    before = os.stat(path)
+    small = unit_square_mesh(2)
+    write_mesh(small, path)  # far shorter than the file it replaces
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert path.read_text(encoding="ascii") == _text(small)
+    again = read_mesh(path)
+    assert np.array_equal(again.vertices, small.vertices)
+    assert np.array_equal(again.triangles, small.triangles)
+
+
+def test_a_failed_rewrite_leaves_its_prefix_and_no_old_tail(tmp_path, monkeypatch):
+    path = tmp_path / "out.mesh"
+    write_mesh(unit_square_mesh(8), path)
+    real_write, calls = os.write, []
+
+    def full_disk(fd, data):  # takes 100 bytes, then the disk is full
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:100])
+
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError):
+        write_mesh(unit_square_mesh(4), path)
+    monkeypatch.undo()
+    assert path.read_text(encoding="ascii") == _text(unit_square_mesh(4))[:100]
+
+
+def test_write_through_a_symlink_lands_in_its_target(tmp_path):
+    target, link = tmp_path / "target.mesh", tmp_path / "link.mesh"
+    write_mesh(unit_square_mesh(4), target)
+    link.symlink_to(target)
+    mesh = unit_square_mesh(1)
+    write_mesh(mesh, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="ascii") == _text(mesh)
 
 
 def test_read_rejects_empty_file():

@@ -45,6 +45,19 @@ def test_constant_polynomial_hashes_as_the_number_it_equals():
     assert len({X, X + 0, 1 + X}) == 2
 
 
+def test_constant_polynomial_equals_any_real_number_exactly():
+    one, half = Polynomial2D.constant(1), Polynomial2D.constant(Fraction(1, 2))
+    assert one == 1.0 and one == np.float64(1) and one == np.int64(1) and half == 0.5
+    assert 1.0 == one and half == np.float32(0.5)
+    assert Polynomial2D.constant(Fraction(1, 10)) != 0.1  # the float's exact value
+    assert {1.0: "a"}[one] == "a" and {0.5: "b"}[half] == "b"
+    assert len({one, 1.0, np.float64(1)}) == 1
+    for bad in (math.nan, np.nan, math.inf, -np.inf):
+        assert (one == bad) is False and one != bad and (Polynomial2D() == bad) is False
+    assert one.__eq__("1") is NotImplemented and one.__eq__(1 + 0j) is NotImplemented
+    assert X != 1.0 and X.__eq__(1.0) is False
+
+
 def test_differentiation_and_substitution():
     p = X**3 * Y - 2 * Y**2
     assert p.diff("x") == 3 * X**2 * Y

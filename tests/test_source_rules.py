@@ -85,3 +85,33 @@ def test_only_mesh_integer_reads_integral():
     # goes through mesh._integer
     inside_functions = [where for where in _where(_reads_integral) if not where.endswith(":<module>")]
     assert inside_functions == ["mesh.py:_integer"]
+
+
+_WRITE_MODE = set("wax+")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _writes_a_file(node: ast.AST) -> bool:
+    """A read of ``write_text`` or ``write_bytes``, or an ``open`` or ``<x>.open``
+    call given a write mode or a write flag."""
+    if getattr(node, "attr", None) in {"write_text", "write_bytes"}:
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    if getattr(node.func, "id", getattr(node.func, "attr", None)) != "open":
+        return False
+    # open(file, mode); os.open(file, flags), io.open(file, mode) or Path.open(mode)
+    mode = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:2]
+    for arg in [*mode, *(k.value for k in node.keywords if k.arg in {"mode", "flags"})]:
+        for part in ast.walk(arg):
+            if isinstance(part, ast.Constant) and _WRITE_MODE & set(str(part.value)):
+                return True
+            if getattr(part, "id", getattr(part, "attr", None)) in _WRITE_FLAGS:
+                return True
+    return False
+
+
+def test_only_mesh_write_text_writes_a_file():
+    # one write path: in place, without the stall of a truncate on open; its
+    # os.open and the open of the descriptor are the two calls
+    assert _where(_writes_a_file) == ["mesh.py:_write_text"] * 2
