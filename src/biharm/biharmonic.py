@@ -51,11 +51,11 @@ from .fem import (
     ScalarField,
     _data_values,
     _element_sum,
+    _field_rows,
+    _point_blocks,
     _raise_on_overflow,
-    _volume_points,
     boundary_geometry,
     default_boundary_rule,
-    field_values,
     triangle_geometry,
     triangle_quadrature,
 )
@@ -84,6 +84,10 @@ DEFAULT_STRICT_TOL = 1e-3
 DIAGNOSTIC_VOLUME_ORDER = 6
 
 _BLOCK = 2048  # elements per block of a moment table: a block's arrays fit in L2
+# per-element sums one pass of a moment table holds, unless one row has more;
+# with the points and the running product kept between passes, 80 values per
+# triangle at P1, as many as the full-array table held at degree 15
+_GROUP = 32
 
 
 @dataclass(frozen=True)
@@ -163,29 +167,61 @@ def _strict_check(strict: bool, tol: float):
 
 
 def _moment_table(sizes, weights, x, y, vals, degree: int) -> np.ndarray:
-    """T[i, j] = integral of vals * x**i * y**j for i + j <= degree (zero above) on
+    """``_block_moments`` of ``vals`` given whole at points x, y, as one block."""
+    return _block_moments(sizes, weights, lambda: [(slice(None), x, y)], lambda *_: vals, degree)
+
+
+def _row_groups(size: int):
+    """(first, stop, entries) of each run of rows of a table of ``size`` rows, row i
+    of size - i entries: one row, or as many as keep the entries within ``_GROUP``."""
+    first = 0
+    while first < size:
+        stop, entries = first + 1, size - first
+        while stop < size and entries + size - stop <= _GROUP:
+            stop, entries = stop + 1, entries + size - stop
+        yield first, stop, entries
+        first = stop
+
+
+def _block_moments(sizes, weights, points, values, degree: int) -> np.ndarray:
+    """T[i, j] = integral of v * x**i * y**j for i + j <= degree (zero above) on
     elements of the given sizes and rule weights, summed as ``fem.integrate`` sums.
-    Monomials are running products formed in place, ``_BLOCK`` elements at a time
-    so a block's arrays stay in cache; no product goes unread. T[0, 0] integrates
-    ``vals`` itself: a broadcast constant sums in another order than its copy."""
-    size, count = max(degree + 1, 0), len(x)
+    ``points()`` yields read-only (block, x, y) in element order; ``values(block,
+    x, y)``, called once per block outside the overflow scope, gives v there.
+    Monomials are running products formed in place; each entry keeps its rule sum
+    on every element until the last block, then ``_element_sum`` sums them. Rows go
+    in groups of at most ``_GROUP`` such sums per element, a pass over the blocks
+    each; past one group, the blocks of points and the running product x**i * v,
+    in one (T, nq) array, are kept between passes. T[0, 0] integrates v itself: a
+    broadcast constant sums in another order than its copy."""
+    size, count = max(degree + 1, 0), len(sizes)
     table = np.zeros((size, size))
-    column = np.array(vals, dtype=float)
-    work = np.empty_like(column[:_BLOCK])
-    sums = np.empty((size, count))
-    for i in range(size):
-        rows = size - i
-        for start in range(0, count, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            term = work[: min(count - start, _BLOCK)]
-            np.copyto(term, column[block])
-            for j in range(rows):
-                np.einsum("tq,q->t", term if i + j else vals[block], weights, out=sums[j, block])
-                if j + 1 < rows:
-                    term *= y[block]
-            if i + 1 < size:
-                column[block] *= x[block]
-        table[i, :rows] = _element_sum(sizes, sums[:rows])
+    groups = list(_row_groups(size)) or [(0, 0, 0)]  # no rows: the values are still checked
+    blocks, kept = points(), None
+    if len(groups) > 1:
+        blocks, kept = list(blocks), np.empty((count, len(weights)))
+    sums = np.empty((max(entries for *_, entries in groups), count))
+    for first, stop, entries in groups:
+        for block, x, y in blocks:
+            vals = values(block, x, y) if first == 0 else None
+            with _raise_on_overflow():
+                column = np.empty(x.shape) if kept is None else kept[block]
+                if first == 0:
+                    np.copyto(column, vals)
+                term, k = np.empty_like(column), 0
+                for i in range(first, stop):
+                    np.copyto(term, column)
+                    for j in range(size - i):
+                        np.einsum("tq,q->t", term if i + j else vals, weights, out=sums[k, block])
+                        k += 1
+                        if j + 1 < size - i:
+                            term *= y
+                    if i + 1 < size:
+                        column *= x
+        with _raise_on_overflow():
+            totals = _element_sum(sizes, sums[:entries])
+        for i in range(first, stop):
+            table[i, : size - i], totals = totals[: size - i], totals[size - i :]
     return table
 
 
@@ -210,24 +246,25 @@ def _pair(table: np.ndarray, poly: Polynomial2D) -> float:
 def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
     """l(eta) = (f, eta) + <g, d(eta)/dn> - <h, eta> for polynomials eta of degree
     <= ``degree``, from one moment table of the data: (f, x^i y^j), <g n_x, x^i y^j>,
-    <g n_y, x^i y^j> and <h, x^i y^j>. Returns ``volume_moments(vals, up_to)``, the
-    table of other values at the same volume points, and ``terms(eta)``, the three
-    terms of l(eta) uncombined; no test function is evaluated at a point. The data
-    tables overflow as FloatingPointError."""
-    vol_rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    (x, y), det = _volume_points(space, vol_rule), triangle_geometry(space.mesh)[2]
+    <g n_y, x^i y^j> and <h, x^i y^j>. Returns ``volume_moments(values, up_to)``, the
+    table of other values at the same volume points, given per block as
+    ``_block_moments`` takes them, and ``terms(eta)``, the three terms of l(eta)
+    uncombined; no test function is evaluated at a point. f is evaluated on blocks
+    of ``_BLOCK`` triangles as its table is formed, before g and h. The data tables
+    overflow as FloatingPointError."""
+    rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
+    points = partial(_point_blocks, space, rule, _BLOCK)
+    volume_moments = partial(_block_moments, triangle_geometry(space.mesh)[2], rule.weights, points)
+    f_table = volume_moments(lambda block, x, y: _data_values(problem.f, x, y), degree)
+
     bx, by, lengths, normals = boundary_geometry(space.mesh)
-    f_vals = _data_values(problem.f, x, y)
     g_vals = _data_values(problem.g, bx, by)
     h_vals = _data_values(problem.h, bx, by)
-    volume_moments = partial(_moment_table, det, vol_rule.weights, x, y)
     boundary_moments = partial(_moment_table, lengths, default_boundary_rule().weights, bx, by)
-
+    h_table = boundary_moments(h_vals, degree)
     with _raise_on_overflow():
-        f_table = volume_moments(f_vals, degree)
-        h_table = boundary_moments(h_vals, degree)
-        gx_table = boundary_moments(g_vals * normals[:, 0:1], degree - 1)
-        gy_table = boundary_moments(g_vals * normals[:, 1:2], degree - 1)
+        g_normals = g_vals * normals[:, 0:1], g_vals * normals[:, 1:2]
+    gx_table, gy_table = (boundary_moments(g, degree - 1) for g in g_normals)
 
     def terms(eta: Polynomial2D) -> tuple[float, float, float]:
         ex, ey = eta.grad()
@@ -324,8 +361,9 @@ def weak_form_residual(solution: CascadeSolution, r: Polynomial2D) -> float:
     bilap = omega.laplacian()
 
     volume_moments, terms = _data_functional(space, solution.problem, omega.degree)
-    sigma_vals = field_values(solution.sigma_h, triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER))
+    sigma, rule = solution.sigma_h, triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
+    sigma_table = volume_moments(lambda block, *_: _field_rows(sigma, rule, block), bilap.degree)
     with _raise_on_overflow():
-        term_sigma = _pair(volume_moments(sigma_vals, bilap.degree), bilap)
+        term_sigma = _pair(sigma_table, bilap)
         term_f, term_g, term_h = terms(omega)
         return abs(term_sigma - term_f - term_g + term_h)

@@ -20,8 +20,9 @@ Meshes, rules and fields hold read-only copies of their arrays
 space sharing the mesh's. All compare by identity. Triangle and boundary
 geometry are built once per mesh, from x and y coordinate columns gathered
 by index, never (..., 2) rows, and held on it. A space holds the points of
-its default volume rule, built once, which the load, the L2 errors and, at
-P2, the compatibility table read; other rules' points are built per call.
+its default volume rule, built once, which the load and the L2 errors read,
+and at P2 the compatibility table in blocks of views; other rules' points are
+built per call, or per block of triangles, by one formula.
 Every datum goes through ``_data_values``; a non-finite one raises
 ``DataError`` before any assembly.
 """
@@ -332,23 +333,40 @@ def quad_points(mesh: Mesh, rule: QuadratureRule):
     """Physical coordinates of the rule's points on every triangle: a pair of
     C-contiguous (T, nq) arrays x, y."""
     origin, jac, _, _ = triangle_geometry(mesh)
+    return tuple(p.T.copy() for p in _mapped_points(origin, jac, rule))
+
+
+def _mapped_points(origin, jac, rule: QuadratureRule):
+    """x and y = ``origin + (J[:, a, 0] r0 + J[:, a, 1] r1)`` of the rule's points,
+    formed (nq, T) from contiguous 1-D columns so each broadcast runs a T-long
+    inner loop; the caller copies them into the (T, nq) layout."""
     r0, r1 = rule.points[:, 1, None], rule.points[:, 2, None]
-    # formed (nq, T) from contiguous 1-D columns, so each broadcast runs a
-    # T-long inner loop, then copied into the (T, nq) layout
-    return tuple(
-        (origin[:, a].copy() + (jac[:, a, 0].copy() * r0 + jac[:, a, 1].copy() * r1)).T.copy()
-        for a in (0, 1)
-    )
+    return [origin[:, a].copy() + (jac[:, a, 0].copy() * r0 + jac[:, a, 1].copy() * r1) for a in (0, 1)]
 
 
 def _volume_points(space: FeSpace, rule: QuadratureRule):
     """``quad_points(space.mesh, rule)``. The points of the space's default
     volume rule are built once per space and held read-only (``mesh._owned``),
-    so the load, the L2 errors and, at P2, the compatibility table read one
-    set; any other rule's points are built per call."""
+    so the load, the L2 errors and ``_point_blocks`` read one set; any other
+    rule's points are built per call."""
     if rule is not default_volume_rule(space.degree):
         return quad_points(space.mesh, rule)
     return _built_once(space, "_volume_points", lambda s: tuple(map(_owned, quad_points(s.mesh, rule))))
+
+
+def _point_blocks(space: FeSpace, rule: QuadratureRule, size: int):
+    """Read-only ``(block, x, y)``, ``size`` triangles at a time, x and y the rows
+    ``block`` of ``quad_points(space.mesh, rule)`` bit for bit: views of the held
+    points of the default rule, else formed per block by ``quad_points``' formula
+    and frozen by ``mesh._owned``, whose layout copy is their one copy."""
+    held = _volume_points(space, rule) if rule is default_volume_rule(space.degree) else None
+    origin, jac, _, _ = triangle_geometry(space.mesh)
+    for start in range(0, len(origin), size):
+        block = slice(start, start + size)
+        if held is not None:
+            yield block, held[0][block], held[1][block]
+        else:
+            yield block, *(_owned(p.T) for p in _mapped_points(origin[block], jac[block], rule))
 
 
 def integrate(mesh: Mesh, rule: QuadratureRule, values: np.ndarray) -> float:
@@ -369,9 +387,14 @@ def _element_sum(sizes: np.ndarray, rule_sums: np.ndarray) -> np.ndarray:
 
 def field_values(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:
     """Field values at the rule's points on every triangle, shape (T, nq)."""
+    return _field_rows(fe_field, rule, slice(None))
+
+
+def _field_rows(fe_field: ScalarField, rule: QuadratureRule, rows: slice) -> np.ndarray:
+    """The rows ``rows`` of ``field_values(fe_field, rule)``, bit for bit."""
     space = fe_field.space
     basis = _reference_basis(space.degree, rule)
-    return np.einsum("tl,lq->tq", fe_field.coeffs[space.element_dof_map], basis)
+    return np.einsum("tl,lq->tq", fe_field.coeffs[space.element_dof_map[rows]], basis)
 
 
 def field_gradients(fe_field: ScalarField, rule: QuadratureRule) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Cascade solver for the fourth-order Neumann problem and its diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from biharm.biharmonic import (
     weak_form_residual,
 )
 from biharm.fem import (
+    DataError,
     _data_values,
     boundary_geometry,
     boundary_integrate,
@@ -650,6 +653,154 @@ def test_moment_table_is_bit_identical_to_the_out_of_place_oracle(name, monkeypa
                     assert table.shape == expected.shape == (max(degree + 1, 0),) * 2
                     assert np.array_equal(table, expected)
             assert np.array_equal(vals, before)
+
+
+# more than one block of 2,048 triangles, the last a partial one
+BLOCK_MESHES = {"square": unit_square_mesh(34), "disk": refine_uniform(unit_disk_mesh(10))}
+X, Y = Polynomial2D.x(), Polynomial2D.y()
+VOLUME_DATA = {
+    "callable": lambda x, y: np.exp(x) * np.cos(2.0 * y) - x * y,
+    # broadcast on each block; T[0, 0] sums 1/3 in another order than its copy
+    "constant": 1 / 3,
+    "polynomial": Fraction(3, 2) - 2 * X + X * Y**2 + Fraction(5, 4) * Y**3,
+}
+KMAX = (0, 1, 3, 4, 13, 14, 64)  # one group of table rows up to 4, then 4, 5 and 54
+
+
+def oracle_tables(mesh, problem, degree):
+    """The volume table and the three boundary tables of the out-of-place oracle on the
+    full quad_points and boundary points."""
+    rule = triangle_quadrature(6)
+    x, y = quad_points(mesh, rule)
+    bx, by, _, normals = boundary_geometry(mesh)
+    volume, boundary = partial(integrate, mesh, rule), partial(boundary_integrate, mesh)
+    g = _data_values(problem.g, bx, by)
+    return (
+        out_of_place_moment_table(volume, _data_values(problem.f, x, y), x, y, degree),
+        out_of_place_moment_table(boundary, g * normals[:, 0:1], bx, by, degree - 1),
+        out_of_place_moment_table(boundary, g * normals[:, 1:2], bx, by, degree - 1),
+        out_of_place_moment_table(boundary, _data_values(problem.h, bx, by), bx, by, degree),
+    )
+
+
+def oracle_terms(tables, eta):
+    """The three terms of l(eta) from oracle tables, paired as the library pairs them."""
+    f_table, gx_table, gy_table, h_table = tables
+    pair = biharmonic._pair
+    ex, ey = eta.grad()
+    return pair(f_table, eta), pair(gx_table, ex) + pair(gy_table, ey), pair(h_table, eta)
+
+
+@pytest.mark.parametrize("datum", sorted(VOLUME_DATA))
+@pytest.mark.parametrize("name", sorted(BLOCK_MESHES))
+def test_residuals_in_blocks_and_groups_are_bit_identical_to_the_oracle(name, datum):
+    mesh = BLOCK_MESHES[name]
+    assert mesh.num_triangles > biharmonic._BLOCK and mesh.num_triangles % biharmonic._BLOCK
+    problem = NeumannProblem(VOLUME_DATA[datum], lambda x, y: np.sin(x * y), lambda x, y: 1.0 + x)
+    tables = oracle_tables(mesh, problem, max(KMAX))
+    basis = harmonic_basis(max(KMAX))
+    expected = np.array([volume + g - h for volume, g, h in (oracle_terms(tables, eta) for eta in basis)])
+    for degree in (1, 2):
+        space = build_space(mesh, degree)
+        volume_moments, _ = biharmonic._data_functional(space, problem, 0)
+        for kmax in KMAX:
+            residuals = compatibility_residual(space, problem, harmonic_basis(kmax))
+            assert residuals.tobytes() == expected[: 2 * kmax + 1].tobytes()
+            table = volume_moments(lambda block, x, y: _data_values(problem.f, x, y), kmax)
+            size = kmax + 1
+            inside = np.add.outer(range(size), range(size)) < size
+            assert np.array_equal(table, np.where(inside, tables[0][:size, :size], 0.0))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_weak_form_residual_in_blocks_and_groups_is_bit_identical_to_the_oracle(degree):
+    mesh = BLOCK_MESHES["disk"]
+    problem = NeumannProblem(VOLUME_DATA["callable"], lambda x, y: np.sin(x * y), lambda x, y: 1.0 + x)
+    sol = solve_neumann(build_space(mesh, degree), problem)
+    rule = triangle_quadrature(6)
+    x, y = quad_points(mesh, rule)
+    sigma = field_values(sol.sigma_h, rule)
+    # lap r of degree 1, 4, 6 and 18, bilap r of degree -1, 2, 4 and 16: one group
+    # of table rows or several
+    for r in (X**3, X**4 * Y**2 - Y**5, X**8 + X**3 * Y**5, X**14 * Y**6 - X**19 + Y**3):
+        omega = r.laplacian()
+        bilap = omega.laplacian()
+        tables = oracle_tables(mesh, problem, max(omega.degree, 0))
+        term_sigma = biharmonic._pair(
+            out_of_place_moment_table(partial(integrate, mesh, rule), sigma, x, y, bilap.degree),
+            bilap,
+        )
+        term_f, term_g, term_h = oracle_terms(tables, omega)
+        expected = abs(term_sigma - term_f - term_g + term_h)
+        assert float(weak_form_residual(sol, r)).hex() == float(expected).hex()
+
+
+@pytest.mark.parametrize("n, kmax", [(128, 3), (64, 64)])
+def test_compatibility_table_memory_is_bounded(n, kmax):
+    space = build_space(unit_square_mesh(n), 1)
+    problem = NeumannProblem(lambda x, y: np.sin(x) * np.cos(y), 0.0, 0.0)
+    basis = harmonic_basis(kmax)
+    compatibility_residual(space, problem, basis)  # geometry is built once per mesh, outside the bound
+    tracemalloc.start()
+    try:
+        compatibility_residual(space, problem, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the full-array table peaked at 20.0 MB at n = 128, kmax 3, and held 8.4 MB
+    # at n = 64, kmax 64: the (T, 16) points, data and running product and one row
+    # of sums per entry of a table row, 129 doubles per triangle
+    n_tri = space.mesh.num_triangles
+    bound = 6e6 if kmax == 3 else 1.1 * 129 * n_tri * np.dtype(float).itemsize
+    assert peak <= bound
+
+
+def test_a_datum_sees_each_point_once_in_blocks_of_at_most_2048_triangles():
+    space = build_space(BLOCK_MESHES["disk"], 1)
+    seen = []
+
+    def datum(x, y):
+        seen.append(x.shape)
+        return x * y
+
+    compatibility_residual(space, NeumannProblem(datum, 0.0, 0.0), harmonic_basis(64))
+    assert all(rows <= 2048 and nq == 16 for rows, nq in seen)
+    assert sum(rows for rows, _ in seen) == space.mesh.num_triangles
+    assert len(seen) == -(-space.mesh.num_triangles // 2048)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_non_finite_datum_in_the_last_block_names_the_first_bad_point(degree):
+    mesh = BLOCK_MESHES["disk"]
+    x, y = quad_points(mesh, triangle_quadrature(6))
+    last = slice(biharmonic._BLOCK, None)
+    bad = [(x[last][-1, 5], y[last][-1, 5]), (x[last][40, 7], y[last][40, 7])]
+
+    def f(px, py):
+        hit = np.zeros(px.shape, dtype=bool)
+        for bx, by in bad:
+            hit |= (px == bx) & (py == by)
+        return np.where(hit, np.inf, px)
+
+    assert np.isfinite(f(x[: biharmonic._BLOCK], y[: biharmonic._BLOCK])).all()
+    with pytest.raises(DataError) as whole:
+        _data_values(f, x, y)  # the message of the data evaluated whole
+    with pytest.raises(DataError) as blocked:
+        compatibility_residual(build_space(mesh, degree), NeumannProblem(f, 0.0, 0.0), harmonic_basis(3))
+    assert str(blocked.value) == str(whole.value)
+    assert f"({x[last][40, 7]:.6g}, {y[last][40, 7]:.6g})" in str(blocked.value)
+
+
+def test_a_bad_f_is_reported_before_a_bad_g_and_a_bad_g_before_a_bad_h():
+    space = build_space(BLOCK_MESHES["square"], 1)
+    nan, inf, minus = (lambda x, y, v=v: np.full(np.shape(x), v) for v in (np.nan, np.inf, -np.inf))
+    for problem, value in [
+        (NeumannProblem(nan, inf, minus), "nan"),
+        (NeumannProblem(1.0, inf, minus), "inf"),
+        (NeumannProblem(1.0, 0.0, minus), "-inf"),
+    ]:
+        with pytest.raises(DataError, match=f"^datum is {value} at"):
+            compatibility_residual(space, problem, harmonic_basis(3))
 
 
 def test_cascade_whose_flux_mismatch_overflows_raises_floating_point_error():

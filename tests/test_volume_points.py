@@ -1,16 +1,23 @@
 """The default volume rule's points: built once per space, held read-only, and
-read by the load, the L2 errors and, at P2, the compatibility table."""
+read by the load, the L2 errors and, at P2, in blocks of views, the
+compatibility table; at P1 the table forms its order-6 points per block."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biharm import cli, fem
-from biharm.biharmonic import NeumannProblem, compatibility_residual, solve_neumann
+from biharm.biharmonic import (
+    NeumannProblem,
+    compatibility_residual,
+    solve_neumann,
+    weak_form_residual,
+)
 from biharm.manufactured import l2_error
 from biharm.mesh import refine_uniform, unit_disk_mesh, unit_square_mesh
-from biharm.polynomials import harmonic_basis
+from biharm.polynomials import Polynomial2D, harmonic_basis
 
 MESHES = {"square": lambda: unit_square_mesh(6), "disk": lambda: refine_uniform(unit_disk_mesh(3))}
 
@@ -64,11 +71,12 @@ def test_load_errors_and_p2_compat_read_the_same_points(degree, builds):
     l2_error(field, datum)
     compatibility_residual(space, NeumannProblem(datum, 0.0, 0.0), harmonic_basis(2))
     x, _ = fem._volume_points(space, fem.default_volume_rule(degree))
-    shared = [s is x for s in seen]
-    # at P1 the compatibility table reads the order-6 diagnostic rule, built per call
-    assert shared == [True, True, True, degree == 2]
-    assert builds.count(fem.default_volume_rule(degree)) == 1
-    assert len(builds) == (1 if degree == 2 else 2)
+    assert [s is x for s in seen] == [True, True, True, False]
+    # the compatibility table reads one block of 72 triangles: at P2 a view of
+    # the held order-6 points, at P1 points formed for the block, no quad_points build
+    assert seen[3].shape == (space.mesh.num_triangles, 16) and not seen[3].flags.writeable
+    assert np.shares_memory(seen[3], x) == (degree == 2)
+    assert builds == [fem.default_volume_rule(degree)]
 
 
 def test_a_p1_space_holds_no_points_after_compatibility_residual(builds):
@@ -77,7 +85,7 @@ def test_a_p1_space_holds_no_points_after_compatibility_residual(builds):
     first = compatibility_residual(space, problem, harmonic_basis(3))
     second = compatibility_residual(space, problem, harmonic_basis(3))
     assert first.tobytes() == second.tobytes()
-    assert builds == [fem.triangle_quadrature(6)] * 2
+    assert builds == []
     assert "_volume_points" not in vars(space)
 
 
@@ -117,6 +125,30 @@ def test_a_datum_that_writes_into_its_points_raises_and_leaves_them(degree):
         l2_error(fem.interpolate(space, 0.0), writes)
     for held, fresh in zip(fem._volume_points(space, rule), fem.quad_points(space.mesh, rule)):
         assert held.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_diagnostics_give_a_datum_read_only_points_and_leave_them(degree):
+    space = fem.build_space(unit_square_mesh(4), degree)
+    rule = fem.default_volume_rule(degree)
+    solution = solve_neumann(space, NeumannProblem(1.0, 0.0, 0.0))
+
+    def writes(x, y):
+        x += 1.0
+        return x
+
+    for problem in (NeumannProblem(writes, 0.0, 0.0), NeumannProblem(0.0, writes, 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            compatibility_residual(space, problem, harmonic_basis(1))
+        with pytest.raises(ValueError, match="read-only"):
+            solve_neumann(space, problem)
+        with pytest.raises(ValueError, match="read-only"):
+            weak_form_residual(replace(solution, problem=problem), Polynomial2D.x() ** 2)
+    for held, fresh in zip(fem._volume_points(space, rule), fem.quad_points(space.mesh, rule)):
+        assert held.tobytes() == fresh.tobytes()
+    # the values the writing datum returns: r[Re z] = (x + 1, x) = 5/6 on the unit square
+    shifted = NeumannProblem(lambda x, y: x + 1.0, 0.0, 0.0)
+    assert compatibility_residual(space, shifted, harmonic_basis(1))[1] == pytest.approx(5 / 6, abs=1e-12)
 
 
 def test_converge_frees_each_level_before_the_next_solve(monkeypatch, capsys):
