@@ -54,13 +54,15 @@ from .fem import (
     _field_rows,
     _point_blocks,
     _raise_on_overflow,
+    _volume_points,
     boundary_geometry,
     default_boundary_rule,
+    default_volume_rule,
     triangle_geometry,
     triangle_quadrature,
 )
 from .mesh import _owned
-from .poisson import BoundaryFlux, _solve_with_flux, solve_dirichlet
+from .poisson import BoundaryFlux, _held_load, _solve_with_flux, solve_dirichlet
 from .polynomials import HarmonicPolynomial, Polynomial2D, harmonic_basis
 from .sparse import _check_cg_budget
 
@@ -243,19 +245,23 @@ def _pair(table: np.ndarray, poly: Polynomial2D) -> float:
         raise FloatingPointError("test polynomial coefficient beyond float range") from exc
 
 
-def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
+def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int, f_values=None):
     """l(eta) = (f, eta) + <g, d(eta)/dn> - <h, eta> for polynomials eta of degree
     <= ``degree``, from one moment table of the data: (f, x^i y^j), <g n_x, x^i y^j>,
     <g n_y, x^i y^j> and <h, x^i y^j>. Returns ``volume_moments(values, up_to)``, the
     table of other values at the same volume points, given per block as
     ``_block_moments`` takes them, and ``terms(eta)``, the three terms of l(eta)
     uncombined; no test function is evaluated at a point. f is evaluated on blocks
-    of ``_BLOCK`` triangles as its table is formed, before g and h. The data tables
-    overflow as FloatingPointError."""
+    of ``_BLOCK`` triangles as its table is formed, before g and h; given
+    ``f_values``, f's values on all the volume points (P2's held points), the
+    table reads their rows instead. The data tables overflow as FloatingPointError."""
     rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
     points = partial(_point_blocks, space, rule, _BLOCK)
     volume_moments = partial(_block_moments, triangle_geometry(space.mesh)[2], rule.weights, points)
-    f_table = volume_moments(lambda block, x, y: _data_values(problem.f, x, y), degree)
+    if f_values is None:
+        f_table = volume_moments(lambda block, x, y: _data_values(problem.f, x, y), degree)
+    else:
+        f_table = volume_moments(lambda block, *_: f_values[block], degree)
 
     bx, by, lengths, normals = boundary_geometry(space.mesh)
     g_vals = _data_values(problem.g, bx, by)
@@ -289,9 +295,15 @@ def compatibility_residual(
     FloatingPointError; a test function that is not a Polynomial2D raises
     ValueError before any datum is evaluated.
     """
+    return _residuals(space, problem, basis)
+
+
+def _residuals(space: FeSpace, problem: NeumannProblem, basis, f_values=None) -> np.ndarray:
+    """``compatibility_residual``, its f table read off ``f_values`` when given
+    (``_data_functional``)."""
     basis = [_test_polynomial(eta, f"basis[{k}]") for k, eta in enumerate(basis)]
     degree = max((eta.degree for eta in basis), default=0)
-    _, terms = _data_functional(space, problem, degree)
+    _, terms = _data_functional(space, problem, degree, f_values)
     with _raise_on_overflow():
         return np.array([volume + g_term - h_term for volume, g_term, h_term in map(terms, basis)])
 
@@ -324,13 +336,24 @@ def solve_neumann(
     (a bool or NaN included), a ``harmonic_degree`` that ``harmonic_basis``
     rejects, and a ``rel_tol`` or ``max_iter`` that CG rejects, are a
     ValueError before any residual is computed.
+
+    At P2 the load and the compatibility table integrate f on the same
+    points, the space's held order-6 points, so f is called once, on all
+    of them.
     """
     check = _strict_check(strict, strict_tol)
     _check_cg_budget(rel_tol, max_iter)
-    residuals = compatibility_residual(space, problem, harmonic_basis(harmonic_degree))
+    basis = harmonic_basis(harmonic_degree)
+    if triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER) is default_volume_rule(space.degree):
+        source = _data_values(problem.f, *_volume_points(space))
+        residuals = _residuals(space, problem, basis, source)
+    else:
+        source = problem.f
+        residuals = compatibility_residual(space, problem, basis)
     check(residuals)
 
-    sigma_h, flux = _solve_with_flux(space, problem.f, problem.g, rel_tol, max_iter)
+    source = _held_load(space, source)  # f's values go before the operators are built
+    sigma_h, flux = _solve_with_flux(space, source, problem.g, rel_tol, max_iter)
     s_h = solve_dirichlet(space, sigma_h, 0.0, rel_tol=rel_tol, max_iter=max_iter)
     diagnostics = CascadeDiagnostics(
         compat_residuals=_owned(residuals),

@@ -131,7 +131,9 @@ def parse_expression(text: str):
 
 def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
     """Write a legacy ASCII VTK unstructured grid with vertex scalar fields, in
-    place as write_mesh does; a name that is not ASCII raises before the open."""
+    place as write_mesh does. A name that is not ASCII, or not one token (empty
+    or with whitespace: a reader reads ``SCALARS <name>`` by tokens), raises
+    ValueError before the open."""
     lines = [
         "# vtk DataFile Version 2.0",
         "biharm output",
@@ -149,6 +151,8 @@ def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
     lines.extend(["5"] * nt)
     lines.append(f"POINT_DATA {mesh.num_vertices}")
     for name, values in fields.items():
+        if name.split() != [name]:
+            raise ValueError(f"field name {name!r} is not one token")
         values = np.asarray(values, dtype=float)
         if values.shape != (mesh.num_vertices,):
             raise ValueError(f"field {name!r} is not a per-vertex array")

@@ -21,8 +21,9 @@ space sharing the mesh's. All compare by identity. Triangle and boundary
 geometry are built once per mesh, from x and y coordinate columns gathered
 by index, never (..., 2) rows, and held on it. A space holds the points of
 its default volume rule, built once, which the load and the L2 errors read,
-and at P2 the compatibility table in blocks of views; other rules' points are
-built per call, or per block of triangles, by one formula.
+and at P2 a cascade's one evaluation of f and the compatibility table in
+blocks of views; other rules' points are formed per block of triangles by the
+formula of ``quad_points``.
 Every datum goes through ``_data_values``; a non-finite one raises
 ``DataError`` before any assembly.
 """
@@ -344,13 +345,11 @@ def _mapped_points(origin, jac, rule: QuadratureRule):
     return [origin[:, a].copy() + (jac[:, a, 0].copy() * r0 + jac[:, a, 1].copy() * r1) for a in (0, 1)]
 
 
-def _volume_points(space: FeSpace, rule: QuadratureRule):
-    """``quad_points(space.mesh, rule)``. The points of the space's default
-    volume rule are built once per space and held read-only (``mesh._owned``),
-    so the load, the L2 errors and ``_point_blocks`` read one set; any other
-    rule's points are built per call."""
-    if rule is not default_volume_rule(space.degree):
-        return quad_points(space.mesh, rule)
+def _volume_points(space: FeSpace):
+    """``quad_points`` of the space's default volume rule, built once per space and
+    held read-only (``mesh._owned``), so the load, the L2 errors, ``_point_blocks``
+    and a P2 cascade's one evaluation of f read one set."""
+    rule = default_volume_rule(space.degree)
     return _built_once(space, "_volume_points", lambda s: tuple(map(_owned, quad_points(s.mesh, rule))))
 
 
@@ -359,7 +358,7 @@ def _point_blocks(space: FeSpace, rule: QuadratureRule, size: int):
     ``block`` of ``quad_points(space.mesh, rule)`` bit for bit: views of the held
     points of the default rule, else formed per block by ``quad_points``' formula
     and frozen by ``mesh._owned``, whose layout copy is their one copy."""
-    held = _volume_points(space, rule) if rule is default_volume_rule(space.degree) else None
+    held = _volume_points(space) if rule is default_volume_rule(space.degree) else None
     origin, jac, _, _ = triangle_geometry(space.mesh)
     for start in range(0, len(origin), size):
         block = slice(start, start + size)
@@ -502,7 +501,7 @@ def assemble_load(space: FeSpace, q) -> np.ndarray:
     rule = default_volume_rule(space.degree)
     basis = _reference_basis(space.degree, rule)
     _, _, det, _ = triangle_geometry(space.mesh)
-    vals = _data_values(q, *_volume_points(space, rule))
+    vals = _data_values(q, *_volume_points(space))
     local = np.einsum("lq,tq,q->tl", basis, vals, rule.weights) * det[:, None]
     return np.bincount(space.element_dof_map.ravel(), local.ravel(), space.dof_count)
 

@@ -161,7 +161,7 @@ def _l2_pass(fe_field: ScalarField, exact):
     of it and the L2 distance between the field and a callable (or constant)."""
     space = fe_field.space
     rule = default_volume_rule(space.degree)
-    x, y = _volume_points(space, rule)
+    x, y = _volume_points(space)
     exact_vals = _data_values(exact, x, y)
     with _raise_on_overflow():
         vals = field_values(fe_field, rule)

@@ -223,11 +223,16 @@ def overdetermined_check(
     return OverdeterminedResult(*_solve_with_flux(space, p, 0.0, rel_tol, max_iter))
 
 
+def _held_load(space: FeSpace, source) -> _Load:
+    """The load of ``source``, assembled once and held read-only; a ``_Load`` as it is."""
+    return source if isinstance(source, _Load) else _Load(_owned(_source_load(space, source)))
+
+
 def _solve_with_flux(
     space: FeSpace, source, boundary_value, rel_tol: float, max_iter: int | None
 ) -> tuple[ScalarField, BoundaryFlux]:
     """The first stage: ``solve_dirichlet`` and the ``normal_flux`` of its
-    solution, from one load of the source, assembled once."""
-    load = _Load(_owned(_source_load(space, source)))
+    solution, from one load of the source, ``_held_load``."""
+    load = _held_load(space, source)
     w = solve_dirichlet(space, load, boundary_value, rel_tol=rel_tol, max_iter=max_iter)
     return w, normal_flux(w, load)

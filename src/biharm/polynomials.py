@@ -71,7 +71,7 @@ class Polynomial2D:
     ``f(x, y)`` data callable is expected.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_floats")
 
     def __init__(self, coeffs: _Terms | None = None):
         table: dict[tuple[int, int], Fraction] = {}
@@ -80,6 +80,7 @@ class Polynomial2D:
             c = _rational(c, "coefficient")
             table[key] = table[key] + c if key in table else c
         self._coeffs = {key: c for key, c in table.items() if c}
+        self._floats = None  # (i, j, float(c)) per term, formed on the first evaluation
 
     @classmethod
     def constant(cls, c: RationalLike) -> Polynomial2D:
@@ -185,15 +186,29 @@ class Polynomial2D:
         return sum((c * xv**i * yv**j for (i, j), c in self._coeffs.items()), Fraction(0))
 
     def __call__(self, x, y):
+        """The sum over terms of float(c) * x**i * y**j in table order. x**0 and
+        y**0 are exact unit factors and are left out, and x**1 is x itself, so
+        skipping them moves no bit."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         out = np.zeros(x.shape)
+        if out.size and self._floats is None:
+            self._floats = [(i, j, float(c)) for (i, j), c in self._coeffs.items()]
+        terms = self._floats or ()
+        x_powers, y_powers = {i for i, _, _ in terms if i}, {j for _, j, _ in terms if j}
         flat = out.reshape(-1), x.reshape(-1), y.reshape(-1)
         for s in range(0, out.size, _EVAL_BLOCK):  # each distinct power once per block
             acc, bx, by = (a[s : s + _EVAL_BLOCK] for a in flat)
-            xs = {i: bx**i for i in {i for i, _ in self._coeffs}}
-            ys = {j: by**j for j in {j for _, j in self._coeffs}}
-            for (i, j), c in self._coeffs.items():
-                acc += float(c) * xs[i] * ys[j]
+            xs = {i: bx if i == 1 else bx**i for i in x_powers}
+            ys = {j: by if j == 1 else by**j for j in y_powers}
+            term = np.empty_like(acc)
+            for i, j, c in terms:
+                if i or j:
+                    np.multiply(xs[i] if i else ys[j], c, out=term)
+                    if i and j:
+                        term *= ys[j]
+                    acc += term
+                else:
+                    acc += c
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self) -> str:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from test_mesh import _l_shape
 from test_mesh_properties import meshes
 
-from biharm import biharmonic, poisson
+from biharm import biharmonic, fem, poisson
 from biharm.biharmonic import (
     CompatibilityError,
     NeumannProblem,
@@ -27,6 +28,7 @@ from biharm.fem import (
     boundary_integrate,
     build_space,
     default_boundary_rule,
+    default_volume_rule,
     field_values,
     integrate,
     quad_points,
@@ -236,6 +238,26 @@ def test_a_harmonic_degree_that_is_not_an_integer_is_refused_before_any_residual
     space = build_space(unit_square_mesh(4), 1)
     with pytest.raises(ValueError, match="^kmax must be an integer"):
         solve_neumann(space, prob, harmonic_degree=harmonic_degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "bad",
+    [{"strict_tol": math.nan}, {"rel_tol": -1.0}, {"max_iter": 1.5}, {"harmonic_degree": 2.0}],
+    ids=["strict_tol", "rel_tol", "max_iter", "harmonic_degree"],
+)
+def test_a_cascade_checks_every_argument_before_it_calls_f(bad, degree):
+    # at P2 the cascade evaluates f itself, outside compatibility_residual
+    calls = []
+
+    def f(x, y):
+        calls.append(x.shape)
+        return x
+
+    space = build_space(unit_square_mesh(4), degree)
+    with pytest.raises(ValueError):
+        solve_neumann(space, NeumannProblem(f, 0.0, 0.0), **bad)
+    assert calls == []
 
 
 @pytest.mark.parametrize("eta", [lambda x, y: x, 3, None], ids=["lambda", "3", "None"])
@@ -588,7 +610,11 @@ def test_one_load_of_the_source_per_cascade(degree, monkeypatch):
 
     monkeypatch.setattr(poisson, "assemble_load", counted)
     sol = solve_neumann(space, prob)
-    assert calls == [prob.f]
+    if degree == 1:
+        assert calls == [prob.f]
+    else:  # f's values on the held points, which its compatibility table read too
+        (values,) = calls
+        assert values.tobytes() == _data_values(prob.f, *fem._volume_points(space)).tobytes()
     assert np.array_equal(sol.sigma_h.coeffs, sigma_h.coeffs)
     assert np.array_equal(sol.s_h.coeffs, s_h.coeffs)
     assert np.array_equal(sol.flux.functional, flux.functional)
@@ -789,6 +815,84 @@ def test_a_non_finite_datum_in_the_last_block_names_the_first_bad_point(degree):
         compatibility_residual(build_space(mesh, degree), NeumannProblem(f, 0.0, 0.0), harmonic_basis(3))
     assert str(blocked.value) == str(whole.value)
     assert f"({x[last][40, 7]:.6g}, {y[last][40, 7]:.6g})" in str(blocked.value)
+    # a cascade, which at P2 evaluates f whole, names the same point before any operator
+    space = build_space(mesh, degree)
+    with pytest.raises(DataError) as cascade:
+        solve_neumann(space, NeumannProblem(f, 0.0, 0.0))
+    assert str(cascade.value) == str(whole.value)
+    assert "_poisson_operators" not in vars(space)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_cascade_calls_f_once_at_p2_and_per_table_block_and_for_the_load_at_p1(degree):
+    space = build_space(BLOCK_MESHES["disk"], degree)
+    n_tri, load_points = space.mesh.num_triangles, len(default_volume_rule(degree).weights)
+    shapes = []
+
+    def f(x, y):
+        shapes.append(x.shape)
+        return np.sin(x) * np.cos(y)
+
+    for _ in range(2):  # a first cascade builds the operators, a second reuses them
+        shapes.clear()
+        solve_neumann(space, NeumannProblem(f, 0.0, 0.0))
+        if degree == 2:  # the held order-6 points, read by the table and the load
+            assert shapes == [(n_tri, 16)]
+        else:
+            assert len(shapes) == 1 + -(-n_tri // biharmonic._BLOCK)
+            assert shapes[-1] == (n_tri, load_points) and all(nq == 16 for _, nq in shapes[:-1])
+
+
+def test_a_p2_cascade_frees_the_values_of_f_before_it_builds_the_operators(monkeypatch):
+    refs, alive = [], []
+
+    def f(x, y):
+        values = np.sin(x) * np.cos(y)
+        refs.append(weakref.ref(values))
+        return values
+
+    def watched(space, _assemble=poisson._assemble_operators):
+        alive.append([ref() is not None for ref in refs])
+        return _assemble(space)
+
+    monkeypatch.setattr(poisson, "_assemble_operators", watched)
+    solve_neumann(build_space(unit_square_mesh(8), 2), NeumannProblem(f, 0.0, 0.0))
+    assert len(refs) == 1 and alive == [[False]]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("datum", sorted(VOLUME_DATA))
+def test_a_cascade_gives_the_bits_of_its_separate_stages(datum, degree):
+    space = build_space(BLOCK_MESHES["square"], degree)
+    problem = NeumannProblem(VOLUME_DATA[datum], lambda x, y: np.sin(x * y), lambda x, y: 1.0 + x)
+    sol = solve_neumann(space, problem, harmonic_degree=4)
+    sigma_h = poisson.solve_dirichlet(space, problem.f, problem.g)
+    s_h = poisson.solve_dirichlet(space, sigma_h, 0.0)
+    flux = poisson.normal_flux(sigma_h, problem.f)
+    residuals = compatibility_residual(space, problem, harmonic_basis(4))
+    assert sol.diagnostics.compat_residuals.tobytes() == residuals.tobytes()
+    assert sol.sigma_h.coeffs.tobytes() == sigma_h.coeffs.tobytes()
+    assert sol.s_h.coeffs.tobytes() == s_h.coeffs.tobytes()
+    assert sol.flux.functional.tobytes() == flux.functional.tobytes()
+    assert sol.flux.projected.tobytes() == flux.projected.tobytes()
+    assert sol.diagnostics.flux_mismatch == flux.l2_mismatch(problem.h)
+    assert sol.diagnostics.cg_iterations == (sigma_h.solver_iterations, s_h.solver_iterations)
+
+
+@pytest.mark.parametrize("constant", ["g", "h"])
+@pytest.mark.parametrize("name", sorted(BLOCK_MESHES))
+def test_boundary_tables_of_the_constant_one_third_are_bit_identical_to_the_oracle(name, constant):
+    # a broadcast 1/3 sums T[0, 0] in another order than its copy on the 3-point
+    # boundary rule too, which the h table pins; g n is a product, formed before
+    # its table, so its case pins the values but cannot tell the two orders apart
+    mesh = BLOCK_MESHES[name]
+    data = {"g": lambda x, y: np.sin(x * y), "h": lambda x, y: 1.0 + x, constant: 1 / 3}
+    problem = NeumannProblem(VOLUME_DATA["callable"], data["g"], data["h"])
+    tables = oracle_tables(mesh, problem, 4)
+    for degree in (1, 2):
+        _, terms = biharmonic._data_functional(build_space(mesh, degree), problem, 4)
+        for eta in harmonic_basis(4):  # 1 reads the h table's T[0, 0], x and y the g n tables'
+            assert np.array(terms(eta)).tobytes() == np.array(oracle_terms(tables, eta)).tobytes()
 
 
 def test_a_bad_f_is_reported_before_a_bad_g_and_a_bad_g_before_a_bad_h():

@@ -166,6 +166,19 @@ def test_write_vtk_encoding_error_leaves_the_old_file_whole(tmp_path):
     assert path.read_bytes() == old
 
 
+@pytest.mark.parametrize("name", ["my field", "", " u", "u\n", "a\tb", "\u00a0"])
+def test_write_vtk_refuses_a_field_name_that_is_not_one_token(tmp_path, name):
+    path, mesh = tmp_path / "sol.vtk", unit_square_mesh(2)
+    with pytest.raises(ValueError, match="not one token"):
+        write_vtk(path, mesh, {"u": np.zeros(9), name: np.ones(9)})
+    assert not path.exists()
+    write_vtk(path, mesh, {"s": np.zeros(9)})
+    old = path.read_bytes()
+    with pytest.raises(ValueError, match="not one token"):
+        write_vtk(path, mesh, {name: np.ones(9)})
+    assert path.read_bytes() == old
+
+
 CONVERGE = ["converge", "--case", "sine", "--levels", "2", "--n0", "4"]
 
 

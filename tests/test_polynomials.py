@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm.polynomials import (
     GaussianRational,
@@ -114,6 +116,26 @@ def test_vectorized_evaluation_is_bit_identical_to_the_per_term_formula():
         assert p(xs, y0).tobytes() == _per_term(p, xs, y0).tobytes(), p
         assert p(xs[0, 0], ys[0, 0]) == float(_per_term(p, xs[:1, :1], ys[:1, :1])[0, 0])
     assert X(np.empty((0, 3)), 1.0).shape == (0, 3)
+
+
+# coordinates with the infinities, signed zeros and NaN that unit factors could touch
+_COORDINATES = st.sampled_from([math.inf, -math.inf, -0.0, 0.0, 1.0, -1.0, math.nan]) | st.floats()
+_COEFFICIENTS = st.fractions(-(10**6), 10**6, max_denominator=1000) | st.floats(-1e300, 1e300)  # sums stay floats
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.tuples(st.integers(0, 5), st.integers(0, 5)), _COEFFICIENTS), max_size=8),
+    st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=40),
+)
+def test_evaluation_skips_unit_factors_bit_for_bit(terms, points):
+    p = Polynomial2D(terms)
+    x, y = np.array(points).T
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are part of the property
+        first, second, expected = p(x, y), p(x, y), _per_term(p, x, y)
+        scalar = p(x[0], y[0])
+    assert first.tobytes() == second.tobytes() == expected.tobytes()
+    assert np.array(scalar).tobytes() == expected[:1].tobytes()
 
 
 def test_polynomial_rejects_bad_exponents():

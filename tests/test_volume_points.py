@@ -1,6 +1,7 @@
 """The default volume rule's points: built once per space, held read-only, and
-read by the load, the L2 errors and, at P2, in blocks of views, the
-compatibility table; at P1 the table forms its order-6 points per block."""
+read by the load, the L2 errors and, at P2, a cascade's one evaluation of f and,
+in blocks of views, the compatibility table; at P1 the table forms its order-6
+points per block."""
 
 import weakref
 from dataclasses import replace
@@ -50,8 +51,8 @@ def recording(seen):
 def test_held_points_are_the_quad_points_read_only(name, degree, builds):
     space = fem.build_space(MESHES[name](), degree)
     rule = fem.default_volume_rule(degree)
-    held = fem._volume_points(space, rule)
-    again = fem._volume_points(space, rule)
+    held = fem._volume_points(space)
+    again = fem._volume_points(space)
     assert builds == [rule]
     assert all(a is b for a, b in zip(held, again, strict=True))
     for h, expected in zip(held, fem.quad_points(space.mesh, rule), strict=True):
@@ -70,7 +71,7 @@ def test_load_errors_and_p2_compat_read_the_same_points(degree, builds):
     l2_error(field, datum)
     l2_error(field, datum)
     compatibility_residual(space, NeumannProblem(datum, 0.0, 0.0), harmonic_basis(2))
-    x, _ = fem._volume_points(space, fem.default_volume_rule(degree))
+    x, _ = fem._volume_points(space)
     assert [s is x for s in seen] == [True, True, True, False]
     # the compatibility table reads one block of 72 triangles: at P2 a view of
     # the held order-6 points, at P1 points formed for the block, no quad_points build
@@ -91,16 +92,22 @@ def test_a_p1_space_holds_no_points_after_compatibility_residual(builds):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_only_the_default_rule_is_held(degree, builds):
+    # _volume_points takes no rule: it serves the default one; any other rule's
+    # points are formed per block, bit for bit, and neither built nor held
     space = fem.build_space(unit_square_mesh(4), degree)
+    default = fem.default_volume_rule(degree)
+    with pytest.raises(TypeError):
+        fem._volume_points(space, default)
+    held = fem._volume_points(space)
+    assert vars(space)["_volume_points"] is held and builds == [default]
     for order in range(1, fem.MAX_TRIANGLE_ORDER + 1):
         rule = fem.triangle_quadrature(order)
-        if rule is fem.default_volume_rule(degree):
-            continue
-        first, second = fem._volume_points(space, rule), fem._volume_points(space, rule)
-        assert first[0] is not second[0] and first[0].flags.writeable
-    assert fem.default_volume_rule(degree) not in builds
-    assert len(builds) == 2 * (fem.MAX_TRIANGLE_ORDER - 1)
-    assert "_volume_points" not in vars(space)
+        ((_, x, y),) = fem._point_blocks(space, rule, space.mesh.num_triangles)
+        assert np.shares_memory(x, held[0]) == (rule is default) and not x.flags.writeable
+        expected = fem.quad_points(space.mesh, rule)
+        assert x.tobytes() == expected[0].tobytes() and y.tobytes() == expected[1].tobytes()
+    assert builds == [default, *map(fem.triangle_quadrature, range(1, fem.MAX_TRIANGLE_ORDER + 1))]
+    assert fem._volume_points(space) is held
 
 
 def test_a_numpy_integer_degree_shares_the_held_points(builds):
@@ -123,7 +130,7 @@ def test_a_datum_that_writes_into_its_points_raises_and_leaves_them(degree):
         fem.assemble_load(space, writes)
     with pytest.raises(ValueError, match="read-only"):
         l2_error(fem.interpolate(space, 0.0), writes)
-    for held, fresh in zip(fem._volume_points(space, rule), fem.quad_points(space.mesh, rule)):
+    for held, fresh in zip(fem._volume_points(space), fem.quad_points(space.mesh, rule)):
         assert held.tobytes() == fresh.tobytes()
 
 
@@ -144,7 +151,7 @@ def test_the_diagnostics_give_a_datum_read_only_points_and_leave_them(degree):
             solve_neumann(space, problem)
         with pytest.raises(ValueError, match="read-only"):
             weak_form_residual(replace(solution, problem=problem), Polynomial2D.x() ** 2)
-    for held, fresh in zip(fem._volume_points(space, rule), fem.quad_points(space.mesh, rule)):
+    for held, fresh in zip(fem._volume_points(space), fem.quad_points(space.mesh, rule)):
         assert held.tobytes() == fresh.tobytes()
     # the values the writing datum returns: r[Re z] = (x + 1, x) = 5/6 on the unit square
     shifted = NeumannProblem(lambda x, y: x + 1.0, 0.0, 0.0)
