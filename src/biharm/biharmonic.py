@@ -40,7 +40,7 @@ and no test polynomial is evaluated at a quadrature point.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -52,12 +52,11 @@ from .fem import (
     _data_values,
     _element_sum,
     _field_rows,
+    _held_points,
     _point_blocks,
     _raise_on_overflow,
-    _volume_points,
     boundary_geometry,
     default_boundary_rule,
-    default_volume_rule,
     triangle_geometry,
     triangle_quadrature,
 )
@@ -169,7 +168,7 @@ def _strict_check(strict: bool, tol: float):
 
 
 def _moment_table(sizes, weights, x, y, vals, degree: int) -> np.ndarray:
-    """``_block_moments`` of ``vals`` given whole at points x, y, as one block."""
+    """``_block_moments`` of ``vals`` given whole at points x, y, as one run."""
     return _block_moments(sizes, weights, lambda: [(slice(None), x, y)], lambda *_: vals, degree)
 
 
@@ -188,38 +187,41 @@ def _row_groups(size: int):
 def _block_moments(sizes, weights, points, values, degree: int) -> np.ndarray:
     """T[i, j] = integral of v * x**i * y**j for i + j <= degree (zero above) on
     elements of the given sizes and rule weights, summed as ``fem.integrate`` sums.
-    ``points()`` yields read-only (block, x, y) in element order; ``values(block,
-    x, y)``, called once per block outside the overflow scope, gives v there.
+    ``points()`` yields read-only runs (rows, x, y) in element order; ``values(rows,
+    x, y)``, called once per run outside the overflow scope, gives v there. Each run
+    is walked in blocks of ``_BLOCK`` elements, whose arrays stay in cache.
     Monomials are running products formed in place; each entry keeps its rule sum
     on every element until the last block, then ``_element_sum`` sums them. Rows go
-    in groups of at most ``_GROUP`` such sums per element, a pass over the blocks
-    each; past one group, the blocks of points and the running product x**i * v,
+    in groups of at most ``_GROUP`` such sums per element, a pass over the runs
+    each; past one group, the runs of points and the running product x**i * v,
     in one (T, nq) array, are kept between passes. T[0, 0] integrates v itself: a
     broadcast constant sums in another order than its copy."""
     size, count = max(degree + 1, 0), len(sizes)
     table = np.zeros((size, size))
     groups = list(_row_groups(size)) or [(0, 0, 0)]  # no rows: the values are still checked
-    blocks, kept = points(), None
+    runs, kept = points(), None
     if len(groups) > 1:
-        blocks, kept = list(blocks), np.empty((count, len(weights)))
+        runs, kept = list(runs), np.empty((count, len(weights)))
     sums = np.empty((max(entries for *_, entries in groups), count))
     for first, stop, entries in groups:
-        for block, x, y in blocks:
-            vals = values(block, x, y) if first == 0 else None
-            with _raise_on_overflow():
-                column = np.empty(x.shape) if kept is None else kept[block]
-                if first == 0:
-                    np.copyto(column, vals)
-                term, k = np.empty_like(column), 0
-                for i in range(first, stop):
-                    np.copyto(term, column)
-                    for j in range(size - i):
-                        np.einsum("tq,q->t", term if i + j else vals, weights, out=sums[k, block])
-                        k += 1
-                        if j + 1 < size - i:
-                            term *= y
-                    if i + 1 < size:
-                        column *= x
+        for run, x, y in runs:
+            vals = values(run, x, y) if first == 0 else None
+            for rows in (slice(start, start + _BLOCK) for start in range(0, len(x), _BLOCK)):
+                px, py, out = x[rows], y[rows], sums[:, run][:, rows]
+                with _raise_on_overflow():
+                    column = np.empty(px.shape) if kept is None else kept[run][rows]
+                    if first == 0:
+                        np.copyto(column, vals[rows])
+                    term, k = np.empty_like(column), 0
+                    for i in range(first, stop):
+                        np.copyto(term, column)
+                        for j in range(size - i):
+                            np.einsum("tq,q->t", term if i + j else vals[rows], weights, out=out[k])
+                            k += 1
+                            if j + 1 < size - i:
+                                term *= py
+                        if i + 1 < size:
+                            column *= px
         with _raise_on_overflow():
             totals = _element_sum(sizes, sums[:entries])
         for i in range(first, stop):
@@ -245,23 +247,20 @@ def _pair(table: np.ndarray, poly: Polynomial2D) -> float:
         raise FloatingPointError("test polynomial coefficient beyond float range") from exc
 
 
-def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int, f_values=None):
+def _data_functional(space: FeSpace, problem: NeumannProblem, degree: int):
     """l(eta) = (f, eta) + <g, d(eta)/dn> - <h, eta> for polynomials eta of degree
     <= ``degree``, from one moment table of the data: (f, x^i y^j), <g n_x, x^i y^j>,
     <g n_y, x^i y^j> and <h, x^i y^j>. Returns ``volume_moments(values, up_to)``, the
-    table of other values at the same volume points, given per block as
+    table of other values at the same volume points, given per run as
     ``_block_moments`` takes them, and ``terms(eta)``, the three terms of l(eta)
-    uncombined; no test function is evaluated at a point. f is evaluated on blocks
-    of ``_BLOCK`` triangles as its table is formed, before g and h; given
-    ``f_values``, f's values on all the volume points (P2's held points), the
-    table reads their rows instead. The data tables overflow as FloatingPointError."""
+    uncombined; no test function is evaluated at a point. f is evaluated per run of
+    ``_point_blocks`` as its table is formed, before g and h: once at P2, on the held
+    order-6 points, where an array f of their shape is f's values. The data tables
+    overflow as FloatingPointError."""
     rule = triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
     points = partial(_point_blocks, space, rule, _BLOCK)
     volume_moments = partial(_block_moments, triangle_geometry(space.mesh)[2], rule.weights, points)
-    if f_values is None:
-        f_table = volume_moments(lambda block, x, y: _data_values(problem.f, x, y), degree)
-    else:
-        f_table = volume_moments(lambda block, *_: f_values[block], degree)
+    f_table = volume_moments(lambda rows, x, y: _data_values(problem.f, x, y), degree)
 
     bx, by, lengths, normals = boundary_geometry(space.mesh)
     g_vals = _data_values(problem.g, bx, by)
@@ -293,17 +292,12 @@ def compatibility_residual(
     quadrature error. A constant perturbation of h shifts r(1) by minus
     the boundary length. A residual beyond float range raises
     FloatingPointError; a test function that is not a Polynomial2D raises
-    ValueError before any datum is evaluated.
+    ValueError before any datum is evaluated. f is called per block of 2,048
+    triangles at P1, and once, on all the held order-6 points, at P2.
     """
-    return _residuals(space, problem, basis)
-
-
-def _residuals(space: FeSpace, problem: NeumannProblem, basis, f_values=None) -> np.ndarray:
-    """``compatibility_residual``, its f table read off ``f_values`` when given
-    (``_data_functional``)."""
     basis = [_test_polynomial(eta, f"basis[{k}]") for k, eta in enumerate(basis)]
     degree = max((eta.degree for eta in basis), default=0)
-    _, terms = _data_functional(space, problem, degree, f_values)
+    _, terms = _data_functional(space, problem, degree)
     with _raise_on_overflow():
         return np.array([volume + g_term - h_term for volume, g_term, h_term in map(terms, basis)])
 
@@ -339,17 +333,14 @@ def solve_neumann(
 
     At P2 the load and the compatibility table integrate f on the same
     points, the space's held order-6 points, so f is called once, on all
-    of them.
+    of them, and ``compatibility_residual`` gets those values as its f.
     """
     check = _strict_check(strict, strict_tol)
     _check_cg_budget(rel_tol, max_iter)
     basis = harmonic_basis(harmonic_degree)
-    if triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER) is default_volume_rule(space.degree):
-        source = _data_values(problem.f, *_volume_points(space))
-        residuals = _residuals(space, problem, basis, source)
-    else:
-        source = problem.f
-        residuals = compatibility_residual(space, problem, basis)
+    held = _held_points(space, triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER))
+    source = problem.f if held is None else _data_values(problem.f, *held)
+    residuals = compatibility_residual(space, replace(problem, f=source), basis)
     check(residuals)
 
     source = _held_load(space, source)  # f's values go before the operators are built
@@ -385,7 +376,7 @@ def weak_form_residual(solution: CascadeSolution, r: Polynomial2D) -> float:
 
     volume_moments, terms = _data_functional(space, solution.problem, omega.degree)
     sigma, rule = solution.sigma_h, triangle_quadrature(DIAGNOSTIC_VOLUME_ORDER)
-    sigma_table = volume_moments(lambda block, *_: _field_rows(sigma, rule, block), bilap.degree)
+    sigma_table = volume_moments(lambda rows, *_: _field_rows(sigma, rule, rows), bilap.degree)
     with _raise_on_overflow():
         term_sigma = _pair(sigma_table, bilap)
         term_f, term_g, term_h = terms(omega)

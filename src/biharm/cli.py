@@ -39,7 +39,7 @@ from .mesh import (
 )
 from .poisson import _solve_with_flux, overdetermined_check
 from .polynomials import complementing_check, harmonic_basis, laplace_complementing_check
-from .sparse import NonConvergenceError, NotSPDError
+from .sparse import NonConvergenceError, NotSPDError, _check_cg_budget
 
 __all__ = ["main", "run", "parse_expression", "write_vtk", "ExpressionError"]
 
@@ -332,6 +332,7 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_flux(args) -> int:
+    _check_cg_budget(args.rel_tol, args.max_iter)  # before any datum is evaluated
     problem, _ = _problem_from_args(args)
     space = build_space(_build_mesh("square", args.n, 0), args.degree)
     h = _data_values(problem.h, *boundary_geometry(space.mesh)[:2])  # a bad h fails before CG

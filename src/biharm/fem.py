@@ -20,10 +20,10 @@ Meshes, rules and fields hold read-only copies of their arrays
 space sharing the mesh's. All compare by identity. Triangle and boundary
 geometry are built once per mesh, from x and y coordinate columns gathered
 by index, never (..., 2) rows, and held on it. A space holds the points of
-its default volume rule, built once, which the load and the L2 errors read,
-and at P2 a cascade's one evaluation of f and the compatibility table in
-blocks of views; other rules' points are formed per block of triangles by the
-formula of ``quad_points``.
+its default volume rule, built once, which the load and the L2 errors read, and
+at P2 a cascade's one evaluation of f and the compatibility table, which walks
+them as one run of rows in blocks of 2,048 triangles; other rules' points are
+formed per block of triangles by the formula of ``quad_points``.
 Every datum goes through ``_data_values``; a non-finite one raises
 ``DataError`` before any assembly.
 """
@@ -347,25 +347,30 @@ def _mapped_points(origin, jac, rule: QuadratureRule):
 
 def _volume_points(space: FeSpace):
     """``quad_points`` of the space's default volume rule, built once per space and
-    held read-only (``mesh._owned``), so the load, the L2 errors, ``_point_blocks``
-    and a P2 cascade's one evaluation of f read one set."""
+    held read-only (``mesh._owned``), so the load, the L2 errors and, at P2, a
+    cascade's one evaluation of f and the compatibility table read one set."""
     rule = default_volume_rule(space.degree)
     return _built_once(space, "_volume_points", lambda s: tuple(map(_owned, quad_points(s.mesh, rule))))
 
 
+def _held_points(space: FeSpace, rule: QuadratureRule):
+    """``_volume_points(space)`` if the space holds ``rule``'s points, else None."""
+    return _volume_points(space) if rule is default_volume_rule(space.degree) else None
+
+
 def _point_blocks(space: FeSpace, rule: QuadratureRule, size: int):
-    """Read-only ``(block, x, y)``, ``size`` triangles at a time, x and y the rows
-    ``block`` of ``quad_points(space.mesh, rule)`` bit for bit: views of the held
-    points of the default rule, else formed per block by ``quad_points``' formula
-    and frozen by ``mesh._owned``, whose layout copy is their one copy."""
-    held = _volume_points(space) if rule is default_volume_rule(space.degree) else None
+    """Read-only ``(rows, x, y)`` in element order, x and y the rows ``rows`` of
+    ``quad_points(space.mesh, rule)`` bit for bit: the held points themselves as one
+    run of all rows (``_held_points``), else blocks of ``size`` triangles formed by
+    ``quad_points``' formula, frozen by ``mesh._owned`` (their one copy)."""
+    held = _held_points(space, rule)
+    if held is not None:
+        yield slice(0, len(held[0])), *held
+        return
     origin, jac, _, _ = triangle_geometry(space.mesh)
     for start in range(0, len(origin), size):
         block = slice(start, start + size)
-        if held is not None:
-            yield block, held[0][block], held[1][block]
-        else:
-            yield block, *(_owned(p.T) for p in _mapped_points(origin[block], jac[block], rule))
+        yield block, *(_owned(p.T) for p in _mapped_points(origin[block], jac[block], rule))
 
 
 def integrate(mesh: Mesh, rule: QuadratureRule, values: np.ndarray) -> float:

@@ -233,6 +233,7 @@ def _solve_with_flux(
 ) -> tuple[ScalarField, BoundaryFlux]:
     """The first stage: ``solve_dirichlet`` and the ``normal_flux`` of its
     solution, from one load of the source, ``_held_load``."""
+    _check_cg_budget(rel_tol, max_iter)  # a ValueError before the source is read
     load = _held_load(space, source)
     w = solve_dirichlet(space, load, boundary_value, rel_tol=rel_tol, max_iter=max_iter)
     return w, normal_flux(w, load)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -719,23 +720,31 @@ def oracle_terms(tables, eta):
 
 @pytest.mark.parametrize("datum", sorted(VOLUME_DATA))
 @pytest.mark.parametrize("name", sorted(BLOCK_MESHES))
-def test_residuals_in_blocks_and_groups_are_bit_identical_to_the_oracle(name, datum):
+def test_residuals_in_blocks_and_groups_are_bit_identical_to_the_oracle(name, datum, monkeypatch):
     mesh = BLOCK_MESHES[name]
     assert mesh.num_triangles > biharmonic._BLOCK and mesh.num_triangles % biharmonic._BLOCK
+    assert mesh.num_triangles % 7
     problem = NeumannProblem(VOLUME_DATA[datum], lambda x, y: np.sin(x * y), lambda x, y: 1.0 + x)
     tables = oracle_tables(mesh, problem, max(KMAX))
     basis = harmonic_basis(max(KMAX))
     expected = np.array([volume + g - h for volume, g, h in (oracle_terms(tables, eta) for eta in basis)])
-    for degree in (1, 2):
-        space = build_space(mesh, degree)
-        volume_moments, _ = biharmonic._data_functional(space, problem, 0)
-        for kmax in KMAX:
-            residuals = compatibility_residual(space, problem, harmonic_basis(kmax))
-            assert residuals.tobytes() == expected[: 2 * kmax + 1].tobytes()
-            table = volume_moments(lambda block, x, y: _data_values(problem.f, x, y), kmax)
-            size = kmax + 1
-            inside = np.add.outer(range(size), range(size)) < size
-            assert np.array_equal(table, np.where(inside, tables[0][:size, :size], 0.0))
+    # the default block at every kmax, then blocks of 7 triangles, a partial last one, at two
+    for block, kmaxes in ((biharmonic._BLOCK, KMAX), (7, (3, 14))):
+        monkeypatch.setattr(biharmonic, "_BLOCK", block)
+        for degree in (1, 2):
+            space = build_space(mesh, degree)
+            volume_moments, _ = biharmonic._data_functional(space, problem, 0)
+            problems = [problem]
+            if degree == 2:  # the cascade's f: its values on the held order-6 points
+                problems.append(replace(problem, f=_data_values(problem.f, *fem._volume_points(space))))
+            for kmax in kmaxes:
+                for given in problems:
+                    residuals = compatibility_residual(space, given, harmonic_basis(kmax))
+                    assert residuals.tobytes() == expected[: 2 * kmax + 1].tobytes()
+                table = volume_moments(lambda rows, x, y: _data_values(problem.f, x, y), kmax)
+                size = kmax + 1
+                inside = np.add.outer(range(size), range(size)) < size
+                assert np.array_equal(table, np.where(inside, tables[0][:size, :size], 0.0))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -793,6 +802,45 @@ def test_a_datum_sees_each_point_once_in_blocks_of_at_most_2048_triangles():
     assert all(rows <= 2048 and nq == 16 for rows, nq in seen)
     assert sum(rows for rows, _ in seen) == space.mesh.num_triangles
     assert len(seen) == -(-space.mesh.num_triangles // 2048)
+
+
+def test_a_recording_f_sees_the_held_points_once_at_p2():
+    space = build_space(BLOCK_MESHES["disk"], 2)
+    seen = []
+
+    def f(x, y):
+        seen.append((x, y))
+        return x * y
+
+    compatibility_residual(space, NeumannProblem(f, 0.0, 0.0), harmonic_basis(64))
+    # one run of rows, the held arrays themselves, over every pass of the table
+    ((x, y),) = seen
+    assert x is fem._volume_points(space)[0] and y is fem._volume_points(space)[1]
+    assert x.shape == (space.mesh.num_triangles, 16)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_cascade_reaches_the_table_through_one_compatibility_residual_call(degree, monkeypatch):
+    space = build_space(BLOCK_MESHES["disk"], degree)
+    problem = NeumannProblem(VOLUME_DATA["callable"], lambda x, y: np.sin(x * y), lambda x, y: 1.0 + x)
+    calls = []
+
+    def counted(space, problem, basis, _residual=biharmonic.compatibility_residual):
+        calls.append(problem)
+        return _residual(space, problem, basis)
+
+    monkeypatch.setattr(biharmonic, "compatibility_residual", counted)
+    for _ in range(2):  # a first cascade builds the operators, a second reuses them
+        calls.clear()
+        sol = solve_neumann(space, problem)
+        (given,) = calls
+        assert (given.g, given.h) == (problem.g, problem.h)
+        if degree == 1:
+            assert given.f is problem.f
+        else:  # f's values on the held points, which the load reads too
+            assert given.f.tobytes() == _data_values(problem.f, *fem._volume_points(space)).tobytes()
+    expected = compatibility_residual(space, problem, harmonic_basis(3))
+    assert sol.diagnostics.compat_residuals.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from biharm import poisson
+from biharm import cli, poisson
 from biharm.biharmonic import NeumannProblem, solve_neumann
 from biharm.fem import assemble_load, assemble_stiffness, build_space, interpolate
 from biharm.manufactured import case_sine, l2_error
@@ -221,6 +221,42 @@ def test_cg_budget_is_checked_without_interior_dofs():
     space = build_space(unit_square_mesh(1), 1)
     with pytest.raises(ValueError, match="rel_tol"):
         solve_dirichlet(space, 1.0, 0.0, rel_tol=math.nan)
+
+
+# (option, bad value, its text on the command line, or None where the command
+# line reads the text as a good value)
+BAD_BUDGETS = [
+    ("rel_tol", -1.0, "-1"),
+    ("rel_tol", 0.0, "0"),
+    ("rel_tol", math.nan, "nan"),
+    ("rel_tol", math.inf, "inf"),
+    ("rel_tol", True, "True"),
+    ("rel_tol", "1e-10", None),
+    ("max_iter", -1, "-1"),
+    ("max_iter", 1.5, "1.5"),
+    ("max_iter", True, "True"),
+]
+
+
+@pytest.mark.parametrize("option, value, text", BAD_BUDGETS)
+def test_a_bad_budget_is_refused_before_the_first_stage_reads_a_datum(
+    option, value, text, monkeypatch
+):
+    calls = []
+
+    def datum(x, y):
+        calls.append(np.shape(x))
+        return x * y
+
+    space = build_space(unit_square_mesh(4), 1)
+    with pytest.raises(ValueError, match=option):
+        overdetermined_check(space, datum, **{option: value})
+    assert calls == [] and "_poisson_operators" not in vars(space)
+    if text is not None:
+        monkeypatch.setattr(cli, "parse_expression", lambda _: datum)
+        flag = "--" + option.replace("_", "-")
+        assert cli.run(["flux", "--f", "f", "--g", "g", "--h", "h", "--n", "4", flag, text]) == 1
+        assert calls == []
 
 
 @pytest.mark.parametrize("max_iter", [1.5, 100.0, True])

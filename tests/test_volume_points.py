@@ -1,6 +1,6 @@
 """The default volume rule's points: built once per space, held read-only, and
-read by the load, the L2 errors and, at P2, a cascade's one evaluation of f and,
-in blocks of views, the compatibility table; at P1 the table forms its order-6
+read by the load, the L2 errors and, at P2, a cascade's one evaluation of f and
+the compatibility table, as one run of rows; at P1 the table forms its order-6
 points per block."""
 
 import weakref
@@ -72,9 +72,9 @@ def test_load_errors_and_p2_compat_read_the_same_points(degree, builds):
     l2_error(field, datum)
     compatibility_residual(space, NeumannProblem(datum, 0.0, 0.0), harmonic_basis(2))
     x, _ = fem._volume_points(space)
-    assert [s is x for s in seen] == [True, True, True, False]
-    # the compatibility table reads one block of 72 triangles: at P2 a view of
-    # the held order-6 points, at P1 points formed for the block, no quad_points build
+    # the compatibility table reads one run of 72 triangles: at P2 the held order-6
+    # points themselves, at P1 points formed for the block, no quad_points build
+    assert [s is x for s in seen] == [True, True, True, degree == 2]
     assert seen[3].shape == (space.mesh.num_triangles, 16) and not seen[3].flags.writeable
     assert np.shares_memory(seen[3], x) == (degree == 2)
     assert builds == [fem.default_volume_rule(degree)]
