@@ -31,6 +31,7 @@ from .fem import _data_values, boundary_geometry, build_space
 from .manufactured import cases, l2_error
 from .mesh import (
     Mesh,
+    _cast,
     _write_text,
     refine_uniform,
     unit_disk_mesh,
@@ -153,7 +154,7 @@ def write_vtk(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
     for name, values in fields.items():
         if name.split() != [name]:
             raise ValueError(f"field name {name!r} is not one token")
-        values = np.asarray(values, dtype=float)
+        values = _cast(values, float)
         if values.shape != (mesh.num_vertices,):
             raise ValueError(f"field {name!r} is not a per-vertex array")
         lines.append(f"SCALARS {name} double 1")

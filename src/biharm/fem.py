@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import Mesh, _edge_numbering, _integer, _owned
+from .mesh import Mesh, _cast, _edge_numbering, _integer, _owned
 from .sparse import SparseMatrix, from_triplets
 
 __all__ = [
@@ -555,7 +555,7 @@ def boundary_l2_error(space: FeSpace, boundary_coeffs: np.ndarray, func=None) ->
     may be a callable, a constant, or None for the plain norm. A norm beyond
     float range raises FloatingPointError.
     """
-    coeffs = np.asarray(boundary_coeffs)
+    coeffs = _cast(boundary_coeffs, float)
     if coeffs.shape != space.boundary_dofs.shape:
         raise ValueError("coefficient vector length does not match the boundary dofs")
     x, y, _, _ = boundary_geometry(space.mesh)

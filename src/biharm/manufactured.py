@@ -30,6 +30,7 @@ from .fem import (
     field_values,
     integrate,
 )
+from .mesh import _cast
 from .polynomials import Polynomial2D
 
 __all__ = [
@@ -51,8 +52,7 @@ def _piecewise_normal_flux(sigma_x, sigma_y) -> Callable:
     y=0, x=1, y=1, x=0."""
 
     def h(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _cast(x, float), _cast(y, float)
         sx = sigma_x(x, y)
         sy = sigma_y(x, y)
         conditions = [

@@ -77,24 +77,40 @@ class MeshFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _owned(array, dtype=None, error: type[ValueError] = ValueError) -> np.ndarray:
-    """A read-only C-contiguous copy of ``array``: the one way an array enters a
-    frozen object, so the object's cached operators cannot go stale. A cast to
-    ``dtype`` keeps every value, NaN as NaN, or raises ``error``: it never
-    drops an imaginary part, truncates an index or parses a string."""
+def _cast(array, dtype=None, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``array`` as an ndarray of ``dtype``, by the one rule every array argument
+    and every array a constructor keeps follows: a cast keeps every value, NaN
+    as NaN, or raises ``error``; it never drops an imaginary part, truncates an
+    index, rounds an integer, parses a string or reads a bool as an integer. An
+    array that already has the dtype (any dtype when ``dtype`` is None) is
+    returned as it is."""
     try:
         source = np.asarray(array)
+        if dtype is None or source.dtype == dtype:
+            return source
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a lossy cast warns; the check below refuses it
-            owned = np.array(source, dtype=dtype, order="C")
+            cast = np.array(source, dtype=dtype)
+            back = cast.astype(source.dtype)  # an int64 beyond 2**53 compares equal to its float
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"not an array of {np.dtype(dtype)}: {exc}") from None
-    if owned.dtype != source.dtype:
-        nan = (owned != owned) & (source != source) & (source.imag == 0)  # NaN stays NaN
-        changed = (owned != source) & ~nan
-        if changed.any():
-            value = source.flat[np.argmax(changed)]
-            raise error(f"a cast from {source.dtype} to {owned.dtype} would change the value {value}")
+    if source.dtype == bool and np.issubdtype(cast.dtype, np.integer):
+        raise error(f"a cast from bool to {cast.dtype} would read a mask as integers")
+    nan = (cast != cast) & (source != source) & (source.imag == 0)  # NaN stays NaN
+    changed = ((cast != source) | (back != source)) & ~nan
+    if changed.any():
+        value = source.flat[np.argmax(changed)]
+        raise error(f"a cast from {source.dtype} to {cast.dtype} would change the value {value}")
+    return cast
+
+
+def _owned(array, dtype=None, error: type[ValueError] = ValueError) -> np.ndarray:
+    """A read-only C-contiguous copy of ``_cast(array, dtype, error)``: the one way
+    an array enters a frozen object, so the object's cached operators cannot go
+    stale. Its cast is the one rule for arrays: every value kept, NaN as NaN,
+    or ``error``; no imaginary part dropped, no index truncated, no integer
+    rounded, no string parsed and no bool read as an integer."""
+    owned = np.array(_cast(array, dtype, error), order="C")
     owned.flags.writeable = False
     return owned
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .mesh import _integer
+from .mesh import _cast, _integer
 
 __all__ = [
     "Polynomial2D",
@@ -189,7 +189,7 @@ class Polynomial2D:
         """The sum over terms of float(c) * x**i * y**j in table order. x**0 and
         y**0 are exact unit factors and are left out, and x**1 is x itself, so
         skipping them moves no bit."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x, y = np.broadcast_arrays(_cast(x, float), _cast(y, float))
         out = np.zeros(x.shape)
         if out.size and self._floats is None:
             self._floats = [(i, j, float(c)) for (i, j), c in self._coeffs.items()]

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec
 
-from .mesh import _integer
+from .mesh import _cast, _integer
 
 __all__ = [
     "SparseMatrix",
@@ -68,10 +68,9 @@ class SparseMatrix(scipy.sparse.csr_array):
         return self.indices
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
-        """Subblock with the given row and column index sets, in their order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        sub = self[rows][:, cols]
+        """Subblock with the given row and column index sets, in their order;
+        indices are cast to int64 by ``mesh._cast``, so a boolean mask raises."""
+        sub = self[_cast(rows, np.int64)][:, _cast(cols, np.int64)]
         sub.sort_indices()
         return sub
 
@@ -87,14 +86,14 @@ def from_triplets(
     Triplets hitting the same position are summed, and a position whose sum
     is zero is not stored. Indices outside ``shape`` raise ValueError.
     int32 indices are taken as they are where the matrix stores int32 anyway
-    (shape and triplet count below 2**31); other indices are read as int64.
+    (shape and triplet count below 2**31); other indices are cast to int64
+    and entries to float by ``mesh._cast``, so a fraction, a bool or a string
+    raises ValueError.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    fits = max(shape) < 2**31 and rows.size < 2**31
-    index = np.int32 if fits and rows.dtype == cols.dtype == np.int32 else np.int64
-    rows = rows.astype(index, copy=False).ravel()
-    cols = cols.astype(index, copy=False).ravel()
-    entries = np.asarray(entries, dtype=float).ravel()
+    int32 = all(getattr(k, "dtype", None) == np.int32 for k in (rows, cols))
+    index = np.int32 if int32 and max(shape) < 2**31 and rows.size < 2**31 else np.int64
+    rows, cols = _cast(rows, index).ravel(), _cast(cols, index).ravel()
+    entries = _cast(entries, float).ravel()
     if not (rows.shape == cols.shape == entries.shape):
         raise ValueError("rows, cols and entries must have matching lengths")
     nr, nc = shape
@@ -110,7 +109,7 @@ def from_triplets(
 
 
 def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _cast(x, float)
     if x.shape != (a.shape[1],):
         raise ValueError(f"vector length {x.shape} does not match matrix shape {a.shape}")
     return a @ x
@@ -166,7 +165,7 @@ def cg_solve(
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    b = np.asarray(b, dtype=float)
+    b = _cast(b, float)
     if b.shape != (n,):
         raise ValueError("right-hand side length does not match matrix")
     max_iter = _check_cg_budget(rel_tol, max_iter)

@@ -111,3 +111,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == STDOUT[demo.stem]
+    assert done.stderr == ""  # no numpy warning either, as the test suite asks of the library

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from biharm.biharmonic import CompatibilityError, NeumannProblem, solve_neumann
+from biharm.cli import FLOAT_FMT, write_vtk
 from biharm.fem import (
     FeSpace,
     QuadratureRule,
     ScalarField,
+    boundary_l2_error,
     boundary_mass_matrix,
     build_space,
     triangle_geometry,
@@ -21,7 +23,8 @@ from biharm.fem import (
 from biharm.manufactured import case_sine
 from biharm.mesh import Mesh, MeshValidationError, unit_square_mesh
 from biharm.poisson import BoundaryFlux, normal_flux, overdetermined_check, solve_dirichlet
-from biharm.sparse import cg_solve
+from biharm.polynomials import Polynomial2D
+from biharm.sparse import cg_solve, from_triplets, matvec
 
 
 def _held_arrays(obj) -> list[np.ndarray]:
@@ -219,6 +222,106 @@ def test_a_flux_refuses_a_complex_functional():
     functional[-1] = complex(np.nan, 2.0)  # a NaN keeps its imaginary part
     with pytest.raises(ValueError, match=r"would change the value \(nan\+2j\)"):
         BoundaryFlux(space, functional)
+
+
+def test_a_mesh_refuses_triangles_given_as_booleans():
+    # a bool cast to an index once read [False, True, True] as the triangle (0, 1, 1)
+    vertices = unit_square_mesh(1).vertices[:3]
+    with pytest.raises(MeshValidationError, match="^a cast from bool to int64"):
+        Mesh(vertices, [[False, True, True]])
+
+
+# A function casts an array argument by the same rule. Each site is called with
+# one array ``v`` and a path it may write; its exact-dtype ``v`` gives the result
+# held next to it.
+
+_DIAG = from_triplets([0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0], (3, 3))
+
+
+def _vtk_values(v, path):
+    write_vtk(path, unit_square_mesh(1), {"f": v})
+    return path.read_text(encoding="ascii").splitlines()[-4:]
+
+
+CAST_SITES = {  # name: (call, exact-dtype argument, its result)
+    "from_triplets rows": (
+        lambda v, _: from_triplets(v, [0], [5.0], (2, 2)).toarray(),
+        np.array([1]),
+        np.array([[0.0, 0.0], [5.0, 0.0]]),
+    ),
+    "from_triplets entries": (
+        lambda v, _: from_triplets([0], [1], v, (2, 2)).toarray(),
+        np.array([5.0]),
+        np.array([[0.0, 5.0], [0.0, 0.0]]),
+    ),
+    "SparseMatrix.submatrix": (
+        lambda v, _: _DIAG.submatrix(v, v).toarray(),
+        np.array([1, 2]),
+        np.array([[2.0, 0.0], [0.0, 3.0]]),
+    ),
+    "matvec": (lambda v, _: matvec(_DIAG, v), np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])),
+    "cg_solve": (lambda v, _: cg_solve(_DIAG, v).x, np.array([1.0, 2.0, 3.0]), np.ones(3)),
+    "Polynomial2D.__call__": (
+        lambda v, _: (1 + Polynomial2D.x() * Polynomial2D.y() - 3 * Polynomial2D.y() ** 2)(v, v),
+        np.array([0.5, 2.0]),
+        np.array([0.5, -7.0]),
+    ),
+    "write_vtk": (_vtk_values, np.arange(4.0), [FLOAT_FMT.format(v) for v in range(4)]),
+    "boundary_l2_error": (
+        lambda v, _: boundary_l2_error(build_space(unit_square_mesh(1), 1), v),
+        np.ones(4),
+        2.0,
+    ),
+    "case_sine().h": (lambda v, _: case_sine().h(v, np.zeros(len(v))), np.array([0.5]), 2 * np.pi**3),
+}
+
+
+def _bad(kind: str, exact: np.ndarray):
+    """``exact`` with its last entry made bad in the way ``kind`` names; a
+    ragged list gains a last entry that is a list."""
+    bad = exact.tolist()
+    if kind == "mask":
+        return np.arange(len(bad)) == len(bad) - 1
+    if kind == "ragged":
+        return [*bad, [1, 2]]
+    bad[-1] = {"fraction": 0.5, "1j": 1j, "nan+2j": complex(np.nan, 2.0)}.get(kind, kind)
+    return np.array(bad)
+
+
+_INDEX_SITES = ("from_triplets rows", "SparseMatrix.submatrix")
+
+
+@pytest.mark.parametrize(
+    "site, kind",
+    [
+        (site, kind)
+        for site in CAST_SITES
+        for kind in ("fraction", "mask", "1j", "nan+2j", "1", "one", "ragged")
+        if site in _INDEX_SITES or kind not in ("fraction", "mask")
+    ],
+)
+def test_a_function_casts_its_array_argument_only_when_no_value_changes(site, kind, tmp_path):
+    # each bad case was once truncated, read as row numbers, stripped of its
+    # imaginary part, parsed, or refused by numpy with its own message
+    call, exact, result = CAST_SITES[site]
+    dtype = "int64" if site in _INDEX_SITES else "float64"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning either
+        with pytest.raises(ValueError, match=f"^(a cast from .+ to |not an array of ){dtype}"):
+            call(_bad(kind, exact), tmp_path / "bad.vtk")
+        got = call(exact, tmp_path / "exact.vtk")
+    assert np.asarray(got).tobytes() == np.asarray(result).tobytes()
+
+
+def test_an_integer_that_a_float_cannot_hold_is_not_rounded():
+    # 2**53 + 1 and its float 2**53 compare equal, so a cast once kept the rounded value
+    space = build_space(unit_square_mesh(2), 1)
+    big = np.full(space.dof_count, 2**53 + 1)
+    with pytest.raises(ValueError, match="int64 to float64 would change the value 9007199254740993"):
+        ScalarField(space, big)
+    with pytest.raises(ValueError, match="int64 to float64 would change the value 9007199254740993"):
+        matvec(_DIAG, big[:3])
+    assert ScalarField(space, big - 1).coeffs.tobytes() == np.full(space.dof_count, 2.0**53).tobytes()
 
 
 def _two_meshes():

@@ -115,3 +115,18 @@ def test_only_mesh_write_text_writes_a_file():
     # one write path: in place, without the stall of a truncate on open; its
     # os.open and the open of the descriptor are the two calls
     assert _where(_writes_a_file) == ["mesh.py:_write_text"] * 2
+
+
+def _casts_with_asarray(node: ast.AST) -> bool:
+    """An ``asarray`` or ``<module>.asarray`` call given a dtype."""
+    if not isinstance(node, ast.Call):
+        return False
+    if getattr(node.func, "id", getattr(node.func, "attr", None)) != "asarray":
+        return False
+    return len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)
+
+
+def test_no_function_casts_an_array_argument_with_asarray():
+    # one cast rule for array arguments: a dtype goes through mesh._cast, which
+    # refuses a cast that changes a value, where asarray would truncate or drop it
+    assert _where(_casts_with_asarray) == []
