@@ -1,8 +1,9 @@
 """Build the two structured meshes, refine them, and round-trip a file.
 
-Every mesh is validated on construction: positive triangle areas,
-counterclockwise orientation, a single closed boundary loop, and an
-Euler characteristic of 1 for a simply connected surface.
+Every mesh is valid: positive triangle areas, counterclockwise orientation,
+a single closed boundary loop, and an Euler characteristic of 1 for a simply
+connected surface. The builders make their meshes so by construction; the
+mesh read back from the file is checked by ``Mesh.validate``.
 """
 
 import tempfile

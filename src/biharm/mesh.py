@@ -3,15 +3,20 @@
 A mesh is its vertex coordinates and counterclockwise triangles, held like
 every array of a frozen object: as a read-only copy taken once by
 ``_owned``, so no caller's alias can change it, and such objects compare by
-identity. Every constructor and the text-format reader validate the full
-invariant set: positive triangle areas, every vertex in a triangle, interior
-edges shared by exactly two triangles and boundary edges by exactly one, a
-single closed boundary loop, and the Euler relation V - E + F = 1.
-Validation reads the boundary off the triangles: its edges are the directed
-triangle sides seen once, oriented with the domain on the left (so the
-outward normal is the tangent rotated by -90 degrees). Green's identity then
-makes the area sum equal to the shoelace area of the loop: interior edges
-cancel in pairs.
+identity. Arrays that come from outside, through ``Mesh(vertices, triangles)``
+or the text-format reader, are validated against the full invariant set:
+positive triangle areas, every vertex in a triangle, interior edges shared by
+exactly two triangles and boundary edges by exactly one, a single closed
+boundary loop, and the Euler relation V - E + F = 1. Validation reads the
+boundary off the triangles: its edges are the directed triangle sides seen
+once, oriented with the domain on the left (so the outward normal is the
+tangent rotated by -90 degrees). Green's identity then makes the area sum
+equal to the shoelace area of the loop: interior edges cancel in pairs.
+
+The builders (``unit_square_mesh``, ``unit_disk_mesh``, ``refine_uniform``)
+make meshes valid by construction, and they know the boundary loop that
+validation would derive. They hand it to ``_mesh`` and skip the check; the
+tests hold each of their meshes byte-equal to its validated copy.
 
 Construction, refinement and validation are array operations, which gather
 vertex coordinates as x and y columns, never as (..., 2) rows. The edge from
@@ -93,7 +98,8 @@ def _cast(array, dtype=None, error: type[ValueError] = ValueError) -> np.ndarray
             cast = np.array(source, dtype=dtype)
             back = cast.astype(source.dtype)  # an int64 beyond 2**53 compares equal to its float
     except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"not an array of {np.dtype(dtype)}: {exc}") from None
+        of = "" if dtype is None else f" of {np.dtype(dtype)}"
+        raise error(f"not an array{of}: {exc}") from None
     if source.dtype == bool and np.issubdtype(cast.dtype, np.integer):
         raise error(f"a cast from bool to {cast.dtype} would read a mask as integers")
     nan = (cast != cast) & (source != source) & (source.imag == 0)  # NaN stays NaN
@@ -142,7 +148,8 @@ def _write_text(path, text: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable triangulation; validation derives its oriented boundary.
+    """Immutable triangulation; ``Mesh(vertices, triangles)`` validates its
+    arrays, and validation derives the oriented boundary.
 
     Parameters
     ----------
@@ -151,7 +158,8 @@ class Mesh:
 
     ``boundary_edges`` is the read-only (B, 2) int array of (start, end)
     pairs, oriented so the domain lies on the left and walked as one loop
-    from the smallest boundary vertex.
+    from the smallest boundary vertex. The builders of this module set it
+    from the loop they know and do not call ``validate``.
     """
 
     vertices: np.ndarray
@@ -206,7 +214,8 @@ class Mesh:
 
     def validate(self) -> None:
         """Check all mesh invariants and derive ``boundary_edges``; raise
-        MeshValidationError on the first failure.
+        MeshValidationError on the first failure. ``Mesh(...)`` and
+        ``read_mesh`` call it; the builders' meshes are valid by construction.
 
         One sort of the triangles' directed-edge keys finds overlaps (a repeated
         key), the boundary (the keys whose undirected edge is seen once) and the
@@ -266,9 +275,24 @@ class Mesh:
         if euler != 1:
             raise MeshValidationError(f"Euler relation violated: V - E + F = {euler}")
 
-        starts = np.array(loop, dtype=np.int64)
-        edges = np.column_stack([starts, np.roll(starts, -1)])
-        object.__setattr__(self, "boundary_edges", _owned(edges))
+        _set_boundary(self, loop)
+
+
+def _set_boundary(mesh: Mesh, loop) -> None:
+    """Set ``mesh.boundary_edges`` to the closed loop of boundary vertices ``loop``."""
+    starts = np.array(loop, dtype=np.int64)
+    edges = np.column_stack([starts, np.roll(starts, -1)])
+    object.__setattr__(mesh, "boundary_edges", _owned(edges))
+
+
+def _mesh(vertices: np.ndarray, triangles: np.ndarray, loop: np.ndarray) -> Mesh:
+    """The Mesh of arrays a builder made valid, with the boundary loop it knows:
+    counterclockwise, from the smallest boundary vertex. Not validated."""
+    mesh = object.__new__(Mesh)
+    object.__setattr__(mesh, "vertices", _owned(vertices, float))
+    object.__setattr__(mesh, "triangles", _owned(triangles, np.int64))
+    _set_boundary(mesh, loop)
+    return mesh
 
 
 def _directed_key(a, b, nv: int):
@@ -305,6 +329,7 @@ def unit_square_mesh(n: int) -> Mesh:
     Each grid cell is split along its bottom-left to top-right diagonal,
     giving (n+1)^2 vertices and 2 n^2 triangles. The boundary loop runs
     counterclockwise from the corner (0, 0), vertex 0; n is at least 1.
+    The mesh is valid by construction and not re-validated.
     """
     n = _integer(n, "n", 1)
     g = np.linspace(0.0, 1.0, n + 1)
@@ -315,7 +340,10 @@ def unit_square_mesh(n: int) -> Mesh:
     v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-    return Mesh(vertices, tris)
+    # bottom side left to right, right side upwards, top leftwards, left downwards
+    s = np.arange(n)
+    loop = np.concatenate([s, n + s * (n + 1), (n + 1) ** 2 - 1 - s, (n - s) * (n + 1)])
+    return _mesh(vertices, tris, loop)
 
 
 def unit_disk_mesh(rings: int) -> Mesh:
@@ -326,7 +354,8 @@ def unit_disk_mesh(rings: int) -> Mesh:
     a fan of triangles. ``rings=1`` gives the regular hexagon (7 vertices,
     6 triangles). The boundary loop is the outer ring, counterclockwise from
     its vertex at angle 0. The mesh covers the inscribed polygon, not the
-    exact disk; ``rings`` is at least 1.
+    exact disk; ``rings`` is at least 1. The mesh is valid by construction
+    and not re-validated.
     """
     rings = _integer(rings, "rings", 1)
     verts = [np.zeros((1, 2))]
@@ -347,7 +376,7 @@ def unit_disk_mesh(rings: int) -> Mesh:
         down = np.stack([O[:, 1:-1], I[:, 1:], I[:, :-1]], axis=-1)
         tris.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
         inner, n_in = outer, n_out
-    return Mesh(np.vstack(verts), np.vstack(tris))
+    return _mesh(np.vstack(verts), np.vstack(tris), inner + np.arange(n_in))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -356,15 +385,16 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     Original vertices keep their indices and coordinates; midpoint
     vertices are appended in lexicographic edge order. Each boundary edge is
     split in two, so the loop keeps its start vertex and gains a midpoint
-    after each of its vertices, and the total area is preserved.
+    after each of its vertices, and the total area is preserved. The refined
+    mesh of a valid mesh is valid, so it is not re-validated.
     """
-    _, vertices, sides, _ = _edge_numbering(mesh)
+    _, vertices, sides, mids = _edge_numbering(mesh)
     v0, v1, v2 = mesh.triangles.T
     m01, m12, m20 = sides.T
     tris = np.stack(
         [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
     ).reshape(-1, 3)
-    return Mesh(vertices, tris)
+    return _mesh(vertices, tris, np.column_stack([mesh.boundary_loop(), mids]).ravel())
 
 
 def write_mesh(mesh: Mesh, destination: str | Path | TextIO) -> None:
@@ -401,9 +431,10 @@ def read_mesh(source: str | Path | IO) -> Mesh:
         line = len((data[:k].decode(err.encoding) + "^").splitlines())
         raise MeshFormatError(f"non-ASCII byte {data[k]:#x}", line=line) from None
     lines = text.splitlines()
-    stripped = list(map(str.strip, lines))
-    numbers = list(compress(range(1, len(lines) + 1), stripped))  # file line of each text
-    texts = list(compress(stripped, stripped))  # the non-blank lines
+    texts = list(map(str.strip, lines))
+    numbers = range(1, len(lines) + 1)  # file line of each text
+    if not all(texts):  # drop the blank lines; a written file has none
+        numbers, texts = list(compress(numbers, texts)), list(compress(texts, texts))
     if not texts:
         raise MeshFormatError("unexpected end of file", line=len(lines) or 1)
     if texts[0] != FORMAT_MAGIC:
@@ -421,8 +452,10 @@ def read_mesh(source: str | Path | IO) -> Mesh:
         parts = text.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshFormatError(f"expected '{name} <count>', got {text!r}", line=ln)
-        try:
-            count = int(parts[1])
+        try:  # the row grammar: ASCII digits, where int() also takes "0_4" and non-ASCII digits
+            if not re.fullmatch(r"[+-]?[0-9]+", parts[1]):
+                raise ValueError
+            count = int(parts[1])  # too many digits is a ValueError too
         except ValueError:
             raise MeshFormatError(f"bad {name} count {parts[1]!r}", line=ln) from None
         if count < 0:

@@ -172,6 +172,85 @@ def test_derived_boundary_is_the_listed_boundary_byte_for_byte(kind, n, refineme
     assert mesh.boundary_loop().tobytes() == listed[:, 0].tobytes()
 
 
+@pytest.mark.parametrize(
+    "kind, n", [("square", n) for n in range(1, 41)] + [("disk", n) for n in range(1, 13)]
+)
+def test_builder_meshes_equal_their_validated_copies(kind, n):
+    # the builders skip validation, so what they set must be what it derives
+    meshes = [unit_square_mesh(n) if kind == "square" else unit_disk_mesh(n)]
+    for _ in range(2):
+        meshes.append(refine_uniform(meshes[-1]))
+    for mesh in meshes:
+        checked = Mesh(mesh.vertices, mesh.triangles)
+        for name in ("vertices", "triangles", "boundary_edges"):
+            built, derived = getattr(mesh, name), getattr(checked, name)
+            assert built.dtype == derived.dtype and built.shape == derived.shape, name
+            assert built.tobytes() == derived.tobytes(), name
+            assert built.flags.c_contiguous and not built.flags.writeable, name
+
+
+def test_validate_runs_for_arrays_from_outside_and_not_for_builders(monkeypatch):
+    calls = []
+    validate = Mesh.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Mesh, "validate", counted)
+    square, disk = unit_square_mesh(3), unit_disk_mesh(2)
+    fine = refine_uniform(disk)
+    assert calls == []
+    text = io.StringIO()
+    write_mesh(fine, text)
+    read = read_mesh(io.StringIO(text.getvalue()))
+    assert calls == [read]
+    copy = Mesh(square.vertices, square.triangles)
+    assert calls == [read, copy]
+
+
+def _padded_lines(text):
+    """The lines of ``text`` with blank lines before each and after the last,
+    some padded with blanks, and the file line of each original line (1-based)."""
+    padded, file_line = [], []
+    for k, line in enumerate(text.splitlines()):
+        padded += ["", "  \t"] if k % 2 else [" "]
+        padded.append(f" \t{line}  " if k % 3 else line)
+        file_line.append(len(padded))
+    return padded + ["", "\t "], file_line
+
+
+def test_blank_and_padded_lines_read_to_the_same_mesh():
+    mesh = refine_uniform(unit_disk_mesh(2))
+    text = io.StringIO()
+    write_mesh(mesh, text)
+    padded, _ = _padded_lines(text.getvalue())
+    again = read_mesh(io.StringIO("\n".join(padded)))
+    for name in ("vertices", "triangles", "boundary_edges"):
+        assert getattr(again, name).tobytes() == getattr(mesh, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [
+        (0, "biharm-mesh v1", "bad header"),
+        (1, "vertices x", "bad vertices count"),
+        (3, "0.0 x", "bad vertex line"),
+        (5, "triangles -1", "negative triangles count"),
+        (6, "0 2 1", "triangle 0 is not counterclockwise"),
+        (6, "0 1", "bad triangle line"),
+        (6, "0 1 99999999999999999999", "integer out of range"),
+    ],
+    ids=["header", "count", "vertex", "negative-count", "clockwise", "triangle", "int64"],
+)
+def test_blank_and_padded_lines_keep_the_file_line_of_a_fault(line, replacement, message):
+    lines = _ONE_TRIANGLE.splitlines()
+    lines[line] = replacement
+    padded, file_line = _padded_lines("\n".join(lines))
+    with pytest.raises(MeshFormatError, match=f"^line {file_line[line]}: {message}"):
+        read_mesh(io.StringIO("\n".join(padded)))
+
+
 def test_validation_rejects_clockwise_triangle():
     with pytest.raises(MeshValidationError, match="counterclockwise"):
         Mesh(
@@ -319,7 +398,15 @@ def test_read_rejects_bad_vertex_line():
 
 @pytest.mark.parametrize(
     "count, message",
-    [("four", "line 2: bad vertices count 'four'"), ("-4", "line 2: negative vertices count")],
+    [
+        ("four", "line 2: bad vertices count 'four'"),
+        ("-4", "line 2: negative vertices count"),
+        # int() takes both; the rows' grammar, ASCII decimal digits, does not
+        ("0_4", "line 2: bad vertices count '0_4'"),
+        ("\u0664", "line 2: bad vertices count '\u0664'"),  # an Arabic-Indic 4
+        ("1" * 5000, f"line 2: bad vertices count '{'1' * 5000}'"),  # beyond int()'s digit limit
+    ],
+    ids=["word", "negative", "underscore", "arabic-digit", "5000-digits"],
 )
 def test_read_rejects_a_bad_section_count(count, message):
     with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$") as err:

@@ -198,6 +198,13 @@ def test_a_mesh_refuses_ragged_vertices():
         Mesh([[0.0, 0.0], [1.0, 0.0], [1.0], [0.0, 1.0]], base.triangles)
 
 
+def test_a_cast_that_asks_no_dtype_names_none():
+    # np.dtype(None) is float64, which the message once named though no dtype was asked
+    with pytest.raises(ValueError, match="^not an array: ") as err:
+        CompatibilityError([[1.0], [1.0, 2.0]], 1e-3)
+    assert "float64" not in str(err.value)
+
+
 def test_a_field_refuses_coefficients_given_as_strings():
     space = build_space(unit_square_mesh(2), 1)
     with pytest.raises(ValueError, match="<U1 to float64"):
