@@ -154,8 +154,9 @@ class CompatibilityError(RuntimeError):
 
 def _strict_check(strict: bool, tol: float):
     """The strict test of the residuals: raises CompatibilityError when strict and the
-    largest exceeds ``tol``. A ``tol`` that is not a real number, a bool, NaN or
-    negative raises ValueError at once."""
+    largest exceeds ``tol``. A ``strict`` without one truth value, or a ``tol`` that is
+    not a real number, a bool, NaN or negative, raises ValueError at once."""
+    strict = bool(strict)
     real = not isinstance(tol, bool) and isinstance(tol, numbers.Real)
     if not (real and tol >= 0.0):
         raise ValueError(f"strict tolerance must be a number >= 0, got {tol!r}")
@@ -325,11 +326,11 @@ def solve_neumann(
     of U, the one condition the cascade does not build in.
 
     With ``strict=True`` the solve raises CompatibilityError before any
-    linear system is touched if the largest compatibility residual
-    exceeds ``strict_tol``. A ``strict_tol`` that is not a real number >= 0
-    (a bool or NaN included), a ``harmonic_degree`` that ``harmonic_basis``
-    rejects, and a ``rel_tol`` or ``max_iter`` that CG rejects, are a
-    ValueError before any residual is computed.
+    linear system is touched if the largest compatibility residual exceeds
+    ``strict_tol``. Options come first: a ``strict`` without one truth value,
+    a ``strict_tol`` that is not a real number >= 0 (a bool or NaN included),
+    a ``harmonic_degree`` that ``harmonic_basis`` rejects, and a ``rel_tol``
+    or ``max_iter`` that CG rejects are a ValueError before any datum is read.
 
     At P2 the load and the compatibility table integrate f on the same
     points, the space's held order-6 points, so f is called once, on all

@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands: mesh, solve, converge, compat, flux, overdet, complementing.
-Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
-3 compatibility violation under --strict. Output formatting is fixed so
-identical invocations produce byte-identical files and stdout.
+Subcommands: mesh, solve, converge, compat, flux, overdet, complementing. Each checks all
+its options first, in ``run``, then its expressions and the mesh size, and only then
+builds a mesh. Exit codes: 0 success, 1 usage or input error, 2 numerical failure, 3
+compatibility violation under --strict. Identical invocations give byte-identical output.
 """
 
 from __future__ import annotations
@@ -322,18 +322,16 @@ def _harmonic_labels(kmax: int) -> list[str]:
 
 def _cmd_compat(args) -> int:
     problem, _ = _problem_from_args(args)
-    check = _strict_check(args.strict, args.strict_tol)
     space = build_space(_build_mesh("square", args.n, 0), 1)  # the residuals read only the mesh
     residuals = compatibility_residual(space, problem, harmonic_basis(args.kmax))
     for label, r in zip(_harmonic_labels(args.kmax), residuals, strict=True):
         print(f"r[{label}] = {FLOAT_FMT.format(r)}")
     print(f"compat_max={FLOAT_FMT.format(float(np.abs(residuals).max()))}")
-    check(residuals)
+    _strict_check(args.strict, args.strict_tol)(residuals)
     return 0
 
 
 def _cmd_flux(args) -> int:
-    _check_cg_budget(args.rel_tol, args.max_iter)  # before any datum is evaluated
     problem, _ = _problem_from_args(args)
     space = build_space(_build_mesh("square", args.n, 0), args.degree)
     h = _data_values(problem.h, *boundary_geometry(space.mesh)[:2])  # a bad h fails before CG
@@ -480,6 +478,8 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _check_out(getattr(args, "out", None))
+        _strict_check(getattr(args, "strict", False), getattr(args, "strict_tol", 0.0))
+        _check_cg_budget(getattr(args, "rel_tol", 1.0), getattr(args, "max_iter", None))
         # an overflow numpy would warn about is a numerical failure, not a stray stderr line
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

@@ -1,14 +1,13 @@
 """Dirichlet Poisson solves and variational normal-flux recovery.
 
-The solve and the flux recovery read one residual of a field w with source
-q: r = K w + b, with K the stiffness matrix and b_i = (q, phi_i) the load.
-``solve_dirichlet`` handles ``laplace(w) = q`` with ``w = g`` on the
-boundary by eliminating boundary dofs: it interpolates g there and solves
-the interior rows of r = 0 with conjugate gradients, the boundary values
-lifted to the right-hand side through K. The source may be a callable on
-the domain or an existing finite element field (then the load is the exact
-mass-matrix product, which is what lets solves be chained without extra
-quadrature error).
+The solve and the flux recovery read one residual of a field w with source q:
+r = K w + b, with K the stiffness matrix and b_i = (q, phi_i) the load.
+``solve_dirichlet`` handles ``laplace(w) = q`` with ``w = g`` on the boundary by
+eliminating boundary dofs: it interpolates g there and solves the interior rows of
+r = 0 with conjugate gradients, the boundary values lifted to the right-hand side
+through K. The source may be a callable on the domain or an existing finite element
+field (then the load is the exact mass-matrix product, which is what lets solves be
+chained without extra quadrature error).
 
 ``normal_flux(w, source)`` reads the boundary rows of the same residual: for
 boundary dofs i, t_i = (K w + b)_i is the discrete Green identity pairing
@@ -23,13 +22,14 @@ bilaplacian V = p with V, laplacian V and its flux all zero, is
 condition not built in is the flux of U = laplacian V, the same flux
 ``overdetermined_check`` measures.
 
-Operators are built once per space: the stiffness matrix, its interior
-block, the mass matrix and the boundary mass matrix are assembled on the
-first solve or flux recovery on a space and held on that space for as long
-as it lives, so later calls assemble nothing. A solve and its flux from one
-load is the first stage, ``_solve_with_flux``: the whole of
-``overdetermined_check`` and the first half of ``solve_neumann``, which
-assembles the load of p (or f) once for both residual reads.
+Operators are built once per space: the stiffness matrix, its interior block, the
+mass matrix and the boundary mass matrix are assembled on the first solve or flux
+recovery on a space and held on it while it lives. Every public entry checks its
+options, then reads its data (each datum, a source field's space, a functional's
+length), and only then reaches the operators; private stages trust their caller. A
+solve and its flux from one load is the first stage, ``_solve_with_flux``: the whole
+of ``overdetermined_check`` and the first half of ``solve_neumann``, which assembles
+the load of p (or f) once for both residual reads.
 """
 
 from __future__ import annotations
@@ -131,11 +131,11 @@ def solve_dirichlet(
     right-hand side that overflows in the lift raises FloatingPointError.
     """
     _check_cg_budget(rel_tol, max_iter)  # also when no CG runs: no interior dofs
-    # data first, so a non-finite datum fails before any operator is assembled
-    b = _source_load(space, source)
+    # data first, the boundary's before the load, which is M @ coeffs for a field source
     coeffs = np.zeros(space.dof_count)
     bdofs = space.boundary_dofs
     coeffs[bdofs] = _data_values(boundary_value, *space.dof_coordinates[bdofs].T)
+    b = _source_load(space, source)
 
     ops = _operators(space)
     interior = ops.interior
@@ -168,6 +168,8 @@ class BoundaryFlux:
 
     def __post_init__(self):
         object.__setattr__(self, "functional", _owned(self.functional, float))
+        if self.functional.shape != self.space.boundary_dofs.shape:
+            raise ValueError("flux functional length does not match the boundary dofs")
         projected = cg_solve(_operators(self.space).boundary_mass, self.functional, rel_tol=1e-12)
         object.__setattr__(self, "projected", _owned(projected.x))
 
@@ -191,7 +193,8 @@ def normal_flux(w: ScalarField, source) -> BoundaryFlux:
     came out of ``solve_dirichlet``, so no information is lost by restricting.
     """
     space = w.space
-    residual = _operators(space).stiffness @ w.coeffs + _source_load(space, source)
+    load = _source_load(space, source)  # a bad source fails before any operator is built
+    residual = _operators(space).stiffness @ w.coeffs + load
     return BoundaryFlux(space, residual[space.boundary_dofs])
 
 
@@ -220,6 +223,7 @@ def overdetermined_check(
     otherwise. ``flux.total()`` always equals the integral of p up to
     solver tolerance, a useful exactness check in itself.
     """
+    _check_cg_budget(rel_tol, max_iter)  # a ValueError before p is read
     return OverdeterminedResult(*_solve_with_flux(space, p, 0.0, rel_tol, max_iter))
 
 
@@ -233,7 +237,6 @@ def _solve_with_flux(
 ) -> tuple[ScalarField, BoundaryFlux]:
     """The first stage: ``solve_dirichlet`` and the ``normal_flux`` of its
     solution, from one load of the source, ``_held_load``."""
-    _check_cg_budget(rel_tol, max_iter)  # a ValueError before the source is read
     load = _held_load(space, source)
     w = solve_dirichlet(space, load, boundary_value, rel_tol=rel_tol, max_iter=max_iter)
     return w, normal_flux(w, load)

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 
 import pytest
+from test_check_order import TABLE, TAKES_NO_OPTION
 
 import biharm
 from biharm import biharmonic, cli, fem, manufactured, mesh, poisson, polynomials, sparse
@@ -89,3 +90,8 @@ def test_census_of_settable_values():
         elif name in SETTABLE:
             census[name] = tuple(inspect.signature(obj).parameters)
     assert census == SETTABLE
+
+
+def test_every_settable_name_is_in_the_check_order_table_or_takes_no_option():
+    assert set(SETTABLE) <= set(TABLE) | set(TAKES_NO_OPTION)
+    assert not set(TABLE) & set(TAKES_NO_OPTION)
